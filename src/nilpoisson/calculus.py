@@ -23,8 +23,7 @@ class CalculusContext:
 
     __slots__ = (
         "presentation", "frame", "grading", "n", "abelian",
-        "dw", "dbar_v", "dbar_form", "bk_v_form",
-        "dbar_v_c", "dbar_v_t", "_c_proj", "_c_reps", "_sch_cache",
+        "dw", "dbar_v", "dbar_form", "bk_v_form", "_sch_cache",
     )
 
     def __init__(self, presentation: AlgebraPresentation,
@@ -37,7 +36,6 @@ class CalculusContext:
         self.abelian = self.frame.abelian
         self._build_form_differentials()
         self._build_vector_differentials()
-        self._build_split_images()
         self._sch_cache = {}
 
     # -- construction ------------------------------------------------------
@@ -92,46 +90,6 @@ class CalculusContext:
                         terms[(a, FORM_BASE + j)] = c
             self.dbar_v[i] = MixedElement(terms)
 
-    def _build_split_images(self):
-        """Center/complement split of the vector images (abelian use only)."""
-        n = self.n
-        full = Subspace.full(n)
-        c10 = self.grading.c10
-        _, reps, proj = quotient_map(c10, full)
-        self._c_reps = reps
-        self._c_proj = proj
-        self.dbar_v_c = {}
-        self.dbar_v_t = {}
-        for i in range(1, n + 1):
-            c_el = MixedElement()
-            t_el = MixedElement()
-            for j in range(1, n + 1):
-                u = self.frame.bracket_vvbar[(i, j)][0]
-                if not any(u):
-                    continue
-                ut = self._t_component(u)
-                uc = [a - b for a, b in zip(u, ut)]
-                omega_j = MixedElement.term((FORM_BASE + j,), GR_ONE)
-                if any(uc):
-                    c_el = c_el + MixedElement.vector(uc).wedge(omega_j)
-                if any(ut):
-                    t_el = t_el + MixedElement.vector(ut).wedge(omega_j)
-            self.dbar_v_c[i] = c_el
-            self.dbar_v_t[i] = t_el
-
-    def _t_component(self, coords):
-        out = [GR_ZERO] * self.n
-        for prow, rep in zip(self._c_proj, self._c_reps):
-            f = GR_ZERO
-            for a, b in zip(prow, coords):
-                if a and b:
-                    f = f + a * b
-            if f:
-                for k in range(self.n):
-                    if rep[k]:
-                        out[k] = out[k] + f * rep[k]
-        return out
-
     # -- generator tables ---------------------------------------------------
 
     def generators(self):
@@ -174,11 +132,34 @@ def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:
 
 
 def dbar_split(ctx: CalculusContext, e: MixedElement):
-    """(center part, complement part) of dbar e; abelian structures only."""
+    """(center part, complement part) of dbar e; abelian structures only.
+
+    Each vector image sum_j u_j ^ ow_j splits as u = u_c + u_t with u_t the
+    canonical complement representative of u modulo c^(1,0)."""
     if not ctx.abelian:
         raise NotAbelianError("the center/complement split needs an abelian structure")
-    c_images = {i: ctx.dbar_v_c[i] for i in range(1, ctx.n + 1)}
-    t_images = {i: ctx.dbar_v_t[i] for i in range(1, ctx.n + 1)}
+    n = ctx.n
+    _, reps, proj = quotient_map(ctx.grading.c10, Subspace.full(n))
+    c_images, t_images = {}, {}
+    for i in range(1, n + 1):
+        c_el = MixedElement()
+        t_el = MixedElement()
+        for j in range(1, n + 1):
+            u = ctx.frame.bracket_vvbar[(i, j)][0]
+            if not any(u):
+                continue
+            ut = [GR_ZERO] * n
+            for prow, rep in zip(proj, reps):
+                f = sum((a * b for a, b in zip(prow, u) if a and b), GR_ZERO)
+                ut = [x + f * y if y else x for x, y in zip(ut, rep)]
+            uc = [a - b for a, b in zip(u, ut)]
+            omega_j = MixedElement.term((FORM_BASE + j,), GR_ONE)
+            if any(uc):
+                c_el = c_el + MixedElement.vector(uc).wedge(omega_j)
+            if any(ut):
+                t_el = t_el + MixedElement.vector(ut).wedge(omega_j)
+        c_images[i] = c_el
+        t_images[i] = t_el
     return (apply_odd_derivation(c_images, e),
             apply_odd_derivation(t_images, e))
 

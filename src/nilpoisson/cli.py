@@ -95,8 +95,7 @@ def _render_rows(headers, rows) -> str:
     return "\n".join(lines)
 
 
-def _blank_report(presentation, report=None):
-    report = report if report is not None else validate(presentation)
+def _blank_report(presentation, report):
     return {
         "algebra": {
             "name": presentation.name,
@@ -172,7 +171,7 @@ def cmd_info(args):
     presentation = _load_presentation(args)
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     doc["timings"]["context"] = round(time.perf_counter() - t0, 6)
     g = ctx.grading
     frame_lines = []
@@ -209,7 +208,7 @@ def cmd_cohomology(args):
     elapsed = time.perf_counter() - t0
     if args.coef is not None and not (0 <= args.coef <= ctx.n):
         raise UsageError(f"--coef must be within 0..{ctx.n}")
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     doc["cohomology"] = _dolbeault_payload(table, ctx.n, args.coef)
     doc["timings"]["compute"] = round(elapsed, 6)
     rows = []
@@ -230,7 +229,7 @@ def cmd_poisson(args):
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
     space = holomorphic_bivector_space(ctx)
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     details = {
         "closed_dim": space.dim,
         "basis": [_bivector_text(c.bivector) for c in space.candidates],
@@ -292,7 +291,7 @@ def cmd_spectral(args):
     shown = verdict.pages.pages
     if args.pages is not None:
         shown = shown[:args.pages]
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     doc["lambda"] = str(expr_from_element(lam)) if lam else "0"
     doc["e_pages"] = _page_payload(shown)
     doc["verdict"] = verdict.verdict
@@ -314,7 +313,7 @@ def cmd_spectral(args):
 def cmd_degeneration(args):
     presentation, ctx, lam, bc, verdict, timings = _spectral_common(
         args, args.pages)
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     doc["lambda"] = str(expr_from_element(lam)) if lam else "0"
     doc["e_pages"] = _page_payload(verdict.pages.pages)
     doc["verdict"] = verdict.verdict
@@ -352,7 +351,7 @@ def cmd_crosscheck(args):
     if not report.match:
         raise InternalInvariantError(
             "bicomplex total cohomology disagrees with the direct computation")
-    doc = _blank_report(presentation)
+    doc = _blank_report(presentation, ctx.frame.report)
     doc["cohomology"] = {str(m): report.direct_dims[m]
                          for m in sorted(report.direct_dims)}
     doc["details"] = {

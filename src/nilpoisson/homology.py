@@ -2,14 +2,18 @@
 
 The double complex A^{p,q} (p vector factors, q form factors) carries the
 vertical differential dbar and, once a holomorphic Poisson bivector lam is
-fixed, the horizontal ad_lam.  Pages of the column filtration are realized by
-the subspace lattice: Z_r = F^p intersect D^{-1} F^{p+r} computed as exact
-kernels, E_r as canonical quotients, d_r by projecting D of the chosen
-representatives.
+fixed, the horizontal ad_lam.  The pages of the column filtration come from
+one sparse column reduction of each total differential D^k (the persistence
+pairing): a pair joining filtration degrees p < p' is a nonzero d_{p'-p}, so
+E_r^{p,q} counts the unpaired basis elements of (p, q) and the pairs of
+length at least r with an end there.  Canonical representatives and the d_r
+matrices are built on request, as quotients of the exact kernels
+Z_r = F^p intersect D^{-1} F^{p+r}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .calculus import (CalculusContext, ad_images, apply_odd_derivation,
                        dbar, schouten)
@@ -18,7 +22,7 @@ from .exact_linalg import (ExactMatrix, Subspace, kernel_basis, quotient_map,
                            zero_row)
 from .exterior import (FORM_BASE, MixedElement, cell_monomials,
                        element_coords, element_from_coords, graded_monomials,
-                       mono_bidegree)
+                       mono_bidegree, mono_str)
 from .lie_structure import AlgebraPresentation
 from .scalars import GR_ONE, GR_ZERO
 
@@ -36,8 +40,7 @@ def _matrix_of(images_fn, source_basis, target_basis, target_index, where):
 class BigradedComplex:
     """Cell bases plus exact dbar and ad_lam matrices, identities verified."""
 
-    def __init__(self, ctx: CalculusContext, lam: MixedElement | None = None,
-                 check: bool = True):
+    def __init__(self, ctx: CalculusContext, lam: MixedElement | None = None):
         self.ctx = ctx
         self.lam = lam if lam is not None else MixedElement()
         n = ctx.n
@@ -85,35 +88,38 @@ class BigradedComplex:
                         lambda e: apply_odd_derivation(self._ad_images, e),
                         src, self.basis[(p + 1, q)], self.index[(p + 1, q)],
                         "ad_lam")
-        if check:
-            self._check_identities()
+        self._check_identities()
 
     def _check_identities(self):
-        n = self.n
-        for p in range(n + 1):
-            for q in range(n + 1):
-                d1 = self.dbar_mat.get((p, q))
-                if d1 is not None:
-                    d2 = self.dbar_mat.get((p, q + 1))
-                    if d2 is not None and not d2.mul(d1).is_zero():
-                        raise InternalInvariantError("dbar^2 != 0")
+        dm, am = self.dbar_mat, self.ad_mat
+        for p in range(self.n + 1):
+            for q in range(self.n + 1):
+                self._check_zero("dbar^2", (p, q), (p, q + 2),
+                                 dm.get((p, q + 1)), dm.get((p, q)))
                 if not self.lam:
                     continue
-                a1 = self.ad_mat.get((p, q))
-                if a1 is not None:
-                    a2 = self.ad_mat.get((p + 1, q))
-                    if a2 is not None and not a2.mul(a1).is_zero():
-                        raise InternalInvariantError("ad_lam^2 != 0")
-                    dv = self.dbar_mat.get((p + 1, q))
-                    av = self.ad_mat.get((p, q + 1))
-                    if d1 is not None and dv is not None and av is not None:
-                        anti = dv.mul(a1).rows
-                        other = av.mul(d1).rows
-                        for r1, r2 in zip(anti, other):
-                            for x, y in zip(r1, r2):
-                                if x + y:
-                                    raise InternalInvariantError(
-                                        "dbar ad_lam + ad_lam dbar != 0")
+                self._check_zero("ad_lam^2", (p, q), (p + 2, q),
+                                 am.get((p + 1, q)), am.get((p, q)))
+                self._check_zero("dbar ad_lam + ad_lam dbar", (p, q),
+                                 (p + 1, q + 1), dm.get((p + 1, q)),
+                                 am.get((p, q)), am.get((p, q + 1)),
+                                 dm.get((p, q)))
+
+    def _check_zero(self, identity, cell, tgt, *factors):
+        """Raise unless a2 a1 (+ b2 b1) vanishes on cell, naming one entry."""
+        if any(m is None for m in factors):
+            return
+        rows = factors[0].mul(factors[1]).rows
+        if len(factors) == 4:
+            other = factors[2].mul(factors[3]).rows
+            rows = ([x + y for x, y in zip(r1, r2)] for r1, r2 in zip(rows, other))
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if x:
+                    raise InternalInvariantError(
+                        f"{identity} != 0 on cell (p,q)={cell}: entry {x} from "
+                        f"{mono_str(self.basis[cell][j])} to "
+                        f"{mono_str(self.basis[tgt][i])}")
 
     def cell_dim(self, p: int, q: int) -> int:
         return len(self.basis.get((p, q), []))
@@ -280,14 +286,76 @@ def poisson_betti(tc: TotalComplex) -> dict[int, int]:
     return out
 
 
-@dataclass
+def _pairing(tc: TotalComplex):
+    """Persistence pairing of the filtered complex, one reduction per D^k.
+
+    Columns are reduced left to right, each only by earlier columns, so a
+    reduced column stays in its filtration step; as K^k is ordered by p
+    descending, its pivot (last nonzero row) is where its image leaves the
+    filtration.  Returns the pairs as (length, source cell, target cell),
+    sorted, and the number of unpaired basis elements of each cell.
+    """
+    pairs = []
+    paired: dict[int, set] = {0: set()}
+    for k in range(tc.nmax + 1):
+        reduced: dict[int, dict] = {}
+        for j, col in enumerate(tc.dcols[k]):
+            v = dict(col)
+            while v:
+                low = max(v)
+                other = reduced.get(low)
+                if other is None:
+                    break
+                f = v[low]
+                for i, c in other.items():
+                    x = v.get(i, GR_ZERO) - f * c
+                    if x:
+                        v[i] = x
+                    else:
+                        del v[i]
+            if v:
+                lead = v[low]
+                reduced[low] = {i: c / lead for i, c in v.items()}
+                pj, pi = tc.pdeg[k][j], tc.pdeg[k + 1][low]
+                pairs.append((pi - pj, (pj, k - pj), (pi, k + 1 - pi)))
+                paired[k].add(j)
+        paired[k + 1] = set(reduced)
+    unpaired: dict[tuple[int, int], int] = {}
+    for k in range(tc.nmax + 1):
+        for j, p in enumerate(tc.pdeg[k]):
+            if j not in paired[k]:
+                unpaired[(p, k - p)] = unpaired.get((p, k - p), 0) + 1
+    return sorted(pairs), unpaired
+
+
+def _z_space(tc: TotalComplex, r: int, p: int, k: int) -> Subspace:
+    """Z_r^p in K^k: the x in F^p with D x in F^{p+r}, i.e. the kernel of the
+    block of D^k from the leading block F^p to the rows of degree below p + r,
+    padded with zeros."""
+    if k < 0 or k > tc.nmax:
+        return Subspace.zero(0)
+    amb = len(tc.bases[k])
+    width = sum(1 for d in tc.pdeg[k] if d >= p)
+    low = [i for i, d in enumerate(tc.pdeg.get(k + 1, [])) if d < p + r]
+    block = {i: zero_row(width) for i in low}
+    for j in range(width):
+        for i, c in tc.dcols[k][j]:
+            row = block.get(i)
+            if row is not None:
+                row[j] = c
+    kernel = kernel_basis(list(block.values()), width)
+    return Subspace.from_rows(amb, [v + zero_row(amb - width) for v in kernel])
+
+
 class SpectralPage:
-    r: int
-    dims: dict = field(default_factory=dict)
-    reps: dict = field(default_factory=dict)
-    projs: dict = field(default_factory=dict)
-    nums: dict = field(default_factory=dict)
-    d: dict = field(default_factory=dict)
+    """One page: dimensions from the pairing, and canonical representatives,
+    class projections and d_r built from Z_r on first access."""
+
+    def __init__(self, r: int, dims: dict, tc: TotalComplex):
+        self.r = r
+        self.dims = dims
+        self.tc = tc
+        self._cells: dict = {}
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -295,139 +363,62 @@ class SpectralPage:
     def nonzero_cells(self):
         return sorted(k for k, v in self.dims.items() if v)
 
+    def cell(self, p: int, q: int):
+        """(Z_r, reps, proj) of E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1})."""
+        hit = self._cells.get((p, q))
+        if hit is None:
+            r, k, tc = self.r, p + q, self.tc
+            num = _z_space(tc, r, p, k)
+            den = Subspace.from_rows(
+                num.ambient, _z_space(tc, r - 1, p + 1, k).basis
+                + [tc.apply_d(k - 1, b)
+                   for b in _z_space(tc, r - 1, p - r + 1, k - 1).basis])
+            # containment follows from D F^a <= F^a and D^2 = 0
+            dim, reps, proj = quotient_map(den, num, check=False)
+            if dim != self.dim(p, q):
+                raise InternalInvariantError(
+                    f"E_{r} dim at {(p, q)} is {self.dim(p, q)} from the pairing, "
+                    f"{dim} from Z_{r}")
+            hit = self._cells[(p, q)] = (num, reps, proj)
+        return hit
 
-class SpectralEngine:
-    """Pages of the vector-degree filtration of a total complex."""
+    def differential(self, p: int, q: int) -> ExactMatrix | None:
+        """d_r out of (p, q) in the reps bases; None when either end is zero."""
+        r = self.r
+        tp, tq = p + r, q - r + 1
+        dim, tdim = self.dim(p, q), self.dim(tp, tq)
+        if not dim or not tdim:
+            return None
+        tnum, _, tproj = self.cell(tp, tq)
+        cols = []
+        for rep in self.cell(p, q)[1]:
+            y = self.tc.apply_d(p + q, rep)
+            if not tnum.contains(y):
+                raise InternalInvariantError(
+                    f"d_{r} image of a class at {(p, q)} leaves Z_{r} at {(tp, tq)}")
+            cols.append([sum_entries(prow, y) for prow in tproj])
+        rows = [[cols[j][i] for j in range(dim)] for i in range(tdim)]
+        return ExactMatrix(rows, dim)
 
-    def __init__(self, tc: TotalComplex):
-        self.tc = tc
-        self.n = tc.n
-        self._z: dict = {}
-        self._img: dict = {}
-        self._f: dict = {}
+    @cached_property
+    def reps(self) -> dict:
+        return {pq: self.cell(*pq)[1] for pq in self.dims}
 
-    def filtration(self, p: int, k: int) -> Subspace:
-        if k < 0 or k > self.tc.nmax:
-            return Subspace.zero(0)
-        key = (p, k)
-        hit = self._f.get(key)
-        if hit is not None:
-            return hit
-        pdeg = self.tc.pdeg[k]
-        amb = len(pdeg)
-        rows = []
-        pivots = []
-        for i, d in enumerate(pdeg):
-            if d >= p:
-                row = zero_row(amb)
-                row[i] = GR_ONE
-                rows.append(row)
-                pivots.append(i)
-        sub = Subspace(amb, rows, pivots)
-        self._f[key] = sub
-        return sub
+    @cached_property
+    def projs(self) -> dict:
+        return {pq: self.cell(*pq)[2] for pq in self.dims}
 
-    def z_space(self, r: int, p: int, k: int) -> Subspace:
-        """Z_r^{p,*} in K^k: x in F^p with D x in F^{p+r}."""
-        if k < 0 or k > self.tc.nmax:
-            return Subspace.zero(0)
-        if r <= 0:
-            return self.filtration(p, k)
-        key = (r, p, k)
-        hit = self._z.get(key)
-        if hit is not None:
-            return hit
-        prev = self.z_space(r - 1, p, k)
-        if prev.dim == 0:
-            self._z[key] = prev
-            return prev
-        if k + 1 > self.tc.nmax:
-            self._z[key] = prev
-            return prev
-        # only the block of target degree exactly p + r - 1 is newly constrained
-        tgt_rows = [i for i, d in enumerate(self.tc.pdeg[k + 1]) if d == p + r - 1]
-        if not tgt_rows:
-            self._z[key] = prev
-            return prev
-        prev_images = self.image_rows_of_z(r - 1, p, k)
-        small = [[y[i] for y in prev_images] for i in tgt_rows]
-        coeffs = kernel_basis(small, prev.dim)
-        rows = []
-        for cvec in coeffs:
-            acc = zero_row(prev.ambient)
-            for c, b in zip(cvec, prev.basis):
-                if c:
-                    for a in range(prev.ambient):
-                        if b[a]:
-                            acc[a] = acc[a] + c * b[a]
-            rows.append(acc)
-        sub = Subspace.from_rows(prev.ambient, rows)
-        self._z[key] = sub
-        return sub
-
-    def image_rows_of_z(self, r: int, p: int, k: int) -> list:
-        """D applied to the Z_r^{p} basis in K^k, as raw rows in K^{k+1}."""
-        if k < 0 or k + 1 > self.tc.nmax:
-            return []
-        key = (r, p, k)
-        hit = self._img.get(key)
-        if hit is not None:
-            return hit
-        z = self.z_space(r, p, k)
-        rows = [self.tc.apply_d(k, b) for b in z.basis]
-        self._img[key] = rows
-        return rows
-
-    def page(self, r: int) -> SpectralPage:
-        page = SpectralPage(r=r)
-        n = self.n
-        for p in range(n + 1):
-            for q in range(n + 1):
-                k = p + q
-                num = self.z_space(r, p, k)
-                if num.dim == 0:
-                    page.dims[(p, q)] = 0
-                    page.reps[(p, q)] = []
-                    page.projs[(p, q)] = []
-                    page.nums[(p, q)] = num
-                    continue
-                den = Subspace.from_rows(
-                    num.ambient,
-                    self.z_space(r - 1, p + 1, k).basis
-                    + self.image_rows_of_z(r - 1, p - r + 1, k - 1))
-                # containment follows from D F^a <= F^a and D^2 = 0
-                dim, reps, proj = quotient_map(den, num, check=False)
-                page.dims[(p, q)] = dim
-                page.reps[(p, q)] = reps
-                page.projs[(p, q)] = proj
-                page.nums[(p, q)] = num
-        for (p, q), dim in page.dims.items():
-            if dim == 0:
-                continue
-            tp, tq = p + r, q - r + 1
-            tdim = page.dims.get((tp, tq), 0)
-            if tdim == 0:
-                continue
-            k = p + q
-            cols = []
-            tnum = page.nums[(tp, tq)]
-            tproj = page.projs[(tp, tq)]
-            for rep in page.reps[(p, q)]:
-                y = self.tc.apply_d(k, rep)
-                if not tnum.contains(y):
-                    raise InternalInvariantError(
-                        "d_r image leaves Z_r; filtration bookkeeping broken")
-                cols.append([sum_entries(prow, y) for prow in tproj])
-            rows = [[cols[j][i] for j in range(dim)] for i in range(tdim)]
-            page.d[(p, q)] = ExactMatrix(rows, dim)
-        return page
+    @cached_property
+    def d(self) -> dict:
+        return {pq: m for pq in self.dims
+                if (m := self.differential(*pq)) is not None}
 
 
 @dataclass
 class PageResult:
     pages: list
     tc: TotalComplex
-    engine: SpectralEngine
+    pairs: list
 
     def page(self, r: int) -> SpectralPage:
         return self.pages[r - 1]
@@ -471,30 +462,36 @@ def e2_dims_via_induced_map(bc: BigradedComplex,
     return dims
 
 
-def spectral_pages(bc: BigradedComplex, r_max: int | None = None,
-                   verify: bool = True) -> PageResult:
+def spectral_pages(bc: BigradedComplex, r_max: int | None = None) -> PageResult:
     n = bc.n
     if r_max is None:
         r_max = n + 1
     if r_max < 1:
         raise ValidationError("r_max must be at least 1")
     tc = TotalComplex(bc)
-    engine = SpectralEngine(tc)
-    pages = [engine.page(r) for r in range(1, r_max + 1)]
-    if verify:
-        table = dolbeault_table(bc)
-        for (p, q), cell_dims in pages[0].dims.items():
-            want = table[(p, q)].dim
-            if cell_dims != want:
+    pairs, unpaired = _pairing(tc)
+    pages = []
+    for r in range(1, r_max + 1):
+        dims = {(p, q): unpaired.get((p, q), 0)
+                for p in range(n + 1) for q in range(n + 1)}
+        for length, src, tgt in pairs:
+            if length >= r:
+                dims[src] += 1
+                dims[tgt] += 1
+        pages.append(SpectralPage(r, dims, tc))
+    table = dolbeault_table(bc)
+    for (p, q), cell_dims in pages[0].dims.items():
+        want = table[(p, q)].dim
+        if cell_dims != want:
+            raise InternalInvariantError(
+                f"E_1 dim at {(p, q)} is {cell_dims}, column cohomology gives {want}")
+    if len(pages) >= 2:
+        want2 = e2_dims_via_induced_map(bc, table)
+        for key, val in pages[1].dims.items():
+            if want2.get(key, 0) != val:
                 raise InternalInvariantError(
-                    f"E_1 dim at {(p, q)} is {cell_dims}, column cohomology gives {want}")
-        if len(pages) >= 2:
-            want2 = e2_dims_via_induced_map(bc, table)
-            for key, val in pages[1].dims.items():
-                if want2.get(key, 0) != val:
-                    raise InternalInvariantError(
-                        f"E_2 dim at {key} is {val}, induced-map formula gives {want2.get(key, 0)}")
-    return PageResult(pages=pages, tc=tc, engine=engine)
+                    f"E_2 dim at {key} is {val}, induced-map formula gives {want2.get(key, 0)}")
+    return PageResult(pages=pages, tc=tc, pairs=pairs)
 
 
 @dataclass
@@ -525,32 +522,26 @@ def degeneration_verdict(bc: BigradedComplex,
     tc = result.tc
     failure = None
     witness_src = witness_img = None
-    for page in result.pages:
-        if page.r < 2:
-            continue
-        for (p, q) in sorted(page.d):
-            mat = page.d[(p, q)]
-            if mat.is_zero():
-                continue
-            if failure is None:
-                failure = (page.r, p, q)
-                for j in range(mat.ncols):
-                    col = [mat.rows[i][j] for i in range(mat.nrows)]
-                    if any(col):
-                        k = p + q
-                        src = element_from_coords(page.reps[(p, q)][j], tc.bases[k])
-                        img_coords = zero_row(len(tc.bases[k + 1]))
-                        treps = page.reps[(p + page.r, q - page.r + 1)]
-                        for c, rep in zip(col, treps):
-                            if c:
-                                for a in range(len(img_coords)):
-                                    if rep[a]:
-                                        img_coords[a] = img_coords[a] + c * rep[a]
-                        witness_src = src
-                        witness_img = element_from_coords(img_coords, tc.bases[k + 1])
-                        break
-        if failure is not None:
-            break
+    # the first nonzero d_r with r >= 2 is the shortest such pair
+    first = min(((length, src) for length, src, _ in result.pairs if length >= 2),
+                default=None)
+    if first is not None:
+        r, (p, q) = first
+        failure = (r, p, q)
+        page = result.page(r)
+        mat = page.differential(p, q)
+        got = mat.rank() if mat is not None else 0
+        want = sum(1 for pair in result.pairs if pair[:2] == first)
+        if got != want:
+            raise InternalInvariantError(
+                f"d_{r} at {(p, q)} has rank {got}, but {want} pairs of length "
+                f"{r} start there")
+        j = next(j for j in range(mat.ncols) if any(row[j] for row in mat.rows))
+        witness_src = element_from_coords(page.cell(p, q)[1][j], tc.bases[p + q])
+        witness_img = MixedElement()
+        for row, rep in zip(mat.rows, page.cell(p + r, q - r + 1)[1]):
+            witness_img = witness_img + element_from_coords(
+                rep, tc.bases[p + q + 1]).scale(row[j])
     hk = poisson_betti(tc)
     einf = {}
     last = result.pages[-1]

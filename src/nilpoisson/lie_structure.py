@@ -233,11 +233,11 @@ class ComplexFrame:
 
     __slots__ = (
         "presentation", "n", "v_rows", "vbar_rows", "omega_rows",
-        "omegabar_rows", "bracket_vv", "bracket_vvbar", "abelian",
+        "omegabar_rows", "bracket_vv", "bracket_vvbar", "abelian", "report",
     )
 
     def __init__(self, presentation, n, v_rows, vbar_rows, omega_rows,
-                 omegabar_rows, bracket_vv, bracket_vvbar, abelian):
+                 omegabar_rows, bracket_vv, bracket_vvbar, abelian, report):
         self.presentation = presentation
         self.n = n
         self.v_rows = v_rows
@@ -247,6 +247,7 @@ class ComplexFrame:
         self.bracket_vv = bracket_vv      # {(i,j) i<j: (v_coords, vbar_coords)}
         self.bracket_vvbar = bracket_vvbar  # {(i,j) all: (v_coords, vbar_coords)}
         self.abelian = abelian
+        self.report = report  # the ValidationReport the frame was built after
 
     def coords_10(self, u: Vector) -> list[GaussRational]:
         return [_dot(w, u) for w in self.omega_rows]
@@ -337,7 +338,7 @@ def complex_frame(p: AlgebraPresentation) -> ComplexFrame:
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
     return ComplexFrame(p, n, v_rows, vbar_rows, omega_rows, omegabar_rows,
-                        bracket_vv, bracket_vvbar, abelian)
+                        bracket_vv, bracket_vvbar, abelian, rep)
 
 
 @dataclass

@@ -6,17 +6,19 @@ import pytest
 from nilpoisson.calculus import CalculusContext, dbar_lambda
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, ValidationError
-from nilpoisson.exact_linalg import kernel_basis, rank
+from nilpoisson.exact_linalg import ExactMatrix, kernel_basis, rank
 from nilpoisson.exterior import (
     MixedElement,
     element_coords,
     form_gen,
     graded_monomials,
     mono_bidegree,
+    mono_str,
     vec_gen,
 )
 from nilpoisson.homology import (
     BigradedComplex,
+    SpectralPage,
     TotalComplex,
     d_bicomplex_crosscheck,
     degeneration_verdict,
@@ -123,8 +125,9 @@ def test_e2_against_induced_map(tower4_bc):
 
 
 def test_page_dims_against_brute_force(tower4_ctx, tower4_pi, tower4_bc):
+    # every page r = 1..n+1, so pairs of every filtration length are covered
     result = spectral_pages(tower4_bc)
-    for r in (1, 2, 3):
+    for r in range(1, tower4_ctx.n + 2):
         page = result.page(r)
         for p in range(5):
             for q in range(5):
@@ -151,6 +154,22 @@ def test_page_dims_weakly_decrease(tower4_bc):
         hi = result.pages[r]
         for pq, d in hi.dims.items():
             assert d <= lo.dims.get(pq, 0)
+
+
+def test_page_dims_drop_by_ranks_of_d(tower4_bc):
+    # dim E_{r+1} = dim E_r - rank d_r out of the cell - rank d_r into it,
+    # tying the d_r matrices built on request to the dimensions of the pairs
+    result = spectral_pages(tower4_bc)
+    for page, nxt in zip(result.pages, result.pages[1:]):
+        r = page.r
+
+        def rank_d(p, q):
+            m = page.d.get((p, q))
+            return m.rank() if m is not None else 0
+
+        for (p, q), d in page.dims.items():
+            want = d - rank_d(p, q) - rank_d(p - r, q + r - 1)
+            assert nxt.dim(p, q) == want, (r, p, q)
 
 
 def test_frozen_zigzag_witness(tower4_bc, tower4_tc):
@@ -203,6 +222,36 @@ def test_central_lambda_all_pages_zero_d():
     verdict = degeneration_verdict(bc)
     assert verdict.degenerates
     assert [verdict.hk_dims[k] for k in (1, 2, 3)] == [5, 12, 19]
+
+
+def test_verdict_checks_rank_at_failing_cell(tower4_bc, monkeypatch):
+    # a d_r that disagrees with the pairs at the failing cell is an error
+    real = SpectralPage.differential
+
+    def zeroed(self, p, q):
+        m = real(self, p, q)
+        return None if m is None else ExactMatrix.zeros(m.nrows, m.ncols)
+
+    monkeypatch.setattr(SpectralPage, "differential", zeroed)
+    with pytest.raises(InternalInvariantError,
+                       match=r"d_2 at \(0, 2\) has rank 0, but 1 pairs"):
+        degeneration_verdict(tower4_bc)
+
+
+def test_identity_failure_names_cell_and_entry():
+    bc = BigradedComplex(CalculusContext(tower(4)))
+    d1 = bc.dbar_mat[(1, 0)]
+    i, j = next((i, j) for i in range(d1.nrows) for j in range(d1.ncols)
+                if d1.rows[i][j])
+    d2 = ExactMatrix.zeros(bc.cell_dim(1, 2), d1.nrows)
+    d2.rows[0][i] = GR_ONE
+    bc.dbar_mat[(1, 1)] = d2
+    with pytest.raises(InternalInvariantError) as err:
+        bc._check_identities()
+    src = mono_str(bc.basis[(1, 0)][j])
+    tgt = mono_str(bc.basis[(1, 2)][0])
+    assert str(err.value) == (f"dbar^2 != 0 on cell (p,q)=(1, 0): entry "
+                              f"{d1.rows[i][j]} from {src} to {tgt}")
 
 
 def test_poisson_cohomology_matches_betti(tower4_bc, tower4_tc):
