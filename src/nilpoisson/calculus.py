@@ -10,12 +10,12 @@ All operators are odd derivations pinned by their generator values:
 from __future__ import annotations
 
 from .errors import InternalInvariantError, NotAbelianError
-from .exact_linalg import Subspace, quotient_map
+from .exact_linalg import Subspace, combine, dense, mat_vec, quotient_map
 from .exterior import (FORM_BASE, MixedElement, Scratch2Form, interior,
                        form_gen, vec_gen)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, Grading,
                             complex_frame, grading)
-from .scalars import GR_ONE, GR_ZERO
+from .scalars import GR_ONE
 
 
 class CalculusContext:
@@ -148,10 +148,7 @@ def dbar_split(ctx: CalculusContext, e: MixedElement):
             u = ctx.frame.bracket_vvbar[(i, j)][0]
             if not any(u):
                 continue
-            ut = [GR_ZERO] * n
-            for prow, rep in zip(proj, reps):
-                f = sum((a * b for a, b in zip(prow, u) if a and b), GR_ZERO)
-                ut = [x + f * y if y else x for x, y in zip(ut, rep)]
+            ut = dense(combine(mat_vec(proj, u), reps), n)
             uc = [a - b for a, b in zip(u, ut)]
             omega_j = MixedElement.term((FORM_BASE + j,), GR_ONE)
             if any(uc):

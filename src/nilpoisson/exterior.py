@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalInvariantError
+from .exact_linalg import dense, entries
 from .scalars import GR_ONE, GaussRational
 
 FORM_BASE = 1 << 20
@@ -270,25 +271,26 @@ def graded_monomials(n: int, k: int) -> list[Monomial]:
     return out
 
 
-def element_coords(e: MixedElement, index: dict[Monomial, int], dim: int,
-                   where: str = "element") -> list[GaussRational]:
-    from .scalars import GR_ZERO
-
-    coords = [GR_ZERO] * dim
+def element_entries(e: MixedElement, index: dict[Monomial, int],
+                    where: str = "element") -> dict:
+    """Sparse coordinates of e in the basis that index numbers."""
+    out = {}
     for m, c in e.terms.items():
         pos = index.get(m)
         if pos is None:
             raise InternalInvariantError(f"{where}: monomial {mono_str(m)} outside basis")
-        coords[pos] = c
-    return coords
+        out[pos] = c
+    return out
+
+
+def element_coords(e: MixedElement, index: dict[Monomial, int], dim: int,
+                   where: str = "element") -> list[GaussRational]:
+    return dense(element_entries(e, index, where), dim)
 
 
 def element_from_coords(coords, basis: list[Monomial]) -> MixedElement:
-    terms = {}
-    for c, m in zip(coords, basis):
-        if c:
-            terms[m] = c
-    return MixedElement(terms)
+    """The element with the given sparse or dense coordinates."""
+    return MixedElement({basis[j]: c for j, c in entries(coords)})
 
 
 def wedge(a: MixedElement, b: MixedElement) -> MixedElement:

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalInvariantError, ValidationError
-from .exact_linalg import Subspace, invert, kernel_basis, quotient_map
+from .exact_linalg import (Subspace, combine, dense, invert, kernel_basis,
+                           quotient_map, sum_entries)
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
                       Rational, rational_from_string, rational_to_string)
 
@@ -250,36 +251,28 @@ class ComplexFrame:
         self.report = report  # the ValidationReport the frame was built after
 
     def coords_10(self, u: Vector) -> list[GaussRational]:
-        return [_dot(w, u) for w in self.omega_rows]
+        return [sum_entries(w, u) for w in self.omega_rows]
 
     def coords_01(self, u: Vector) -> list[GaussRational]:
-        return [_dot(w, u) for w in self.omegabar_rows]
+        return [sum_entries(w, u) for w in self.omegabar_rows]
 
     def vector_from_coords(self, coords) -> Vector:
-        out = [GR_ZERO] * (2 * self.n)
-        for c, row in zip(coords, self.v_rows):
-            if c:
-                for a in range(2 * self.n):
-                    if row[a]:
-                        out[a] = out[a] + c * row[a]
-        return out
-
-
-def _dot(a, b) -> GaussRational:
-    acc = GR_ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            acc = acc + x * y
-    return acc
+        return dense(combine(coords, self.v_rows), 2 * self.n)
 
 
 def _conj_row(row):
     return [c.conjugate() for c in row]
 
 
-def complex_frame(p: AlgebraPresentation) -> ComplexFrame:
-    """Build the (1,0) frame; raises ValidationError when J is not integrable."""
-    rep = validate(p)
+def complex_frame(p: AlgebraPresentation,
+                  rep: ValidationReport | None = None) -> ComplexFrame:
+    """Build the (1,0) frame; raises ValidationError when J is not integrable.
+
+    rep is the validation of p when the caller already holds it, for
+    instance from a presentation that differs from p only in its frame rows.
+    """
+    if rep is None:
+        rep = validate(p)
     if not rep.ok:
         raise ValidationError("; ".join(rep.errors))
     n2 = p.dim
@@ -318,8 +311,8 @@ def complex_frame(p: AlgebraPresentation) -> ComplexFrame:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
-            c10 = [_dot(w, u) for w in omega_rows]
-            c01 = [_dot(w, u) for w in omegabar_rows]
+            c10 = [sum_entries(w, u) for w in omega_rows]
+            c01 = [sum_entries(w, u) for w in omegabar_rows]
             if any(c01):
                 raise InternalInvariantError(
                     "integrable structure produced a (0,1) part in [v_i, v_j]"
@@ -332,8 +325,8 @@ def complex_frame(p: AlgebraPresentation) -> ComplexFrame:
         for j in range(1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], vbar_rows[j - 1])
             bracket_vvbar[(i, j)] = (
-                [_dot(w, u) for w in omega_rows],
-                [_dot(w, u) for w in omegabar_rows],
+                [sum_entries(w, u) for w in omega_rows],
+                [sum_entries(w, u) for w in omegabar_rows],
             )
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
@@ -395,8 +388,7 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
     for k in range(1, step + 1):
         upper, lower = gj10[k - 1], gj10[k]
         _, reps, _ = quotient_map(lower, upper)
-        pivots = [next(a for a, c in enumerate(r) if c) for r in reps]
-        t10[k] = Subspace(n, reps, pivots)
+        t10[k] = Subspace(n, reps)
     c10 = _part10(p, frame, center)
 
     s = step - 1

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .calculus import CalculusContext, ad_images, dbar, schouten
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
-from .exact_linalg import Subspace, kernel_basis
-from .exterior import (MixedElement, cell_monomials, element_coords,
+from .exact_linalg import ExactMatrix, Subspace
+from .exterior import (MixedElement, cell_monomials, element_entries,
                        element_from_coords)
 from .scalars import GR_ONE
 
@@ -56,9 +56,9 @@ class BivectorSpace:
         return self.closed.dim
 
     def contains(self, lam: MixedElement) -> bool:
-        coords = element_coords(
+        coords = element_entries(
             lam, {m: i for i, m in enumerate(self.basis_monomials)},
-            len(self.basis_monomials), "bivector space")
+            "bivector space")
         return self.closed.contains(coords)
 
 
@@ -74,14 +74,12 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     basis = cell_monomials(n, 2, 0)
     tgt = cell_monomials(n, 2, 1)
     tgt_index = {m: i for i, m in enumerate(tgt)}
-    cols = []
-    for mono in basis:
-        img = dbar(ctx, MixedElement.term(mono, GR_ONE))
-        cols.append(element_coords(img, tgt_index, len(tgt), "dbar"))
-    rows = [[cols[j][i] for j in range(len(basis))] for i in range(len(tgt))]
-    closed = Subspace.from_rows(len(basis), kernel_basis(rows, len(basis)))
+    cols = [element_entries(dbar(ctx, MixedElement.term(mono, GR_ONE)),
+                            tgt_index, "dbar")
+            for mono in basis]
+    closed = Subspace(len(basis), ExactMatrix.from_cols(cols, len(tgt)).kernel())
     candidates = []
-    for coords in closed.basis:
+    for coords in closed.rows:
         lam = element_from_coords(coords, basis)
         cand = is_holomorphic_poisson(ctx, lam)
         if not cand.dbar_closed:

@@ -256,3 +256,19 @@ def test_float_rank_agrees_with_exact(tower4_bc, tower4_tc):
         assert m.rank() == float_rank(m)
         checked += 1
     assert checked > 40
+
+
+def test_float_rank_agrees_with_exact_tower5():
+    # the independent float oracle at the size the sparse kernel serves:
+    # every D^k of tower(5) with the theorem-2 bivector, up to 252 x 210
+    ctx = CalculusContext(tower(5))
+    tc = TotalComplex(BigradedComplex(ctx, theorem2_lambda(ctx).bivector))
+    checked = 0
+    for k, m in tc.dmat.items():
+        if m.nrows == 0 or m.ncols == 0:
+            continue
+        arr = np.array([[complex(e) for e in row] for row in m.rows], dtype=complex)
+        s = np.linalg.svd(arr, compute_uv=False)
+        assert m.rank() == int((s > 1e-8).sum()), k
+        checked += 1
+    assert checked == 10

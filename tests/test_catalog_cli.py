@@ -264,3 +264,36 @@ def test_cli_crosscheck(capsys):
     assert doc["details"]["identities_ok"] is True
     assert doc["details"]["total_dims"] == {"0": 2, "1": 8, "2": 12, "3": 8, "4": 2}
     assert doc["cohomology"] == doc["details"]["total_dims"]
+
+
+def test_cli_crosscheck_validates_once(capsys, monkeypatch):
+    # the center-adapted presentation reuses the validation of the original
+    import nilpoisson.lie_structure as lie_structure
+
+    real = lie_structure.validate
+    calls = []
+
+    def counted(p):
+        calls.append(p.name)
+        return real(p)
+
+    monkeypatch.setattr(lie_structure, "validate", counted)
+    rc, _, _ = run(capsys, "crosscheck", "--algebra", "tower:4", "--coef", "2")
+    assert rc == 0
+    assert calls == ["tower(4)"]
+
+
+def test_cli_refuses_oversized_algebra(capsys, monkeypatch):
+    # the size guard fires before any monomial basis is built
+    import nilpoisson.homology as homology
+
+    def no_basis(*args):
+        raise AssertionError("a monomial basis was built")
+
+    monkeypatch.setattr(homology, "cell_monomials", no_basis)
+    rc, out, err = run(capsys, "cohomology", "--algebra", "tower:12")
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: complex dimension n = 12 is above the supported "
+                   "maximum 8: its bigraded complex would hold 4^12 = "
+                   "16777216 monomials\n")

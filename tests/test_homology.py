@@ -241,17 +241,17 @@ def test_verdict_checks_rank_at_failing_cell(tower4_bc, monkeypatch):
 def test_identity_failure_names_cell_and_entry():
     bc = BigradedComplex(CalculusContext(tower(4)))
     d1 = bc.dbar_mat[(1, 0)]
-    i, j = next((i, j) for i in range(d1.nrows) for j in range(d1.ncols)
-                if d1.rows[i][j])
+    # the first nonzero entry by row, then column, through the sparse columns
+    i, j = min((i, j) for j, col in enumerate(d1.cols) for i in col)
     d2 = ExactMatrix.zeros(bc.cell_dim(1, 2), d1.nrows)
-    d2.rows[0][i] = GR_ONE
+    d2.cols[i][0] = GR_ONE
     bc.dbar_mat[(1, 1)] = d2
     with pytest.raises(InternalInvariantError) as err:
         bc._check_identities()
     src = mono_str(bc.basis[(1, 0)][j])
     tgt = mono_str(bc.basis[(1, 2)][0])
     assert str(err.value) == (f"dbar^2 != 0 on cell (p,q)=(1, 0): entry "
-                              f"{d1.rows[i][j]} from {src} to {tgt}")
+                              f"{d1.cols[j][i]} from {src} to {tgt}")
 
 
 def test_poisson_cohomology_matches_betti(tower4_bc, tower4_tc):
@@ -339,6 +339,30 @@ def test_crosscheck_tower4_frozen():
     for r in (r0, r1, r2):
         assert r.identities_ok
         assert r.total_dims == r.direct_dims
+
+
+def test_crosscheck_identity_failure_names_degree_and_entry(monkeypatch):
+    # replace dbar_c out of degree 1 by a single unit entry, so that
+    # dbar_c^2 out of degree 0 is the first row of dbar_c at degree 0 that
+    # has an entry; the message must name the identity, m and that entry
+    import nilpoisson.homology as homology
+
+    real = homology._center_split
+
+    def corrupted(abc, ell, a):
+        split = real(abc, ell, a)
+        c0 = split[0][0]
+        i = min(i for col in c0.cols for i in col)
+        c1 = ExactMatrix.zeros(len(abc.basis[(ell, 2)]), c0.nrows)
+        c1.cols[i][0] = GR_ONE
+        split[1] = (c1, split[1][1])
+        return split
+
+    monkeypatch.setattr(homology, "_center_split", corrupted)
+    with pytest.raises(InternalInvariantError) as err:
+        d_bicomplex_crosscheck(CalculusContext(tower(4)), 2)
+    assert str(err.value) == ("dbar_c^2 != 0 on degree m=0: entry -1 from "
+                              "v2^v4 to v1^v2^ow1^ow2")
 
 
 def test_crosscheck_rejects_bad_ell():
