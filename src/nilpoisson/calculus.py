@@ -23,7 +23,7 @@ class CalculusContext:
 
     __slots__ = (
         "presentation", "frame", "grading", "n", "abelian",
-        "dw", "dbar_v", "dbar_form", "bk_v_form", "_sch_cache",
+        "dbar_v", "dbar_form", "bk_v_form", "_sch_cache",
     )
 
     def __init__(self, presentation: AlgebraPresentation,
@@ -43,7 +43,6 @@ class CalculusContext:
     def _build_form_differentials(self):
         n = self.n
         fr = self.frame
-        self.dw = {}
         self.dbar_form = {}
         self.bk_v_form = {}
         for m in range(1, n + 1):
@@ -64,7 +63,6 @@ class CalculusContext:
                     if cc:
                         antiholo[(i, j)] = -cc
             form = Scratch2Form(mixed, antiholo, holo)
-            self.dw[m] = form
             self.dbar_form[m] = form.antiholo_element()
             if self.abelian and self.dbar_form[m]:
                 raise InternalInvariantError(

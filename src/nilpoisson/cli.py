@@ -203,11 +203,11 @@ def cmd_cohomology(args):
     presentation = _load_presentation(args)
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
+    if args.coef is not None and not (0 <= args.coef <= ctx.n):
+        raise UsageError(f"--coef must be within 0..{ctx.n}")
     bc = BigradedComplex(ctx)
     table = dolbeault_table(bc)
     elapsed = time.perf_counter() - t0
-    if args.coef is not None and not (0 <= args.coef <= ctx.n):
-        raise UsageError(f"--coef must be within 0..{ctx.n}")
     doc = _blank_report(presentation, ctx.frame.report)
     doc["cohomology"] = _dolbeault_payload(table, ctx.n, args.coef)
     doc["timings"]["compute"] = round(elapsed, 6)
@@ -393,8 +393,11 @@ def _emit(args, doc, text, csv_rows) -> None:
     else:
         payload = text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         print(payload)
 

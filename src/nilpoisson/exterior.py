@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantError
 from .exact_linalg import dense, entries
-from .scalars import GR_ONE, GaussRational
+from .scalars import GaussRational
 
 FORM_BASE = 1 << 20
 
@@ -296,5 +296,3 @@ def element_from_coords(coords, basis: list[Monomial]) -> MixedElement:
 def wedge(a: MixedElement, b: MixedElement) -> MixedElement:
     return a.wedge(b)
 
-
-GR_UNIT_ELEMENT = MixedElement({(): GR_ONE})

@@ -21,7 +21,6 @@ from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Subspace, combine, dense, eliminate,
                            mat_mul, mat_vec, quotient_map, sparse)
-from .exact_linalg import sum_entries  # noqa: F401  (kept importable from here)
 from .exterior import (FORM_BASE, MixedElement, cell_monomials,
                        element_entries, element_from_coords, graded_monomials,
                        mono_bidegree, mono_str)

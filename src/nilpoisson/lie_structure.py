@@ -4,10 +4,16 @@ A presentation is a real 2n-dimensional algebra given by rational structure
 constants for basis pairs i < j together with a rational matrix J, J^2 = -1.
 The (1,0) frame v_1..v_n diagonalizes J; catalog presets carry a preferred
 frame so printed formulas match the usual normalization v_j = (x_j - i y_j)/2.
+
+The Jacobi check, the central series and the center read the brackets of
+basis vectors straight from the sparse structure constants.  `validate`
+keeps the central series on its report and the grading reuses it, so one
+algebra's series is computed once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import (Subspace, combine, dense, invert, kernel_basis,
@@ -86,6 +92,7 @@ class ValidationReport:
     integrable: bool = False
     abelian: bool = False
     errors: list = field(default_factory=list)
+    series: list = field(default_factory=list)  # central_series(p); empty if indices fail
 
     @property
     def ok(self) -> bool:
@@ -123,37 +130,19 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    basis = [p.basis_vector(i) for i in range(1, n2 + 1)]
-    table = {}
-    for i in range(1, n2 + 1):
-        for j in range(i + 1, n2 + 1):
-            table[(i, j)] = p.bracket_vectors(basis[i - 1], basis[j - 1])
-
-    def tbl(i, j):
-        if i == j:
-            return [GR_ZERO] * n2
-        if i < j:
-            return table[(i, j)]
-        return [-c for c in table[(j, i)]]
-
-    for i in range(1, n2 + 1):
-        for j in range(i + 1, n2 + 1):
-            for k in range(j + 1, n2 + 1):
-                acc = [GR_ZERO] * n2
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = tbl(a, b)
-                    term = p.bracket_vectors(inner, basis[c - 1])
-                    acc = [x + y for x, y in zip(acc, term)]
-                if any(acc):
-                    rep.jacobi_ok = False
-                    rep.jacobi_failure = (i, j, k)
-                    rep.errors.append(f"jacobi identity fails on ({i},{j},{k})")
-                    break
-            if not rep.jacobi_ok:
-                break
-        if not rep.jacobi_ok:
+    for i, j, k in combinations(range(1, n2 + 1), 3):
+        jac: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in p.bracket_basis(a, b).items():
+                for t, y in p.bracket_basis(m, c).items():
+                    jac[t] = jac.get(t, RAT_ZERO) + x * y
+        if any(jac.values()):
+            rep.jacobi_ok = False
+            rep.jacobi_failure = (i, j, k)
+            rep.errors.append(f"jacobi identity fails on ({i},{j},{k})")
             break
 
+    basis = [p.basis_vector(i) for i in range(1, n2 + 1)]
     for j in range(1, n2 + 1):
         jj = p.j_apply(p.j_apply(basis[j - 1]))
         want = [-c for c in basis[j - 1]]
@@ -162,12 +151,12 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
             rep.errors.append(f"J^2 != -1 on basis vector {j}")
             break
 
-    series = central_series(p)
-    if series[-1].dim != 0:
+    rep.series = central_series(p)
+    if rep.series[-1].dim != 0:
         rep.nilpotent = False
         rep.errors.append("descending central series does not reach zero")
     else:
-        rep.step = len(series) - 1  # series = [g^0, ..., g^{s+1} = 0]
+        rep.step = len(rep.series) - 1  # series = [g^0, ..., g^{s+1} = 0]
 
     if rep.j_square_ok:
         jb = [p.j_apply(b) for b in basis]
@@ -176,7 +165,7 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
         for i in range(1, n2 + 1):
             for j in range(i + 1, n2 + 1):
                 lhs = p.bracket_vectors(jb[i - 1], jb[j - 1])
-                base = tbl(i, j)
+                base = dense(_basis_bracket(p, i, j), n2)
                 if lhs != base:
                     abelian = False
                 nij = [a - b for a, b in zip(lhs, base)]
@@ -202,15 +191,13 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
 def central_series(p: AlgebraPresentation, cap: int = 64) -> list[Subspace]:
     """Descending central series g^0 = g, g^{k+1} = [g^k, g], until it stalls."""
     n2 = p.dim
+    # ad[j][i] = [e_{i+1}, e_{j+1}], so [b, e_{j+1}] = combine(b, ad[j])
+    ad = [[_basis_bracket(p, i, j) for i in range(1, n2 + 1)]
+          for j in range(1, n2 + 1)]
     series = [Subspace.full(n2)]
     while len(series) < cap:
         prev = series[-1]
-        rows = []
-        for b in prev.basis:
-            for j in range(1, n2 + 1):
-                w = p.bracket_vectors(b, p.basis_vector(j))
-                if any(w):
-                    rows.append(w)
+        rows = [w for b in prev.rows for col in ad if (w := combine(b, col))]
         nxt = Subspace.from_rows(n2, rows)
         series.append(nxt)
         if nxt.dim == 0 or nxt.dim == prev.dim:
@@ -219,14 +206,19 @@ def central_series(p: AlgebraPresentation, cap: int = 64) -> list[Subspace]:
 
 
 def center_subspace(p: AlgebraPresentation) -> Subspace:
-    n2 = p.dim
-    stacked = []
-    for j in range(1, n2 + 1):
-        # rows of the map x -> [x, e_j]
-        cols = [p.bracket_vectors(p.basis_vector(i), p.basis_vector(j)) for i in range(1, n2 + 1)]
-        for k in range(n2):
-            stacked.append([cols[i][k] for i in range(n2)])
-    return Subspace.from_rows(n2, kernel_basis(stacked, n2))
+    """The kernel of x -> ([x, e_j])_j, one row per coordinate k of [x, e_j]."""
+    rows: dict = {}
+    for i in range(1, p.dim + 1):
+        for j in range(1, p.dim + 1):
+            for k, x in _basis_bracket(p, i, j).items():
+                rows.setdefault((j, k), {})[i - 1] = x
+    return Subspace(p.dim, kernel_basis(list(rows.values()), p.dim))
+
+
+def _basis_bracket(p: AlgebraPresentation, i: int, j: int) -> dict:
+    """[e_i, e_j] as a sparse vector over Q(i), indexed from 0."""
+    return {k - 1: GaussRational(c, RAT_ZERO)
+            for k, c in p.bracket_basis(i, j).items() if c}
 
 
 class ComplexFrame:
@@ -336,14 +328,10 @@ def complex_frame(p: AlgebraPresentation,
 
 @dataclass
 class Grading:
-    """Central-series data refined by J, in both real and frame coordinates."""
+    """Central-series data refined by J, in frame coordinates."""
 
     n: int
     step: int                      # s + 1
-    series: list                   # Subspace, real ambient; index 0..s+1
-    center: "Subspace"
-    gj: list                       # g_J^k = g^k + J g^k, real ambient
-    gj10: list                     # (1,0) parts, frame coordinates (ambient n)
     t10: dict                      # k -> complement Subspace, k = 1..s+1
     c10: "Subspace"                # (1,0) part of the center, frame coordinates
 
@@ -369,16 +357,12 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
     if frame is None:
         frame = complex_frame(p)
     n2, n = p.dim, frame.n
-    series = central_series(p)
-    if series[-1].dim != 0:
-        raise ValidationError("algebra is not nilpotent")
-    # drop a stalled tail; keep g^0 .. g^{s+1} with g^{s+1} = 0
-    while len(series) >= 2 and series[-2].dim == 0:
-        series.pop()
+    # the frame exists only for a valid report, whose series ends at g^{s+1} = 0
+    series = frame.report.series
     step = len(series) - 1
     center = center_subspace(p)
 
-    gj = []
+    gj = []  # g_J^k = g^k + J g^k, real ambient
     for sub in series:
         jrows = [p.j_apply(u) for u in sub.basis]
         gj.append(Subspace.from_rows(n2, sub.basis + jrows))
@@ -392,16 +376,13 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
     c10 = _part10(p, frame, center)
 
     s = step - 1
-    if s >= 1 and not center.contains_subspace(gj[s]):
-        # holds for abelian structures; flag loudly if data claims otherwise
-        rep = validate(p)
-        if rep.abelian:
-            raise InternalInvariantError("g_J^s is not contained in the center")
+    # holds for abelian structures; flag loudly if data claims otherwise
+    if s >= 1 and frame.report.abelian and not center.contains_subspace(gj[s]):
+        raise InternalInvariantError("g_J^s is not contained in the center")
     total = sum(t10[k].dim for k in t10)
     if total != n:
         raise InternalInvariantError("t-splitting does not fill g^(1,0)")
-    return Grading(n=n, step=step, series=series, center=center, gj=gj,
-                   gj10=gj10, t10=t10, c10=c10)
+    return Grading(n=n, step=step, t10=t10, c10=c10)
 
 
 def presentation_to_dict(p: AlgebraPresentation) -> dict:

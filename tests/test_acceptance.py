@@ -20,6 +20,7 @@ from nilpoisson.calculus import (
     dbar,
 )
 from nilpoisson.catalog import kodaira, torus, tower
+from nilpoisson.exact_linalg import sum_entries
 from nilpoisson.exterior import (
     MixedElement,
     element_coords,
@@ -34,7 +35,6 @@ from nilpoisson.homology import (
     degeneration_verdict,
     dolbeault_table,
     poisson_betti,
-    sum_entries,
 )
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import holomorphic_bivector_space, is_holomorphic_poisson, theorem2_lambda

@@ -297,3 +297,61 @@ def test_cli_refuses_oversized_algebra(capsys, monkeypatch):
     assert err == ("error: complex dimension n = 12 is above the supported "
                    "maximum 8: its bigraded complex would hold 4^12 = "
                    "16777216 monomials\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--algebra", "tower:4"),
+    ("info", "--algebra", "tower:4"),
+    ("cohomology", "--algebra", "tower:4"),
+    ("poisson", "--algebra", "tower:4"),
+    ("spectral", "--algebra", "tower:4", "--theorem2"),
+    ("degeneration", "--algebra", "tower:4", "--lambda", "2 v1^v4 - v2^v3"),
+    ("crosscheck", "--algebra", "tower:4", "--coef", "2"),
+])
+def test_cli_central_series_runs_once(capsys, monkeypatch, argv):
+    # validate keeps the series on its report and the grading reads it there
+    import nilpoisson.lie_structure as lie_structure
+
+    real = lie_structure.central_series
+    calls = []
+
+    def counted(p, *args):
+        calls.append(p.name)
+        return real(p, *args)
+
+    monkeypatch.setattr(lie_structure, "central_series", counted)
+    rc, _, _ = run(capsys, *argv)
+    assert rc == 0
+    assert calls == ["tower(4)"]
+
+
+def test_cli_coef_checked_before_any_complex(capsys, monkeypatch, tmp_path):
+    import nilpoisson.cli as cli
+
+    def no_complex(*args):
+        raise AssertionError("a bigraded complex was built")
+
+    monkeypatch.setattr(cli, "BigradedComplex", no_complex)
+    rc, out, err = run(capsys, "cohomology", "--algebra", "tower:7", "--coef", "9")
+    assert (rc, out, err) == (2, "", "error: --coef must be within 0..7\n")
+    # an invalid algebra is still reported first
+    path = tmp_path / "jacobi.json"
+    path.write_text(json.dumps({
+        "dim": 4,
+        "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}},
+                     {"i": 1, "j": 3, "out": {"1": "1"}}],
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+    }))
+    rc, out, err = run(capsys, "cohomology", "--file", str(path), "--coef", "9")
+    assert rc == 1
+    assert err.startswith("validation failure: jacobi identity fails on (1,2,3)")
+
+
+def test_cli_out_to_unwritable_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.txt"
+    rc, out, err = run(capsys, "info", "--algebra", "tower:3", "--out", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.exists()

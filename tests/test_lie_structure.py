@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import UsageError, ValidationError
-from nilpoisson.exact_linalg import mat_mul
+from nilpoisson.exact_linalg import Subspace, kernel_basis, mat_mul
 from nilpoisson.lie_structure import (
     AlgebraPresentation,
     center_subspace,
@@ -112,8 +115,21 @@ def test_validate_detects_jacobi_failure():
     p = AlgebraPresentation(4, br, _paired_j_rows(2))
     rep = validate(p)
     assert not rep.jacobi_ok
-    assert rep.jacobi_failure is not None
+    assert rep.jacobi_failure == (1, 2, 3)
     assert not rep.ok
+    assert rep.errors == [
+        "jacobi identity fails on (1,2,3)",
+        "descending central series does not reach zero",
+        "complex structure is not integrable (Nijenhuis tensor != 0)",
+    ]
+    # [e2,e3]=e4, [e2,e4]=e2: every triple with 1 holds, (2,3,4) gives -e4
+    br = {
+        (2, 3): {4: Rational(1)},
+        (2, 4): {2: Rational(1)},
+    }
+    rep = validate(AlgebraPresentation(6, br, _paired_j_rows(3)))
+    assert rep.jacobi_failure == (2, 3, 4)
+    assert rep.errors[0] == "jacobi identity fails on (2,3,4)"
 
 
 def test_validate_detects_bad_j_square():
@@ -204,6 +220,65 @@ def test_central_series_tower():
 def test_central_series_torus_and_kodaira():
     assert [s.dim for s in central_series(torus(3))] == [6, 0]
     assert [s.dim for s in central_series(kodaira())] == [4, 1, 0]
+
+
+def _dense_jacobi_failure(p):
+    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    for i, j, k in combinations(range(1, p.dim + 1), 3):
+        acc = [GR_ZERO] * p.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            term = p.bracket_vectors(p.bracket_vectors(e[a - 1], e[b - 1]), e[c - 1])
+            acc = [x + y for x, y in zip(acc, term)]
+        if any(acc):
+            return (i, j, k)
+    return None
+
+
+def _dense_central_series(p):
+    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    series = [Subspace.full(p.dim)]
+    while True:
+        prev = series[-1]
+        rows = [p.bracket_vectors(b, ej) for b in prev.basis for ej in e]
+        series.append(Subspace.from_rows(p.dim, [w for w in rows if any(w)]))
+        if series[-1].dim in (0, prev.dim):
+            return series
+
+
+def _dense_center(p):
+    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    # row (j, k): x -> the e_k coordinate of [x, e_j]
+    rows = [[p.bracket_vectors(ei, ej)[k] for ei in e]
+            for ej in e for k in range(p.dim)]
+    return Subspace.from_rows(p.dim, kernel_basis(rows, p.dim))
+
+
+@st.composite
+def _structure_constants(draw):
+    d = 2 * draw(st.integers(1, 3))
+    # outputs above both inputs keep the algebra nilpotent; Jacobi may fail
+    upper = draw(st.booleans())
+    pairs = list(combinations(range(1, d + 1), 2))
+    brackets = {}
+    for i, j in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=5)):
+        targets = list(range(j + 1, d + 1) if upper else range(1, d + 1))
+        if targets:
+            brackets[(i, j)] = draw(st.dictionaries(
+                st.sampled_from(targets),
+                st.integers(-2, 2).filter(bool).map(Rational),
+                min_size=1, max_size=2))
+    return AlgebraPresentation(d, brackets, _paired_j_rows(d // 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structure_constants())
+def test_sparse_structure_reads_match_dense_oracle(p):
+    rep = validate(p)
+    assert rep.jacobi_failure == _dense_jacobi_failure(p)
+    assert rep.jacobi_ok == (rep.jacobi_failure is None)
+    assert rep.series == _dense_central_series(p)
+    assert central_series(p) == rep.series
+    assert center_subspace(p) == _dense_center(p)
 
 
 def test_grading_dims_tower4():
