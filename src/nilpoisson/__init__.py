@@ -3,7 +3,7 @@ algebras with complex structure, with the full page-by-page spectral
 sequence of the vector-degree filtration."""
 
 from .calculus import (CalculusContext, ad, ad_images, apply_odd_derivation,
-                       dbar, dbar_lambda, dbar_split, schouten)
+                       dbar, dbar_lambda, schouten)
 from .catalog import (CATALOG, catalog_load, kodaira, load_file, save_file,
                       torus, tower)
 from .errors import (InternalInvariantError, NilpoissonError, NotAbelianError,
@@ -36,9 +36,9 @@ __all__ = [
     "SpectralPage", "Subspace", "TotalComplex", "UsageError",
     "ValidationError", "ValidationReport", "ad", "ad_images",
     "apply_odd_derivation", "catalog_load", "cell_monomials", "complex_frame",
-    "d_bicomplex_crosscheck", "dbar", "dbar_lambda", "dbar_split",
-    "degeneration_verdict", "dolbeault_cohomology", "dolbeault_table",
-    "e2_dims_via_induced_map", "gauss", "gauss_from_string",
+    "d_bicomplex_crosscheck", "dbar", "dbar_lambda", "degeneration_verdict",
+    "dolbeault_cohomology", "dolbeault_table", "e2_dims_via_induced_map",
+    "gauss", "gauss_from_string",
     "graded_monomials", "grading", "holomorphic_bivector_space",
     "is_holomorphic_poisson", "kodaira", "load_file", "parse_lambda",
     "poisson_betti", "poisson_cohomology", "presentation_from_dict",

@@ -1,7 +1,8 @@
-"""The Lie-algebroid differential, its center/complement split, and the
-Schouten bracket on the mixed exterior algebra.
+"""The Lie-algebroid differential and the Schouten bracket on the mixed
+exterior algebra.
 
-All operators are odd derivations pinned by their generator values:
+All operators are odd derivations pinned by their generator values, and one
+term walk, `_odd_leibniz`, applies every such derivation:
   dbar v    = sum_j [v, vbar_j]^(1,0) ^ ow_j
   dbar ow_m = (0,2) part of d ow_m,      d alpha(a, b) = -alpha([a, b])
   [v, ow_m] = contraction of v into d ow_m
@@ -9,10 +10,10 @@ All operators are odd derivations pinned by their generator values:
 """
 from __future__ import annotations
 
-from .errors import InternalInvariantError, NotAbelianError
-from .exact_linalg import Subspace, combine, dense, mat_vec, quotient_map
-from .exterior import (FORM_BASE, MixedElement, Scratch2Form, interior,
-                       form_gen, vec_gen)
+from .errors import InternalInvariantError
+from .exact_linalg import ExactMatrix
+from .exterior import (FORM_BASE, MixedElement, Scratch2Form, element_entries,
+                       form_gen, interior, vec_gen, wedge_mono)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, Grading,
                             complex_frame, grading)
 from .scalars import GR_ONE
@@ -23,7 +24,7 @@ class CalculusContext:
 
     __slots__ = (
         "presentation", "frame", "grading", "n", "abelian",
-        "dbar_v", "dbar_form", "bk_v_form", "_sch_cache",
+        "dbar_images", "bk_v_form", "_sch_cache",
     )
 
     def __init__(self, presentation: AlgebraPresentation,
@@ -34,17 +35,28 @@ class CalculusContext:
         self.grading = grad if grad is not None else grading(presentation, self.frame)
         self.n = self.frame.n
         self.abelian = self.frame.abelian
-        self._build_form_differentials()
-        self._build_vector_differentials()
+        self._build_dbar_images()
         self._sch_cache = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_form_differentials(self):
+    def _build_dbar_images(self):
+        """The nonzero dbar generator images, and [v_k, ow_m] on the side."""
         n = self.n
         fr = self.frame
-        self.dbar_form = {}
+        self.dbar_images = {}
         self.bk_v_form = {}
+        for i in range(1, n + 1):
+            terms = {}
+            for j in range(1, n + 1):
+                c10 = fr.bracket_vvbar[(i, j)][0]
+                for a in range(1, n + 1):
+                    c = c10[a - 1]
+                    if c:
+                        # the monomial (v_a, ow_j) is already canonical
+                        terms[(a, FORM_BASE + j)] = c
+            if terms:
+                self.dbar_images[i] = MixedElement(terms)
         for m in range(1, n + 1):
             mixed = {}
             antiholo = {}
@@ -63,30 +75,17 @@ class CalculusContext:
                     if cc:
                         antiholo[(i, j)] = -cc
             form = Scratch2Form(mixed, antiholo, holo)
-            self.dbar_form[m] = form.antiholo_element()
-            if self.abelian and self.dbar_form[m]:
-                raise InternalInvariantError(
-                    "abelian structure produced a (0,2) part in d ow"
-                )
+            image = form.antiholo_element()
+            if image:
+                if self.abelian:
+                    raise InternalInvariantError(
+                        "abelian structure produced a (0,2) part in d ow"
+                    )
+                self.dbar_images[FORM_BASE + m] = image
             for k in range(1, n + 1):
                 val = interior(k, form)
                 if val:
                     self.bk_v_form[(k, m)] = val
-
-    def _build_vector_differentials(self):
-        n = self.n
-        fr = self.frame
-        self.dbar_v = {}
-        for i in range(1, n + 1):
-            terms = {}
-            for j in range(1, n + 1):
-                c10 = fr.bracket_vvbar[(i, j)][0]
-                for a in range(1, n + 1):
-                    c = c10[a - 1]
-                    if c:
-                        # the monomial (v_a, ow_j) is already canonical
-                        terms[(a, FORM_BASE + j)] = c
-            self.dbar_v[i] = MixedElement(terms)
 
     # -- generator tables ---------------------------------------------------
 
@@ -103,60 +102,65 @@ class CalculusContext:
         return MixedElement.vector(coords)
 
 
+def _odd_leibniz(images: dict[int, MixedElement], mono: tuple, coeff,
+                 out: dict) -> None:
+    """Add coeff * D(mono) into the sparse terms out, D the odd derivation
+    with these generator images:
+
+        D(g_1 ... g_k) = sum_t (-1)^(t-1) g_1 ... g_(t-1) D(g_t) g_(t+1) ... g_k
+
+    Each image term is merged in place between the prefix and the suffix;
+    coeff None stands for 1 and multiplies nothing.
+    """
+    for t, g in enumerate(mono):
+        img = images.get(g)
+        if not img:
+            continue
+        pre, post = mono[:t], mono[t + 1:]
+        for m, c in img.terms.items():
+            s1, m = wedge_mono(pre, m)
+            if not s1:
+                continue
+            s2, m = wedge_mono(m, post)
+            if not s2:
+                continue
+            if coeff is not None:
+                c = coeff * c
+            if (s1 != s2) != (t % 2 == 1):
+                c = -c
+            s = out.get(m)
+            if s is None:
+                out[m] = c
+            else:
+                s = s + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+
+
 def apply_odd_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedElement:
     """Extend generator images to the unique odd derivation and apply it."""
-    out = MixedElement()
-    one = GR_ONE
+    out: dict = {}
     for mono, coeff in e.terms.items():
-        for t, g in enumerate(mono):
-            img = images.get(g)
-            if img is None or img.is_zero():
-                continue
-            c = coeff if t % 2 == 0 else -coeff
-            pre = MixedElement.term(mono[:t], c)
-            post = MixedElement.term(mono[t + 1:], one)
-            out = out + pre.wedge(img).wedge(post)
-    return out
+        _odd_leibniz(images, mono, coeff, out)
+    return MixedElement(out)
+
+
+def derivation_matrix(images: dict[int, MixedElement], source_basis,
+                      target_index: dict, where: str) -> ExactMatrix:
+    """The odd derivation with these generator images, one sparse column
+    per source monomial."""
+    cols = []
+    for mono in source_basis:
+        out: dict = {}
+        _odd_leibniz(images, mono, None, out)
+        cols.append(element_entries(MixedElement(out), target_index, where))
+    return ExactMatrix.from_cols(cols, len(target_index))
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:
-    images = {}
-    for i in range(1, ctx.n + 1):
-        images[i] = ctx.dbar_v[i]
-        f = ctx.dbar_form[i]
-        if f:
-            images[FORM_BASE + i] = f
-    return apply_odd_derivation(images, e)
-
-
-def dbar_split(ctx: CalculusContext, e: MixedElement):
-    """(center part, complement part) of dbar e; abelian structures only.
-
-    Each vector image sum_j u_j ^ ow_j splits as u = u_c + u_t with u_t the
-    canonical complement representative of u modulo c^(1,0)."""
-    if not ctx.abelian:
-        raise NotAbelianError("the center/complement split needs an abelian structure")
-    n = ctx.n
-    _, reps, proj = quotient_map(ctx.grading.c10, Subspace.full(n))
-    c_images, t_images = {}, {}
-    for i in range(1, n + 1):
-        c_el = MixedElement()
-        t_el = MixedElement()
-        for j in range(1, n + 1):
-            u = ctx.frame.bracket_vvbar[(i, j)][0]
-            if not any(u):
-                continue
-            ut = dense(combine(mat_vec(proj, u), reps), n)
-            uc = [a - b for a, b in zip(u, ut)]
-            omega_j = MixedElement.term((FORM_BASE + j,), GR_ONE)
-            if any(uc):
-                c_el = c_el + MixedElement.vector(uc).wedge(omega_j)
-            if any(ut):
-                t_el = t_el + MixedElement.vector(ut).wedge(omega_j)
-        c_images[i] = c_el
-        t_images[i] = t_el
-    return (apply_odd_derivation(c_images, e),
-            apply_odd_derivation(t_images, e))
+    return apply_odd_derivation(ctx.dbar_images, e)
 
 
 def _schouten_generators(ctx: CalculusContext, ga: int, gb: int) -> MixedElement:

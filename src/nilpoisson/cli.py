@@ -347,6 +347,8 @@ def cmd_crosscheck(args):
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
     ell = args.coef if args.coef is not None else 1
+    if not (0 <= ell <= ctx.n):
+        raise UsageError(f"--coef must be within 0..{ctx.n}")
     report = d_bicomplex_crosscheck(ctx, ell)
     if not report.match:
         raise InternalInvariantError(

@@ -15,31 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .calculus import (CalculusContext, ad_images, apply_odd_derivation,
-                       dbar, schouten)
+from .calculus import (CalculusContext, ad_images, dbar, derivation_matrix,
+                       schouten)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Subspace, combine, dense, eliminate,
                            mat_mul, mat_vec, quotient_map, sparse)
 from .exterior import (FORM_BASE, MixedElement, cell_monomials,
-                       element_entries, element_from_coords, graded_monomials,
-                       mono_bidegree, mono_str)
+                       element_from_coords, graded_monomials, mono_bidegree,
+                       mono_str)
 from .lie_structure import AlgebraPresentation, complex_frame
-from .scalars import GR_ONE
 
 # Largest complex dimension served: the complex has 4^n monomials, 65536 at
 # n = 8, and exact elimination beyond that does not finish in useful time.
 MAX_N = 8
-
-
-def _matrix_of(images, source_basis, target_index, where):
-    """The odd derivation with these generator images, one sparse column
-    per source monomial."""
-    cols = [element_entries(
-                apply_odd_derivation(images, MixedElement.term(mono, GR_ONE)),
-                target_index, where)
-            for mono in source_basis]
-    return ExactMatrix.from_cols(cols, len(target_index))
 
 
 def _check_zero(identity, where, src_basis, tgt_basis, *factors):
@@ -91,13 +80,7 @@ class BigradedComplex:
             if sq:
                 raise ValidationError(
                     f"lam is not Poisson: [lam, lam] = {sq} != 0")
-        self._ad_images = ad_images(ctx, self.lam) if self.lam else {}
-        self._dbar_images = {}
-        for i in range(1, n + 1):
-            self._dbar_images[i] = ctx.dbar_v[i]
-            f = ctx.dbar_form[i]
-            if f:
-                self._dbar_images[FORM_BASE + i] = f
+        ad_imgs = ad_images(ctx, self.lam) if self.lam else {}
 
         self.basis: dict[tuple[int, int], list] = {}
         self.index: dict[tuple[int, int], dict] = {}
@@ -113,11 +96,11 @@ class BigradedComplex:
             for q in range(n + 1):
                 src = self.basis[(p, q)]
                 if q + 1 <= n:
-                    self.dbar_mat[(p, q)] = _matrix_of(
-                        self._dbar_images, src, self.index[(p, q + 1)], "dbar")
+                    self.dbar_mat[(p, q)] = derivation_matrix(
+                        ctx.dbar_images, src, self.index[(p, q + 1)], "dbar")
                 if self.lam and p + 1 <= n:
-                    self.ad_mat[(p, q)] = _matrix_of(
-                        self._ad_images, src, self.index[(p + 1, q)], "ad_lam")
+                    self.ad_mat[(p, q)] = derivation_matrix(
+                        ad_imgs, src, self.index[(p + 1, q)], "ad_lam")
         self._check_identities()
 
     def _check_identities(self):
@@ -209,8 +192,6 @@ class TotalComplex:
             self.index[k] = {m: i for i, m in enumerate(b)}
             self.pdeg[k] = [mono_bidegree(m)[0] for m in b]
         self.dmat = {k: self._build_d(k) for k in range(self.nmax + 1)}
-        # the sparse columns of each D^k; D has a handful of entries per column
-        self.dcols = {k: m.cols for k, m in self.dmat.items()}
 
     def _build_d(self, k: int) -> ExactMatrix:
         """D^k from the cell columns of dbar and ad_lam.  The cells of K^k
@@ -290,7 +271,7 @@ def _pairing(tc: TotalComplex):
         # number rows from the end, so that the last row leads
         top = len(tc.bases.get(k + 1, ())) - 1
         _, leads = eliminate([{top - i: c for i, c in col.items()}
-                              for col in tc.dcols[k]])
+                              for col in tc.dmat[k].cols])
         paired[k + 1] = set()
         for j, lead in enumerate(leads):
             if lead is not None:
@@ -318,7 +299,7 @@ def _z_space(tc: TotalComplex, r: int, p: int, k: int) -> Subspace:
     # the rows of degree below p + r are a trailing block of K^{k+1}
     first = sum(1 for d in tc.pdeg.get(k + 1, ()) if d >= p + r)
     block = [{i: c for i, c in col.items() if i >= first}
-             for col in tc.dcols[k][:width]]
+             for col in tc.dmat[k].cols[:width]]
     nrows = len(tc.bases.get(k + 1, ()))
     return Subspace(len(tc.bases[k]),
                     ExactMatrix.from_cols(block, nrows).kernel())
@@ -544,7 +525,6 @@ def degeneration_verdict(bc: BigradedComplex,
 class DBicomplexReport:
     ell: int
     c_dim: int
-    cell_dims: dict
     total_dims: dict
     direct_dims: dict
     identities_ok: bool
@@ -612,12 +592,6 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
     abc = BigradedComplex(actx)
 
     bases = {m: abc.basis[(ell, m)] for m in range(n + 1)}
-    cell_dims: dict = {}
-    for m in range(n + 1):
-        for mono in bases[m]:
-            p = _center_degree(mono, a)
-            key = (p, m - p)
-            cell_dims[key] = cell_dims.get(key, 0) + 1
     dsplit = _center_split(abc, ell, a)
     for m in range(n - 1):
         c1, t1 = dsplit[m]
@@ -638,6 +612,5 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
         total_dims[m] = null - rk
     base = BigradedComplex(ctx)
     direct_dims = {m: dolbeault_cohomology(base, ell, m).dim for m in range(n + 1)}
-    return DBicomplexReport(ell=ell, c_dim=a, cell_dims=cell_dims,
-                            total_dims=total_dims, direct_dims=direct_dims,
-                            identities_ok=True)
+    return DBicomplexReport(ell=ell, c_dim=a, total_dims=total_dims,
+                            direct_dims=direct_dims, identities_ok=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import UsageError
 from .exterior import FORM_BASE, MixedElement
 from .scalars import (GR_ONE, GaussRational, RAT_ZERO, gauss,
-                      rational_from_string, rational_to_string)
+                      gauss_to_string, rational_from_string)
 
 
 class LambdaParseError(UsageError):
@@ -166,7 +166,9 @@ class LambdaExpr:
             return "0"
         parts = []
         for k, (i, j, c) in enumerate(self.terms):
-            text = _coeff_str(c)
+            # a unit coefficient is written as a bare sign
+            text = gauss_to_string(c)
+            text = {"1": "", "-1": "-"}.get(text, text)
             sign = "-" if text.startswith("-") else "+"
             body = text[1:] if text.startswith("-") else text
             lead = body + " " if body else ""
@@ -175,26 +177,6 @@ class LambdaExpr:
             else:
                 parts.append(f" {sign} {lead}v{i}^v{j}")
         return "".join(parts)
-
-
-def _coeff_str(c: GaussRational) -> str:
-    """Render a coefficient in the grammar's own syntax; empty for one."""
-    if not c.im:
-        if c.re == 1:
-            return ""
-        if c.re == -1:
-            return "-"
-        return rational_to_string(c.re)
-    if not c.re:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return rational_to_string(c.im) + "i"
-    im = rational_to_string(c.im)
-    if not im.startswith("-"):
-        im = "+" + im
-    return f"({rational_to_string(c.re)}{im}i)"
 
 
 def expr_from_element(e: MixedElement) -> LambdaExpr:

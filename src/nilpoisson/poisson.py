@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import CalculusContext, ad_images, dbar, schouten
+from .calculus import (CalculusContext, ad_images, dbar, derivation_matrix,
+                       schouten)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
-from .exact_linalg import ExactMatrix, Subspace
+from .exact_linalg import Subspace
 from .exterior import (MixedElement, cell_monomials, element_entries,
                        element_from_coords)
-from .scalars import GR_ONE
 
 
 @dataclass
@@ -72,12 +72,9 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     """
     n = ctx.n
     basis = cell_monomials(n, 2, 0)
-    tgt = cell_monomials(n, 2, 1)
-    tgt_index = {m: i for i, m in enumerate(tgt)}
-    cols = [element_entries(dbar(ctx, MixedElement.term(mono, GR_ONE)),
-                            tgt_index, "dbar")
-            for mono in basis]
-    closed = Subspace(len(basis), ExactMatrix.from_cols(cols, len(tgt)).kernel())
+    tgt_index = {m: i for i, m in enumerate(cell_monomials(n, 2, 1))}
+    mat = derivation_matrix(ctx.dbar_images, basis, tgt_index, "dbar")
+    closed = Subspace(len(basis), mat.kernel())
     candidates = []
     for coords in closed.rows:
         lam = element_from_coords(coords, basis)

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nilpoisson.homology as homology
 from nilpoisson.calculus import (
     CalculusContext,
     ad,
@@ -9,12 +12,13 @@ from nilpoisson.calculus import (
     apply_odd_derivation,
     dbar,
     dbar_lambda,
-    dbar_split,
+    derivation_matrix,
     schouten,
 )
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
-from nilpoisson.errors import NotAbelianError
-from nilpoisson.exterior import MixedElement, form_gen, vec_gen, wedge
+from nilpoisson.errors import InternalInvariantError, NotAbelianError
+from nilpoisson.exterior import (MixedElement, element_entries, form_gen,
+                                 graded_monomials, vec_gen, wedge)
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.lie_structure import AlgebraPresentation, validate
 from nilpoisson.scalars import GR_ONE, GR_ZERO, GaussRational, Rational, gauss
@@ -274,30 +278,101 @@ def test_dbar_lambda_is_sum():
         assert dbar_lambda(ctx, pi, e) == dbar(ctx, e) + ad(ctx, pi, e)
 
 
-def test_dbar_split_tower4():
+def leibniz_reference(images, e):
+    """The odd Leibniz rule written out with MixedElement wedges."""
+    out = MixedElement()
+    for mono, coeff in e.terms.items():
+        for t, g in enumerate(mono):
+            img = images.get(g, MixedElement())
+            pre = MixedElement.term(mono[:t], coeff if t % 2 == 0 else -coeff)
+            post = MixedElement.term(mono[t + 1:], GR_ONE)
+            out = out + pre.wedge(img).wedge(post)
+    return out
+
+
+@st.composite
+def _derivation_cases(draw):
+    n = draw(st.integers(2, 5))
+    codes = [vec_gen(i) for i in range(1, n + 1)]
+    codes += [form_gen(j) for j in range(1, n + 1)]
+    coeffs = st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+
+    def elements(max_degree):
+        monos = st.sets(st.sampled_from(codes), max_size=max_degree).map(
+            lambda s: tuple(sorted(s)))
+        return st.dictionaries(monos, coeffs, max_size=4).map(MixedElement)
+
+    # images of any degree, often sharing a factor with the monomial they
+    # are merged into, so that repeated factors must cancel
+    images = draw(st.dictionaries(st.sampled_from(codes), elements(3),
+                                  max_size=2 * n))
+    return n, images, draw(elements(2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_derivation_cases())
+# two terms of D(v1^v2) land on v1^v2^ow1 and cancel
+@example((2, {vec_gen(1): term([1], [1]), vec_gen(2): -term([2], [1])},
+          vterm(1, 2)))
+def test_derivation_kernel_matches_odd_leibniz(case):
+    n, images, e = case
+    assert apply_odd_derivation(images, e) == leibniz_reference(images, e)
+    everything = [m for k in range(2 * n + 1) for m in graded_monomials(n, k)]
+    index = {m: i for i, m in enumerate(everything)}
+    source = sorted(e.terms)
+    mat = derivation_matrix(images, source, index, "test")
+    assert mat.nrows == len(everything)
+    for mono, col in zip(source, mat.cols):
+        want = leibniz_reference(images, MixedElement.term(mono, GR_ONE))
+        assert col == element_entries(want, index)
+
+
+def test_derivation_matrix_names_stray_monomial():
     ctx = CalculusContext(tower(4))
-    # v4 spans the (1,0) center, so dbar(v3) = -v4^ow1 is all central
-    c, t = dbar_split(ctx, vterm(3))
-    assert c == -term([4], [1])
-    assert t.is_zero()
-    half = GaussRational(Rational(1, 2))
-    c, t = dbar_split(ctx, vterm(1))
-    assert c.is_zero()
-    assert t == term([2], [1], -half)
-    c, t = dbar_split(ctx, vterm(4))
-    assert c.is_zero() and t.is_zero()
-    # the two parts always reassemble dbar
-    rng = random.Random(12)
-    for _ in range(20):
-        e = rand_mixed(rng, 4)
-        c, t = dbar_split(ctx, e)
-        assert c + t == dbar(ctx, e)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^dbar: monomial v2\^ow1 outside basis$"):
+        derivation_matrix(ctx.dbar_images, [(vec_gen(1),)], {}, "dbar")
 
 
-def test_dbar_split_rejects_non_abelian():
-    ctx = CalculusContext(iwasawa())
+def test_center_split_tower4(monkeypatch):
+    seen = {}
+
+    def spy(abc, ell, a):
+        seen.update(abc=abc, a=a)
+        return split(abc, ell, a)
+
+    split = homology._center_split
+    monkeypatch.setattr(homology, "_center_split", spy)
+    homology.d_bicomplex_crosscheck(CalculusContext(tower(4)), 1)
+    abc, a = seen["abc"], seen["a"]
+    # the adapted frame puts the (1,0) center v4 first: v4, v1, v2, v3 are
+    # its generators 1, 2, 3, 4, and the forms follow the same order
+    assert a == 1
+    c, t = split(abc, 1, a)[0]
+    src, tgt = abc.basis[(1, 0)], abc.basis[(1, 1)]
+
+    def col(mat, i):
+        return {tgt[r]: x for r, x in mat.cols[src.index((vec_gen(i),))].items()}
+
+    # dbar(v3) = -v4^ow1 is all central
+    assert col(c, 4) == {(vec_gen(1), form_gen(2)): -GR_ONE}
+    assert not col(t, 4)
+    # dbar(v1) = -1/2 v2^ow1 is all complement
+    assert not col(c, 2)
+    assert col(t, 2) == {(vec_gen(3), form_gen(2)): gauss(Rational(-1, 2))}
+    # dbar(v4) = 0
+    assert not col(c, 1) and not col(t, 1)
+    # the two parts always reassemble dbar, column by column
+    for ell in range(5):
+        for m, (c, t) in split(abc, ell, a).items():
+            for cc, tc, dc in zip(c.cols, t.cols, abc.dbar_mat[(ell, m)].cols):
+                assert not cc.keys() & tc.keys()
+                assert {**cc, **tc} == dc
+
+
+def test_crosscheck_rejects_non_abelian():
     with pytest.raises(NotAbelianError):
-        dbar_split(ctx, vterm(1))
+        homology.d_bicomplex_crosscheck(CalculusContext(iwasawa()), 1)
 
 
 def test_conjugated_presentation_same_dbar_square():

@@ -327,13 +327,19 @@ def test_cli_central_series_runs_once(capsys, monkeypatch, argv):
 
 def test_cli_coef_checked_before_any_complex(capsys, monkeypatch, tmp_path):
     import nilpoisson.cli as cli
+    import nilpoisson.homology as homology
 
     def no_complex(*args):
         raise AssertionError("a bigraded complex was built")
 
     monkeypatch.setattr(cli, "BigradedComplex", no_complex)
+    monkeypatch.setattr(homology, "BigradedComplex", no_complex)
     rc, out, err = run(capsys, "cohomology", "--algebra", "tower:7", "--coef", "9")
     assert (rc, out, err) == (2, "", "error: --coef must be within 0..7\n")
+    for coef, n in (("9", 3), ("-1", 3), ("8", 7)):
+        rc, out, err = run(capsys, "crosscheck", "--algebra", f"tower:{n}",
+                           "--coef", coef)
+        assert (rc, out, err) == (2, "", f"error: --coef must be within 0..{n}\n")
     # an invalid algebra is still reported first
     path = tmp_path / "jacobi.json"
     path.write_text(json.dumps({
