@@ -50,11 +50,9 @@ class CalculusContext:
             terms = {}
             for j in range(1, n + 1):
                 c10 = fr.bracket_vvbar[(i, j)][0]
-                for a in range(1, n + 1):
-                    c = c10[a - 1]
-                    if c:
-                        # the monomial (v_a, ow_j) is already canonical
-                        terms[(a, FORM_BASE + j)] = c
+                for a in sorted(c10):
+                    # the monomial (v_a, ow_j) is already canonical
+                    terms[(a + 1, FORM_BASE + j)] = c10[a]
             if terms:
                 self.dbar_images[i] = MixedElement(terms)
         for m in range(1, n + 1):
@@ -63,17 +61,16 @@ class CalculusContext:
             holo = {}
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    c01 = fr.bracket_vvbar[(i, j)][1][m - 1]
-                    if c01:
-                        mixed[(i, j)] = -c01
+                    c01 = fr.bracket_vvbar[(i, j)][1]
+                    if m - 1 in c01:
+                        mixed[(i, j)] = -c01[m - 1]
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     c10, c01 = fr.bracket_vv[(i, j)]
-                    if c01[m - 1]:
+                    if m - 1 in c01:
                         holo[(i, j)] = -c01[m - 1]
-                    cc = c10[m - 1].conjugate()
-                    if cc:
-                        antiholo[(i, j)] = -cc
+                    if m - 1 in c10:
+                        antiholo[(i, j)] = -c10[m - 1].conjugate()
             form = Scratch2Form(mixed, antiholo, holo)
             image = form.antiholo_element()
             if image:
@@ -98,7 +95,7 @@ class CalculusContext:
     def generator_element(self, code: int) -> MixedElement:
         return MixedElement.term((code,), GR_ONE)
 
-    def vector_element(self, coords) -> MixedElement:
+    def vector_element(self, coords: dict) -> MixedElement:
         return MixedElement.vector(coords)
 
 
@@ -156,7 +153,7 @@ def derivation_matrix(images: dict[int, MixedElement], source_basis,
         out: dict = {}
         _odd_leibniz(images, mono, None, out)
         cols.append(element_entries(MixedElement(out), target_index, where))
-    return ExactMatrix.from_cols(cols, len(target_index))
+    return ExactMatrix(cols, len(target_index))
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:

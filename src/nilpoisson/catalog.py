@@ -11,7 +11,7 @@ import json
 from .errors import UsageError
 from .lie_structure import (AlgebraPresentation, presentation_from_dict,
                             presentation_to_dict)
-from .scalars import GR_ZERO, GaussRational, RAT_ZERO, Rational
+from .scalars import GaussRational, RAT_ZERO, Rational
 
 HALF = Rational(1, 2)
 MINUS_HALF = Rational(-1, 2)
@@ -28,13 +28,9 @@ def _paired_j(n_pairs: int):
 
 
 def _paired_frame(n_pairs: int):
-    rows = []
-    for k in range(n_pairs):
-        row = [GR_ZERO] * (2 * n_pairs)
-        row[2 * k] = GaussRational(HALF, RAT_ZERO)
-        row[2 * k + 1] = GaussRational(RAT_ZERO, MINUS_HALF)
-        rows.append(row)
-    return rows
+    return [{2 * k: GaussRational(HALF, RAT_ZERO),
+             2 * k + 1: GaussRational(RAT_ZERO, MINUS_HALF)}
+            for k in range(n_pairs)]
 
 
 def torus(n: int) -> AlgebraPresentation:

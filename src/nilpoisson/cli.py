@@ -175,9 +175,8 @@ def cmd_info(args):
     doc["timings"]["context"] = round(time.perf_counter() - t0, 6)
     g = ctx.grading
     frame_lines = []
-    names = [f"e{k}" for k in range(1, presentation.dim + 1)]
     for idx, row in enumerate(ctx.frame.v_rows, start=1):
-        parts = [f"({c}) {name}" for c, name in zip(row, names) if c]
+        parts = [f"({row[k]}) e{k + 1}" for k in sorted(row)]
         frame_lines.append(f"v{idx} = " + " + ".join(parts))
     bracket_pairs = sorted(presentation.brackets)
     doc["details"] = {
@@ -267,27 +266,30 @@ def cmd_poisson(args):
     return doc, text, None, 0
 
 
-def _spectral_common(args, want_pages):
+def _spectral_common(args):
+    if args.pages is not None and args.pages < 1:
+        raise UsageError("--pages must be at least 1")
     presentation = _load_presentation(args)
     timings = {}
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
+    # d_r = 0 for r > n, so every page after E_{n+1} repeats it, and the
+    # verdict computes exactly those n + 1 pages
+    if args.pages is not None and args.pages > ctx.n + 1:
+        raise UsageError(f"--pages must be within 1..{ctx.n + 1}")
     lam = _resolve_lambda(args, ctx)
     timings["context"] = round(time.perf_counter() - t0, 6)
     t0 = time.perf_counter()
     bc = BigradedComplex(ctx, lam)
     timings["assemble"] = round(time.perf_counter() - t0, 6)
     t0 = time.perf_counter()
-    verdict = degeneration_verdict(bc, r_max=want_pages)
+    verdict = degeneration_verdict(bc)
     timings["pages"] = round(time.perf_counter() - t0, 6)
     return presentation, ctx, lam, bc, verdict, timings
 
 
 def cmd_spectral(args):
-    if args.pages is not None and args.pages < 1:
-        raise UsageError("--pages must be at least 1")
-    presentation, ctx, lam, bc, verdict, timings = _spectral_common(
-        args, args.pages)
+    presentation, ctx, lam, bc, verdict, timings = _spectral_common(args)
     shown = verdict.pages.pages
     if args.pages is not None:
         shown = shown[:args.pages]
@@ -311,8 +313,7 @@ def cmd_spectral(args):
 
 
 def cmd_degeneration(args):
-    presentation, ctx, lam, bc, verdict, timings = _spectral_common(
-        args, args.pages)
+    presentation, ctx, lam, bc, verdict, timings = _spectral_common(args)
     doc = _blank_report(presentation, ctx.frame.report)
     doc["lambda"] = str(expr_from_element(lam)) if lam else "0"
     doc["e_pages"] = _page_payload(verdict.pages.pages)

@@ -1,13 +1,11 @@
 """Exact linear algebra over Q(i): one sparse elimination core.
 
-A vector is a dict {index: GaussRational} that stores only nonzero entries;
-`ExactMatrix` holds a matrix as such sparse columns and `Subspace` holds its
-canonical basis as such sparse rows.  Every elimination runs through
-`eliminate` (forward reduction, wrapped by `rref` into the reduced row
-echelon form) and every linear combination through `_axpy`.  The functions
-that take rows (`rref`, `rank`, `kernel_basis`, `invert`, `mat_mul`,
-`mat_vec`, `sum_entries`) also take dense lists and answer in the format
-they were given, for the small callers that keep dense vectors.
+A vector is a dict {index: GaussRational} that stores only nonzero entries,
+and it is the only vector format: every function here takes and returns
+such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
+`Subspace` holds its canonical basis as sparse rows.  Every elimination runs
+through `eliminate` (forward reduction, wrapped by `rref` into the reduced
+row echelon form) and every linear combination through `_axpy`.
 
 Every subspace is stored by its reduced row echelon basis under the ambient
 coordinate order, so two equal subspaces always carry identical bases and
@@ -22,40 +20,9 @@ class LinalgError(ValueError):
     pass
 
 
-def zero_row(n: int) -> list[GaussRational]:
-    return [GR_ZERO] * n
-
-
-def identity_rows(n: int) -> list[list[GaussRational]]:
-    rows = []
-    for i in range(n):
-        row = zero_row(n)
-        row[i] = GR_ONE
-        rows.append(row)
-    return rows
-
-
-def entries(vec):
-    """The (index, nonzero entry) pairs of a sparse or dense vector."""
-    if isinstance(vec, dict):
-        return vec.items()
-    return ((j, x) for j, x in enumerate(vec) if x)
-
-
-def sparse(vec) -> dict:
-    return dict(entries(vec))
-
-
-def dense(vec: dict, n: int) -> list[GaussRational]:
-    out = zero_row(n)
-    for j, x in vec.items():
-        out[j] = x
-    return out
-
-
-def _axpy(acc: dict, f: GaussRational, vec) -> None:
+def _axpy(acc: dict, f: GaussRational, vec: dict) -> None:
     """acc += f * vec in place, dropping the entries that cancel."""
-    for j, x in entries(vec):
+    for j, x in vec.items():
         y = acc.get(j)
         if y is None:
             acc[j] = f * x
@@ -67,22 +34,21 @@ def _axpy(acc: dict, f: GaussRational, vec) -> None:
                 del acc[j]
 
 
-def combine(coeffs, vectors) -> dict:
-    """sum_j coeffs[j] * vectors[j] as a sparse vector."""
+def combine(coeffs: dict, vectors) -> dict:
+    """sum_j coeffs[j] * vectors[j]."""
     acc: dict = {}
-    for j, f in entries(coeffs):
+    for j, f in coeffs.items():
         _axpy(acc, f, vectors[j])
     return acc
 
 
-def sum_entries(a, b) -> GaussRational:
-    """The bilinear dot product of two vectors, each sparse or dense."""
-    if not isinstance(a, dict) or (isinstance(b, dict) and len(b) < len(a)):
+def sum_entries(a: dict, b: dict) -> GaussRational:
+    """The bilinear dot product of two vectors."""
+    if len(b) < len(a):
         a, b = b, a
-    lookup = b.get if isinstance(b, dict) else b.__getitem__
     acc = GR_ZERO
-    for j, x in entries(a):
-        y = lookup(j)
+    for j, x in a.items():
+        y = b.get(j)
         if y:
             acc = acc + x * y
     return acc
@@ -91,15 +57,14 @@ def sum_entries(a, b) -> GaussRational:
 def eliminate(rows) -> tuple[dict, list]:
     """Forward elimination of sparse rows, taken in order.
 
-    Each row (sparse or dense) is reduced at its leading (smallest) index by
-    the rows kept before it until that index is new; the row is then made
-    monic and kept.  Returns ({leading index: kept sparse row}, the leading
+    Each row is reduced at its leading (smallest) index by the rows kept
+    before it until that index is new; the row is then made monic and kept.  Returns ({leading index: kept sparse row}, the leading
     index of each input row, None for a row that reduced to zero).
     """
     kept: dict[int, dict] = {}
     leads: list = []
     for row in rows:
-        v = dict(entries(row))
+        v = dict(row)
         lead = None
         while v:
             lead = min(v)
@@ -118,16 +83,14 @@ def eliminate(rows) -> tuple[dict, list]:
     return kept, leads
 
 
-def rref(rows, ncols: int | None = None):
-    """Reduced row echelon form.
+def rref(rows: list[dict], ncols: int):
+    """Reduced row echelon form of rows of width ncols.
 
     Returns (reduced nonzero rows, pivot column list).  Pivots are monic with
     zeros above and below, so the output is the canonical basis of the row
-    space.  Rows are sparse dicts or dense lists; dense rows come back dense.
+    space.  The reduction reads only the stored entries; ncols is the width
+    they live in.
     """
-    dense_in = bool(rows) and not isinstance(rows[0], dict)
-    if dense_in and ncols is None:
-        ncols = len(rows[0])
     kept, _ = eliminate(rows)
     pivots = sorted(kept)
     # back substitution, last pivot first: the rows used are already reduced,
@@ -136,32 +99,21 @@ def rref(rows, ncols: int | None = None):
         row = kept[c]
         for j in [j for j in row if j != c and j in kept]:
             _axpy(row, -row[j], kept[j])
-    red = [kept[c] for c in pivots]
-    if dense_in:
-        red = [dense(r, ncols) for r in red]
-    return red, pivots
+    return [kept[c] for c in pivots], pivots
 
 
-def rank(rows, ncols: int | None = None) -> int:
+def rank(rows: list[dict], ncols: int) -> int:
     return len(rref(rows, ncols)[0])
 
 
-def kernel_basis(rows, ncols: int) -> list:
-    """Canonical (RREF) basis of {x : M x = 0} for M given by rows; sparse
-    rows give sparse vectors, dense or no rows dense ones."""
-    out = _kernel(rows, ncols)
-    if rows and isinstance(rows[0], dict):
-        return out
-    return [dense(v, ncols) for v in out]
-
-
-def _kernel(rows, ncols: int) -> list[dict]:
-    """Sparse canonical kernel basis from one elimination with the columns
-    taken in reverse order: the kernel vector of a free column then has its
-    leading entry there and its others at pivot columns only, so the vectors
-    sorted by free column are already the reduced row echelon basis."""
+def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
+    """Canonical (RREF) basis of {x : M x = 0} for M given by rows, from one
+    elimination with the columns taken in reverse order: the kernel vector
+    of a free column then has its leading entry there and its others at
+    pivot columns only, so the vectors sorted by free column are already the
+    reduced row echelon basis."""
     last = ncols - 1
-    red, pivots = rref([{last - j: x for j, x in entries(r)} for r in rows],
+    red, pivots = rref([{last - j: x for j, x in r.items()} for r in rows],
                        ncols)
     pivot_set = set(pivots)
     vecs = {last - c: {last - c: GR_ONE}
@@ -173,32 +125,18 @@ def _kernel(rows, ncols: int) -> list[dict]:
     return [vecs[f] for f in sorted(vecs)]
 
 
-def mat_vec(rows, vec) -> list[GaussRational]:
-    """The dot product of each row with vec, as a list."""
-    return [sum_entries(row, vec) for row in rows]
+def mat_mul(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
+    return ExactMatrix([combine(col, a.cols) for col in b.cols], a.nrows)
 
 
-def mat_mul(a, b):
-    """Matrix product: of two ExactMatrix, or of two dense row lists."""
-    dense_in = not isinstance(a, ExactMatrix)
-    if dense_in:
-        if not a:
-            return []
-        a, b = ExactMatrix(a, len(b)), ExactMatrix(b, len(b[0]) if b else 0)
-    prod = ExactMatrix.from_cols([combine(col, a.cols) for col in b.cols],
-                                 a.nrows)
-    return prod.rows if dense_in else prod
-
-
-def invert(rows: list[list[GaussRational]]) -> list[list[GaussRational]]:
+def invert(rows: list[dict]) -> list[dict]:
+    """The rows of the inverse of the square matrix with these rows."""
     n = len(rows)
-    aug = [sparse(r) for r in rows]
-    for i, r in enumerate(aug):
-        r[n + i] = GR_ONE
-    red, pivots = rref(aug, 2 * n)
+    red, pivots = rref([{**r, n + i: GR_ONE} for i, r in enumerate(rows)],
+                       2 * n)
     if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
-    return [[r.get(n + j, GR_ZERO) for j in range(n)] for r in red]
+    return [{j - n: x for j, x in r.items() if j >= n} for r in red]
 
 
 class ExactMatrix:
@@ -207,37 +145,14 @@ class ExactMatrix:
 
     __slots__ = ("cols", "nrows", "ncols")
 
-    def __init__(self, rows: list[list[GaussRational]], ncols: int | None = None):
-        """From dense rows."""
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        self.nrows = len(rows)
-        self.ncols = ncols
-        self.cols = [{} for _ in range(ncols)]
-        for i, row in enumerate(rows):
-            for j, x in entries(row):
-                self.cols[j][i] = x
-
-    @classmethod
-    def from_cols(cls, cols: list[dict], nrows: int) -> "ExactMatrix":
-        m = cls.__new__(cls)
-        m.cols = cols
-        m.nrows = nrows
-        m.ncols = len(cols)
-        return m
+    def __init__(self, cols: list[dict], nrows: int):
+        self.cols = cols
+        self.nrows = nrows
+        self.ncols = len(cols)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls.from_cols([{} for _ in range(ncols)], nrows)
-
-    @property
-    def rows(self) -> list[list[GaussRational]]:
-        """A dense copy, row by row; writing to it leaves the matrix as is."""
-        out = [zero_row(self.ncols) for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                out[i][j] = x
-        return out
+        return cls([{} for _ in range(ncols)], nrows)
 
     def rank(self) -> int:
         # the rank of the transpose, whose rows are the stored columns
@@ -248,12 +163,10 @@ class ExactMatrix:
         for j, col in enumerate(self.cols):
             for i, x in col.items():
                 rows.setdefault(i, {})[j] = x
-        return _kernel(list(rows.values()), self.ncols)
+        return kernel_basis(list(rows.values()), self.ncols)
 
-    def apply(self, vec):
-        """M vec; a dense vec gives a dense result."""
-        out = combine(vec, self.cols)
-        return out if isinstance(vec, dict) else dense(out, self.nrows)
+    def apply(self, vec: dict) -> dict:
+        return combine(vec, self.cols)
 
     def is_zero(self) -> bool:
         return not any(self.cols)
@@ -269,15 +182,16 @@ class Subspace:
 
     __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient: int, basis: list, pivots: list[int] | None = None):
-        """From a basis already in RREF, sparse or dense; the pivots default
-        to the leading index of each row."""
+    def __init__(self, ambient: int, rows: list[dict],
+                 pivots: list[int] | None = None):
+        """From rows already in RREF; the pivots default to the leading index
+        of each row."""
         self.ambient = ambient
-        self.rows = [r if isinstance(r, dict) else sparse(r) for r in basis]
-        self.pivots = [min(r) for r in self.rows] if pivots is None else pivots
+        self.rows = rows
+        self.pivots = [min(r) for r in rows] if pivots is None else pivots
 
     @classmethod
-    def from_rows(cls, ambient: int, rows: list) -> "Subspace":
+    def from_rows(cls, ambient: int, rows: list[dict]) -> "Subspace":
         basis, pivots = rref(rows, ambient)
         return cls(ambient, basis, pivots)
 
@@ -291,11 +205,6 @@ class Subspace:
                    list(range(ambient)))
 
     @property
-    def basis(self) -> list[list[GaussRational]]:
-        """The canonical basis as dense rows (a copy)."""
-        return [dense(r, self.ambient) for r in self.rows]
-
-    @property
     def dim(self) -> int:
         return len(self.rows)
 
@@ -306,17 +215,17 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def reduce(self, vec) -> dict:
+    def reduce(self, vec: dict) -> dict:
         """Residual of vec after eliminating this subspace's pivots.  RREF
         rows vanish at each other's pivots, so one pass suffices."""
-        v = sparse(vec)
+        v = dict(vec)
         at_pivots = [(v[pc], row) for row, pc in zip(self.rows, self.pivots)
                      if pc in v]
         for f, row in at_pivots:
             _axpy(v, -f, row)
         return v
 
-    def contains(self, vec) -> bool:
+    def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -331,9 +240,9 @@ class Subspace:
         """The common kernel of both annihilators."""
         if self.ambient != other.ambient:
             raise LinalgError("ambient mismatch")
-        stacked = (_kernel(self.rows, self.ambient)
-                   + _kernel(other.rows, self.ambient))
-        return Subspace(self.ambient, _kernel(stacked, self.ambient))
+        stacked = (kernel_basis(self.rows, self.ambient)
+                   + kernel_basis(other.rows, self.ambient))
+        return Subspace(self.ambient, kernel_basis(stacked, self.ambient))
 
 
 def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
@@ -341,7 +250,7 @@ def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
 
     Returns (dim, reps, proj) with reps the rows of total's basis whose pivot
     is not a pivot of sub (canonical coset representatives) and proj the
-    dim sparse rows of the map sending any x in total to the coordinates of
+    dim x ambient ExactMatrix sending any x in total to the coordinates of
     its class in the reps basis (and sub exactly to zero).
 
     check=False skips the full membership verification; callers may do that
@@ -353,17 +262,22 @@ def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
     sub_pivots = set(sub.pivots)
     if not sub_pivots.issubset(set(total.pivots)):
         raise LinalgError("quotient_map: sub pivots escape total")
+    # class j is read off at the pivot of reps[j], less what each sub row
+    # puts there, which sub's own pivot entry records
+    cols: dict[int, dict] = {}
     reps = []
-    proj = []
-    slot: dict[int, dict] = {}
+    slot: dict[int, int] = {}
     for row, pc in zip(total.rows, total.pivots):
         if pc not in sub_pivots:
+            slot[pc] = len(reps)
+            cols[pc] = {len(reps): GR_ONE}
             reps.append(row)
-            proj.append({pc: GR_ONE})
-            slot[pc] = proj[-1]
     for srow, spc in zip(sub.rows, sub.pivots):
         for c, e in srow.items():
-            prow = slot.get(c)
-            if prow is not None:
-                prow[spc] = -e
-    return len(reps), reps, proj
+            j = slot.get(c)
+            if j is not None:
+                cols.setdefault(spc, {})[j] = -e
+    # the columns off every pivot share one empty dict; proj is read only
+    empty: dict = {}
+    return len(reps), reps, ExactMatrix(
+        [cols.get(c, empty) for c in range(total.ambient)], len(reps))

@@ -10,7 +10,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalInvariantError
-from .exact_linalg import dense, entries
 from .scalars import GaussRational
 
 FORM_BASE = 1 << 20
@@ -92,20 +91,14 @@ class MixedElement:
         return cls({mono: coeff})
 
     @classmethod
-    def vector(cls, coords: list[GaussRational]) -> "MixedElement":
-        terms = {}
-        for a, c in enumerate(coords, start=1):
-            if c:
-                terms[(a,)] = c
-        return cls(terms)
+    def vector(cls, coords: dict) -> "MixedElement":
+        """sum_a coords[a] v_(a+1), from sparse coordinates indexed from 0."""
+        return cls({(a + 1,): coords[a] for a in sorted(coords)})
 
     @classmethod
-    def form(cls, coords: list[GaussRational]) -> "MixedElement":
-        terms = {}
-        for a, c in enumerate(coords, start=1):
-            if c:
-                terms[(FORM_BASE + a,)] = c
-        return cls(terms)
+    def form(cls, coords: dict) -> "MixedElement":
+        """sum_a coords[a] ow_(a+1), from sparse coordinates indexed from 0."""
+        return cls({(FORM_BASE + a + 1,): coords[a] for a in sorted(coords)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -283,14 +276,9 @@ def element_entries(e: MixedElement, index: dict[Monomial, int],
     return out
 
 
-def element_coords(e: MixedElement, index: dict[Monomial, int], dim: int,
-                   where: str = "element") -> list[GaussRational]:
-    return dense(element_entries(e, index, where), dim)
-
-
-def element_from_coords(coords, basis: list[Monomial]) -> MixedElement:
-    """The element with the given sparse or dense coordinates."""
-    return MixedElement({basis[j]: c for j, c in entries(coords)})
+def element_from_coords(coords: dict, basis: list[Monomial]) -> MixedElement:
+    """The element with the given sparse coordinates."""
+    return MixedElement({basis[j]: c for j, c in coords.items()})
 
 
 def wedge(a: MixedElement, b: MixedElement) -> MixedElement:

@@ -19,8 +19,8 @@ from .calculus import (CalculusContext, ad_images, dbar, derivation_matrix,
                        schouten)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, Subspace, combine, dense, eliminate,
-                           mat_mul, mat_vec, quotient_map, sparse)
+from .exact_linalg import (ExactMatrix, Subspace, combine, eliminate, mat_mul,
+                           quotient_map)
 from .exterior import (FORM_BASE, MixedElement, cell_monomials,
                        element_from_coords, graded_monomials, mono_bidegree,
                        mono_str)
@@ -40,8 +40,8 @@ def _check_zero(identity, where, src_basis, tgt_basis, *factors):
         # a2 a1 + b2 b1 as one product: [a2 b2] times a1 stacked on b1
         a2, a1, b2, b1 = factors
         off = a1.nrows
-        left = ExactMatrix.from_cols(a2.cols + b2.cols, a2.nrows)
-        right = ExactMatrix.from_cols(
+        left = ExactMatrix(a2.cols + b2.cols, a2.nrows)
+        right = ExactMatrix(
             [{**c1, **{i + off: x for i, x in c2.items()}}
              for c1, c2 in zip(a1.cols, b1.cols)], off + b1.nrows)
         prod = mat_mul(left, right)
@@ -132,15 +132,15 @@ class CohomologyCell:
     boundaries: Subspace
     dim: int
     reps: list
-    proj: list
+    proj: ExactMatrix  # dim x len(basis): a cocycle to its class coordinates
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
 
-    def class_coords(self, coords) -> list:
+    def class_coords(self, coords: dict) -> dict:
         if not self.cocycles.contains(coords):
             raise InternalInvariantError("vector is not a cocycle")
-        return mat_vec(self.proj, coords)
+        return self.proj.apply(coords)
 
 
 def _image_subspace(mat: ExactMatrix, ambient: int) -> Subspace:
@@ -156,7 +156,7 @@ def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     dim_cell = len(basis)
     if dim_cell == 0:
         z = Subspace.zero(0)
-        return CohomologyCell((p, q), [], z, z, 0, [], [])
+        return CohomologyCell((p, q), [], z, z, 0, [], ExactMatrix([], 0))
     out_mat = bc.dbar_mat.get((p, q))
     if out_mat is None:
         cocycles = Subspace.full(dim_cell)
@@ -221,10 +221,9 @@ class TotalComplex:
                     for i, c in mcols[j].items():
                         col[off + i] = c
                 cols.append(col)
-        return ExactMatrix.from_cols(cols, len(self.bases[k + 1]))
+        return ExactMatrix(cols, len(self.bases[k + 1]))
 
-    def apply_d(self, k: int, coords):
-        """D^k coords; dense coordinates give a dense result."""
+    def apply_d(self, k: int, coords: dict) -> dict:
         return self.dmat[k].apply(coords)
 
 
@@ -232,7 +231,7 @@ def poisson_cohomology(bc: BigradedComplex, tc: TotalComplex, k: int) -> Cohomol
     """H^k of (K, dbar + ad_lam); zero beyond the top degree."""
     if k < 0 or k > tc.nmax:
         z = Subspace.zero(0)
-        return CohomologyCell((k,), [], z, z, 0, [], [])
+        return CohomologyCell((k,), [], z, z, 0, [], ExactMatrix([], 0))
     basis = tc.bases[k]
     dim_cell = len(basis)
     dk = tc.dmat[k]
@@ -301,8 +300,7 @@ def _z_space(tc: TotalComplex, r: int, p: int, k: int) -> Subspace:
     block = [{i: c for i, c in col.items() if i >= first}
              for col in tc.dmat[k].cols[:width]]
     nrows = len(tc.bases.get(k + 1, ()))
-    return Subspace(len(tc.bases[k]),
-                    ExactMatrix.from_cols(block, nrows).kernel())
+    return Subspace(len(tc.bases[k]), ExactMatrix(block, nrows).kernel())
 
 
 class SpectralPage:
@@ -354,23 +352,18 @@ class SpectralPage:
             if not tnum.contains(y):
                 raise InternalInvariantError(
                     f"d_{r} image of a class at {(p, q)} leaves Z_{r} at {(tp, tq)}")
-            cols.append(sparse(mat_vec(tproj, y)))
-        return ExactMatrix.from_cols(cols, tdim)
-
-    def _dense_view(self, part: int) -> dict:
-        return {(p, q): [dense(v, len(self.tc.bases[p + q]))
-                         for v in self.cell(p, q)[part]]
-                for (p, q) in self.dims}
+            cols.append(tproj.apply(y))
+        return ExactMatrix(cols, tdim)
 
     @cached_property
     def reps(self) -> dict:
-        """Canonical representatives of every cell, as dense rows."""
-        return self._dense_view(1)
+        """Canonical representatives of every cell, as sparse vectors."""
+        return {pq: self.cell(*pq)[1] for pq in self.dims}
 
     @cached_property
     def projs(self) -> dict:
-        """Class projections of every cell, as dense rows."""
-        return self._dense_view(2)
+        """The class projection (an ExactMatrix) of every cell."""
+        return {pq: self.cell(*pq)[2] for pq in self.dims}
 
     @cached_property
     def d(self) -> dict:
@@ -406,11 +399,11 @@ def e2_dims_via_induced_map(bc: BigradedComplex,
             for rep in src.reps:
                 y = am.apply(rep) if am is not None else {}
                 if tgt.dim:
-                    cols.append(sparse(tgt.class_coords(y)))
+                    cols.append(tgt.class_coords(y))
                 elif am is not None and not tgt.cocycles.contains(y):
                     raise InternalInvariantError("induced map image not closed")
             if tgt.dim:
-                induced[(p, q)] = ExactMatrix.from_cols(cols, tgt.dim)
+                induced[(p, q)] = ExactMatrix(cols, tgt.dim)
     dims = {}
     for p in range(n + 1):
         for q in range(n + 1):
@@ -561,8 +554,7 @@ def _center_split(abc: BigradedComplex, ell: int, a: int) -> dict[int, tuple]:
                         f"{tdeg[i] - pj}")
             c_cols.append(c_col)
             t_cols.append(t_col)
-        split[m] = (ExactMatrix.from_cols(c_cols, len(tgt)),
-                    ExactMatrix.from_cols(t_cols, len(tgt)))
+        split[m] = (ExactMatrix(c_cols, len(tgt)), ExactMatrix(t_cols, len(tgt)))
     return split
 
 

@@ -57,6 +57,9 @@ class _Scanner:
                 self.pos += 1
             if self.pos == dstart:
                 self.fail("expected a denominator")
+            if not int(self.src[dstart:self.pos]):
+                self.pos = dstart
+                self.fail("zero denominator")
         return self.src[start:self.pos]
 
     def integer(self) -> int:

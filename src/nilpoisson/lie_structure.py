@@ -5,10 +5,11 @@ constants for basis pairs i < j together with a rational matrix J, J^2 = -1.
 The (1,0) frame v_1..v_n diagonalizes J; catalog presets carry a preferred
 frame so printed formulas match the usual normalization v_j = (x_j - i y_j)/2.
 
-The Jacobi check, the central series and the center read the brackets of
-basis vectors straight from the sparse structure constants.  `validate`
-keeps the central series on its report and the grading reuses it, so one
-algebra's series is computed once.
+Vectors are sparse dicts {0-based coordinate: GaussRational}, as everywhere
+in the package.  The Jacobi check, the central series and the center read
+the brackets of basis vectors straight from the sparse structure constants.
+`validate` keeps the central series on its report and the grading reuses
+it, so one algebra's series is computed once.
 """
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
-from .exact_linalg import (Subspace, combine, dense, invert, kernel_basis,
+from .exact_linalg import (Subspace, combine, invert, kernel_basis,
                            quotient_map, sum_entries)
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
                       Rational, rational_from_string, rational_to_string)
 
-Vector = list  # of GaussRational, ambient coordinates
+Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 
 
 class AlgebraPresentation:
@@ -33,7 +34,7 @@ class AlgebraPresentation:
         self.dim = dim
         self.brackets = brackets  # {(i, j): {k: Rational}} with i < j, 1-based
         self.jmat = jmat  # rows: (J e_j)_i = jmat[i][j]
-        self.frame_rows = frame_rows  # optional preferred (1,0) basis rows
+        self.frame_rows = frame_rows  # optional preferred (1,0) basis vectors
         self.name = name
 
     def bracket_basis(self, i: int, j: int) -> dict[int, Rational]:
@@ -46,37 +47,40 @@ class AlgebraPresentation:
 
     def bracket_vectors(self, u: Vector, w: Vector) -> Vector:
         """Bilinear extension of the structure constants over Q(i)."""
-        acc = [GR_ZERO] * self.dim
+        acc: Vector = {}
         for (i, j), out in self.brackets.items():
-            ui, uj = u[i - 1], u[j - 1]
-            wi, wj = w[i - 1], w[j - 1]
+            ui, uj = u.get(i - 1), u.get(j - 1)
+            wi, wj = w.get(i - 1), w.get(j - 1)
             f = GR_ZERO
             if ui and wj:
                 f = ui * wj
             if uj and wi:
                 f = f - uj * wi
-            if not f:
-                continue
-            for k, c in out.items():
-                acc[k - 1] = acc[k - 1] + f.scale(c)
+            if f:
+                _add_scaled(acc, f, ((k - 1, c) for k, c in out.items()))
         return acc
 
     def j_apply(self, u: Vector) -> Vector:
-        out = []
-        for i in range(self.dim):
-            acc = GR_ZERO
-            row = self.jmat[i]
-            for j in range(self.dim):
-                c = row[j]
-                if c and u[j]:
-                    acc = acc + u[j].scale(c)
-            out.append(acc)
-        return out
+        acc: Vector = {}
+        for j, x in u.items():
+            _add_scaled(acc, x, ((i, row[j]) for i, row in enumerate(self.jmat)))
+        return acc
 
     def basis_vector(self, i: int) -> Vector:
-        v = [GR_ZERO] * self.dim
-        v[i - 1] = GR_ONE
-        return v
+        return {i - 1: GR_ONE}
+
+
+def _add_scaled(acc: Vector, f: GaussRational, pairs) -> None:
+    """acc[k] += f * c in place for each (k, rational c), dropping the
+    entries that cancel."""
+    for k, c in pairs:
+        if not c:
+            continue
+        y = acc.get(k, GR_ZERO) + f.scale(c)
+        if y:
+            acc[k] = y
+        else:
+            del acc[k]
 
 
 @dataclass
@@ -144,9 +148,7 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
 
     basis = [p.basis_vector(i) for i in range(1, n2 + 1)]
     for j in range(1, n2 + 1):
-        jj = p.j_apply(p.j_apply(basis[j - 1]))
-        want = [-c for c in basis[j - 1]]
-        if jj != want:
+        if p.j_apply(p.j_apply(basis[j - 1])) != {j - 1: -GR_ONE}:
             rep.j_square_ok = False
             rep.errors.append(f"J^2 != -1 on basis vector {j}")
             break
@@ -164,20 +166,15 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
         abelian = True
         for i in range(1, n2 + 1):
             for j in range(i + 1, n2 + 1):
+                # N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j]
+                #               - J([Je_i, e_j] + [e_i, Je_j])
                 lhs = p.bracket_vectors(jb[i - 1], jb[j - 1])
-                base = dense(_basis_bracket(p, i, j), n2)
+                base = _basis_bracket(p, i, j)
                 if lhs != base:
                     abelian = False
-                nij = [a - b for a, b in zip(lhs, base)]
-                mixed = [
-                    x + y
-                    for x, y in zip(
-                        p.bracket_vectors(jb[i - 1], basis[j - 1]),
-                        p.bracket_vectors(basis[i - 1], jb[j - 1]),
-                    )
-                ]
-                nij = [a - b for a, b in zip(nij, p.j_apply(mixed))]
-                if any(nij):
+                mixed = combine(_PLUS, [p.bracket_vectors(jb[i - 1], basis[j - 1]),
+                                        p.bracket_vectors(basis[i - 1], jb[j - 1])])
+                if combine(_MINUS, [lhs, base]) != p.j_apply(mixed):
                     integrable = False
         rep.integrable = integrable
         rep.abelian = abelian
@@ -186,6 +183,10 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
         if not integrable:
             rep.errors.append("complex structure is not integrable (Nijenhuis tensor != 0)")
     return rep
+
+
+_PLUS = {0: GR_ONE, 1: GR_ONE}
+_MINUS = {0: GR_ONE, 1: -GR_ONE}
 
 
 def central_series(p: AlgebraPresentation, cap: int = 64) -> list[Subspace]:
@@ -237,23 +238,25 @@ class ComplexFrame:
         self.vbar_rows = vbar_rows
         self.omega_rows = omega_rows
         self.omegabar_rows = omegabar_rows
+        # sparse coefficients, indexed from 0, on the v and on the vbar frame
         self.bracket_vv = bracket_vv      # {(i,j) i<j: (v_coords, vbar_coords)}
         self.bracket_vvbar = bracket_vvbar  # {(i,j) all: (v_coords, vbar_coords)}
         self.abelian = abelian
         self.report = report  # the ValidationReport the frame was built after
 
-    def coords_10(self, u: Vector) -> list[GaussRational]:
-        return [sum_entries(w, u) for w in self.omega_rows]
+    def coords_10(self, u: Vector) -> dict:
+        return _pair_rows(self.omega_rows, u)
 
-    def coords_01(self, u: Vector) -> list[GaussRational]:
-        return [sum_entries(w, u) for w in self.omegabar_rows]
+    def coords_01(self, u: Vector) -> dict:
+        return _pair_rows(self.omegabar_rows, u)
 
-    def vector_from_coords(self, coords) -> Vector:
-        return dense(combine(coords, self.v_rows), 2 * self.n)
+    def vector_from_coords(self, coords: dict) -> Vector:
+        return combine(coords, self.v_rows)
 
 
-def _conj_row(row):
-    return [c.conjugate() for c in row]
+def _pair_rows(rows: list[Vector], u: Vector) -> dict:
+    """The nonzero pairings of u with each row, by row index."""
+    return {a: x for a, w in enumerate(rows) if (x := sum_entries(w, u))}
 
 
 def complex_frame(p: AlgebraPresentation,
@@ -269,32 +272,34 @@ def complex_frame(p: AlgebraPresentation,
         raise ValidationError("; ".join(rep.errors))
     n2 = p.dim
     n = n2 // 2
-    jg = [[GaussRational(p.jmat[i][j], RAT_ZERO) for j in range(n2)] for i in range(n2)]
     if p.frame_rows is not None:
-        v_rows = [list(r) for r in p.frame_rows]
+        v_rows = [dict(r) for r in p.frame_rows]
         if len(v_rows) != n:
             raise ValidationError("preferred frame must have dim/2 rows")
         for r in v_rows:
-            ju = p.j_apply(r)
-            iu = [GR_I * c for c in r]
-            if ju != iu:
+            if p.j_apply(r) != {k: GR_I * c for k, c in r.items()}:
                 raise ValidationError("preferred frame row is not a (1,0) vector")
     else:
-        shifted = [list(row) for row in jg]
+        # the rows of J - i
+        shifted = [{j: GaussRational(c, RAT_ZERO) for j, c in enumerate(row) if c}
+                   for row in p.jmat]
         for k in range(n2):
-            shifted[k][k] = shifted[k][k] - GR_I
+            shifted[k][k] = shifted[k].get(k, GR_ZERO) - GR_I
         v_rows = kernel_basis(shifted, n2)
         if len(v_rows) != n:
             raise ValidationError("the +i eigenspace of J has wrong dimension")
 
-    vbar_rows = [_conj_row(r) for r in v_rows]
-    stacked = v_rows + vbar_rows
+    vbar_rows = [{k: c.conjugate() for k, c in r.items()} for r in v_rows]
     try:
-        binv = invert(stacked)
+        binv = invert(v_rows + vbar_rows)
     except Exception as exc:
         raise ValidationError("frame rows do not span the complexification") from exc
-    # dual coframe rows: omega_i(v_j) = delta, omega_i(vbar_j) = 0 and conversely
-    w_all = [[binv[a][k] for a in range(n2)] for k in range(n2)]
+    # dual coframe rows: omega_i(v_j) = delta, omega_i(vbar_j) = 0 and
+    # conversely; they are the columns of the inverse
+    w_all: list[Vector] = [{} for _ in range(n2)]
+    for a, row in enumerate(binv):
+        for k, x in row.items():
+            w_all[k][a] = x
     omega_rows = w_all[:n]
     omegabar_rows = w_all[n:]
 
@@ -303,23 +308,21 @@ def complex_frame(p: AlgebraPresentation,
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
-            c10 = [sum_entries(w, u) for w in omega_rows]
-            c01 = [sum_entries(w, u) for w in omegabar_rows]
-            if any(c01):
+            c10 = _pair_rows(omega_rows, u)
+            c01 = _pair_rows(omegabar_rows, u)
+            if c01:
                 raise InternalInvariantError(
                     "integrable structure produced a (0,1) part in [v_i, v_j]"
                 )
-            if any(c10):
+            if c10:
                 abelian = False
             bracket_vv[(i, j)] = (c10, c01)
     bracket_vvbar = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], vbar_rows[j - 1])
-            bracket_vvbar[(i, j)] = (
-                [sum_entries(w, u) for w in omega_rows],
-                [sum_entries(w, u) for w in omegabar_rows],
-            )
+            bracket_vvbar[(i, j)] = (_pair_rows(omega_rows, u),
+                                     _pair_rows(omegabar_rows, u))
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
     return ComplexFrame(p, n, v_rows, vbar_rows, omega_rows, omegabar_rows,
@@ -340,13 +343,15 @@ class Grading:
         return self.step - 1
 
 
+# u -> (u - i J u) / 2, the projection onto the (1,0) part
+_HALF_TO_10 = {0: GaussRational(Rational(1, 2), RAT_ZERO),
+               1: GaussRational(RAT_ZERO, Rational(-1, 2))}
+
+
 def _part10(p: AlgebraPresentation, frame: ComplexFrame, sub: Subspace) -> Subspace:
     """(1,0) part of a J-invariant real subspace, in frame coordinates."""
-    rows = []
-    for u in sub.basis:
-        ju = p.j_apply(u)
-        proj = [(c - GR_I * d).scale(Rational(1, 2)) for c, d in zip(u, ju)]
-        rows.append(frame.coords_10(proj))
+    rows = [frame.coords_10(combine(_HALF_TO_10, [u, p.j_apply(u)]))
+            for u in sub.rows]
     out = Subspace.from_rows(frame.n, rows)
     if 2 * out.dim != sub.dim:
         raise InternalInvariantError("J-invariant subspace has odd splitting")
@@ -364,8 +369,8 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
 
     gj = []  # g_J^k = g^k + J g^k, real ambient
     for sub in series:
-        jrows = [p.j_apply(u) for u in sub.basis]
-        gj.append(Subspace.from_rows(n2, sub.basis + jrows))
+        jrows = [p.j_apply(u) for u in sub.rows]
+        gj.append(Subspace.from_rows(n2, sub.rows + jrows))
     gj10 = [_part10(p, frame, sub) for sub in gj]
 
     t10 = {}

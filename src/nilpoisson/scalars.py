@@ -19,6 +19,8 @@ RAT_ONE = Rational(1)
 
 def rational_from_string(text: str) -> Rational:
     """Parse "p" or "p/q" (optional sign, arbitrary precision)."""
+    if not isinstance(text, str):
+        raise TypeError(f"rational literal {text!r} is not a string")
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")

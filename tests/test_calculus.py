@@ -49,16 +49,9 @@ def paired_j_rows(n):
 
 
 def paired_frame_rows(n):
-    z = Rational(0)
     half = GaussRational(Rational(1, 2))
-    mihalf = GaussRational(z, Rational(-1, 2))
-    rows = []
-    for k in range(n):
-        row = [GaussRational(z)] * (2 * n)
-        row[2 * k] = half
-        row[2 * k + 1] = mihalf
-        rows.append(row)
-    return rows
+    mihalf = GaussRational(Rational(0), Rational(-1, 2))
+    return [{2 * k: half, 2 * k + 1: mihalf} for k in range(n)]
 
 
 def iwasawa():

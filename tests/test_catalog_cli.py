@@ -361,3 +361,64 @@ def test_cli_out_to_unwritable_path(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("expr, where", [
+    ("1/0 v1^v4", 2),
+    ("(1/0+1i) v1^v4", 3),
+])
+def test_cli_zero_denominator_is_usage_error(capsys, expr, where):
+    rc, out, err = run(capsys, "spectral", "--algebra", "tower:4", "--lambda", expr)
+    assert (rc, out) == (2, "")
+    assert err == f"error: zero denominator at position {where}\n"
+
+
+@pytest.mark.parametrize("field", ["J", "out"])
+def test_cli_numeric_presentation_entries_are_usage_errors(capsys, tmp_path, field):
+    data = {
+        "dim": 2,
+        "brackets": [{"i": 1, "j": 2, "out": {"2": "0"}}],
+        "J": [["0", "-1"], ["1", "0"]],
+    }
+    if field == "J":
+        data["J"] = [[0, -1], [1, 0]]
+    else:
+        data["brackets"][0]["out"] = {"2": 0}
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("validate", "info"):
+        rc, out, err = run(capsys, cmd, "--file", str(path))
+        assert (rc, out) == (2, ""), cmd
+        assert err == "error: bad algebra data: rational literal 0 is not a string\n"
+
+
+def test_cli_pages_bounded_before_any_complex(capsys, monkeypatch):
+    import nilpoisson.cli as cli
+    import nilpoisson.homology as homology
+
+    def no_complex(*args):
+        raise AssertionError("a bigraded complex was built")
+
+    monkeypatch.setattr(cli, "BigradedComplex", no_complex)
+    monkeypatch.setattr(homology, "BigradedComplex", no_complex)
+    for cmd in ("spectral", "degeneration"):
+        rc, out, err = run(capsys, cmd, "--algebra", "kodaira", "--lambda",
+                           "v1^v2", "--pages", "1000000")
+        assert (rc, out, err) == (2, "", "error: --pages must be within 1..3\n")
+        rc, out, err = run(capsys, cmd, "--algebra", "tower:4", "--pages", "6")
+        assert (rc, out, err) == (2, "", "error: --pages must be within 1..5\n")
+        for low in ("0", "-2"):
+            rc, out, err = run(capsys, cmd, "--algebra", "kodaira", "--pages", low)
+            assert (rc, out, err) == (2, "", "error: --pages must be at least 1\n")
+
+
+def test_cli_pages_up_to_n_plus_one(capsys):
+    # E_{n+1} is the last page asked for, and the limit itself is served
+    rc, out, _ = run(capsys, "spectral", "--algebra", "kodaira", "--lambda",
+                     "v1^v2", "--pages", "3", "--format", "json")
+    assert rc == 0
+    assert sorted(json.loads(out)["e_pages"]) == ["1", "2", "3"]
+    rc, out, _ = run(capsys, "degeneration", "--algebra", "kodaira", "--pages",
+                     "3", "--format", "json")
+    assert rc == 0
+    assert sorted(json.loads(out)["e_pages"]) == ["1", "2", "3"]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpoisson.exterior import MixedElement, form_gen, vec_gen
 from nilpoisson.lambda_parser import LambdaExpr, LambdaParseError, expr_from_element, parse_lambda
@@ -61,6 +63,47 @@ def test_parse_errors_carry_position():
         with pytest.raises(LambdaParseError) as err:
             parse_lambda(bad)
         assert where in str(err.value), bad
+
+
+def test_zero_denominator_rejected_with_position():
+    cases = {
+        "1/0 v1^v4": "zero denominator at position 2",
+        "(1/0+1i) v1^v4": "zero denominator at position 3",
+        "(1+2/00i) v1^v4": "zero denominator at position 5",
+        "v1^v2 - 3/0i v3^v4": "zero denominator at position 10",
+    }
+    for bad, want in cases.items():
+        with pytest.raises(LambdaParseError) as err:
+            parse_lambda(bad)
+        assert str(err.value) == want, bad
+
+
+# rational literals "a" or "a/b" with small denominators, 0 included
+_RATIONAL = st.builds(lambda a, b: a if b is None else f"{a}/{b}",
+                      st.integers(0, 12).map(str),
+                      st.none() | st.integers(0, 3).map(str))
+# the coefficient forms of the grammar, and runs of its tokens in any order
+_COEFF = st.one_of(
+    _RATIONAL,
+    _RATIONAL.map(lambda r: r + "i"),
+    st.builds(lambda a, sign, b: f"({a}{sign}{b}i)",
+              _RATIONAL, st.sampled_from("+-"), _RATIONAL),
+    st.lists(st.sampled_from(["1", "0", "/", "i", "(", ")", "+", "-", " ",
+                              "v", "^", "v1", "x"]), max_size=8).map("".join),
+)
+_TERM = st.builds(lambda c, i, j, rest: f"{c} v{i}^v{j}{rest}", _COEFF,
+                  st.integers(0, 9), st.integers(0, 9),
+                  st.sampled_from(["", " + v1^v2", " - 2 v3^v4", " +", "^"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_COEFF, _TERM))
+def test_fuzz_parses_or_raises_parse_error(src):
+    # every coefficient or term string either parses or is a LambdaParseError
+    try:
+        parse_lambda(src)
+    except LambdaParseError:
+        pass
 
 
 def test_degenerate_wedge_rejected():

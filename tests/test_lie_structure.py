@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import UsageError, ValidationError
-from nilpoisson.exact_linalg import Subspace, kernel_basis, mat_mul
+from nilpoisson.exact_linalg import ExactMatrix, Subspace, kernel_basis, mat_mul
 from nilpoisson.lie_structure import (
     AlgebraPresentation,
     center_subspace,
@@ -27,18 +27,19 @@ def conjugated(p, rng, span=2):
 
     d = p.dim
     while True:
-        g = [[GaussRational(Rational(rng.randint(-span, span))) for _ in range(d)] for _ in range(d)]
+        g = [{j: x for j in range(d) if (x := GaussRational(Rational(rng.randint(-span, span))))}
+             for _ in range(d)]
         if rank(g, d) == d:
             break
     ginv = invert(g)
     # e'_j = sum_i g[i][j] e_i; structure constants and J transform accordingly
-    cols = [[g[i][j] for i in range(d)] for j in range(d)]
+    cols = [{i: g[i][j] for i in range(d) if j in g[i]} for j in range(d)]
     brackets = {}
     for i in range(1, d + 1):
         for j in range(i + 1, d + 1):
             out_vec = p.bracket_vectors(cols[i - 1], cols[j - 1])
             coords = [
-                sum((ginv[k][m] * out_vec[m] for m in range(d)), GR_ZERO)
+                sum((ginv[k].get(m, GR_ZERO) * out_vec.get(m, GR_ZERO) for m in range(d)), GR_ZERO)
                 for k in range(d)
             ]
             out = {}
@@ -48,17 +49,23 @@ def conjugated(p, rng, span=2):
                     out[k] = c.re
             if out:
                 brackets[(i, j)] = out
-    jnew_g = mat_mul([[GaussRational(e) for e in row] for row in _rat_rows(p.jmat)], g)
-    jnew = mat_mul(ginv, jnew_g)
+    jmat = [{j: GaussRational(e) for j, e in enumerate(row) if e} for row in p.jmat]
+    jnew = mat_mul(_matrix(ginv, d), mat_mul(_matrix(jmat, d), _matrix(g, d)))
     jrows = []
-    for row in jnew:
+    for i in range(d):
+        row = [jnew.cols[j].get(i, GR_ZERO) for j in range(d)]
         assert all(e.im == 0 for e in row)
         jrows.append([e.re for e in row])
     return AlgebraPresentation(d, brackets, jrows, name=p.name + "'")
 
 
-def _rat_rows(jmat):
-    return jmat
+def _matrix(rows, ncols):
+    """The ExactMatrix with these sparse rows."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return ExactMatrix(cols, len(rows))
 
 
 def test_tower4_validates():
@@ -159,26 +166,26 @@ def test_frame_diagonalizes_j():
         assert fr.n * 2 == p.dim
         for row in fr.v_rows:
             jv = p.j_apply(row)
-            assert jv == [GR_I * e for e in row]
+            assert jv == {k: GR_I * e for k, e in row.items()}
         for row in fr.vbar_rows:
             jv = p.j_apply(row)
-            assert jv == [(-GR_I) * e for e in row]
+            assert jv == {k: (-GR_I) * e for k, e in row.items()}
 
 
 def test_frame_dual_pairings():
     p = tower(4)
     fr = complex_frame(p)
     n = fr.n
+    def pair(w, v):
+        return sum((w.get(k, GR_ZERO) * v.get(k, GR_ZERO) for k in range(p.dim)), GR_ZERO)
+
     for a in range(n):
         for b in range(n):
             want = GR_ONE if a == b else GR_ZERO
-            pair = sum((fr.omega_rows[a][k] * fr.v_rows[b][k] for k in range(p.dim)), GR_ZERO)
-            assert pair == want
-            pair = sum((fr.omegabar_rows[a][k] * fr.vbar_rows[b][k] for k in range(p.dim)), GR_ZERO)
-            assert pair == want
+            assert pair(fr.omega_rows[a], fr.v_rows[b]) == want
+            assert pair(fr.omegabar_rows[a], fr.vbar_rows[b]) == want
             # cross pairings vanish
-            cross = sum((fr.omega_rows[a][k] * fr.vbar_rows[b][k] for k in range(p.dim)), GR_ZERO)
-            assert cross == GR_ZERO
+            assert pair(fr.omega_rows[a], fr.vbar_rows[b]) == GR_ZERO
 
 
 def test_frame_coords_round_trip():
@@ -186,7 +193,8 @@ def test_frame_coords_round_trip():
     fr = complex_frame(p)
     rng = random.Random(12)
     for _ in range(20):
-        coords = [GaussRational(Rational(rng.randint(-4, 4)), Rational(rng.randint(-4, 4))) for _ in range(fr.n)]
+        coords = {a: x for a in range(fr.n)
+                  if (x := GaussRational(Rational(rng.randint(-4, 4)), Rational(rng.randint(-4, 4))))}
         vec = fr.vector_from_coords(coords)
         assert fr.coords_10(vec) == coords
 
@@ -197,15 +205,15 @@ def test_frame_preferred_normalization():
     fr = complex_frame(p)
     half = GaussRational(Rational(1, 2))
     mihalf = GaussRational(0, Rational(-1, 2))
-    assert fr.v_rows[0] == [half, mihalf, GR_ZERO, GR_ZERO]
+    assert fr.v_rows[0] == {0: half, 1: mihalf}
 
 
 def test_abelian_frame_brackets_vanish():
     fr = complex_frame(tower(4))
     assert fr.abelian
     for c10, c01 in fr.bracket_vv.values():
-        assert all(not e for e in c10)
-        assert all(not e for e in c01)
+        assert c10 == {}
+        assert c01 == {}
 
 
 def test_central_series_tower():
@@ -228,7 +236,8 @@ def _dense_jacobi_failure(p):
         acc = [GR_ZERO] * p.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             term = p.bracket_vectors(p.bracket_vectors(e[a - 1], e[b - 1]), e[c - 1])
-            acc = [x + y for x, y in zip(acc, term)]
+            for m, x in term.items():
+                acc[m] = acc[m] + x
         if any(acc):
             return (i, j, k)
     return None
@@ -239,8 +248,8 @@ def _dense_central_series(p):
     series = [Subspace.full(p.dim)]
     while True:
         prev = series[-1]
-        rows = [p.bracket_vectors(b, ej) for b in prev.basis for ej in e]
-        series.append(Subspace.from_rows(p.dim, [w for w in rows if any(w)]))
+        rows = [p.bracket_vectors(b, ej) for b in prev.rows for ej in e]
+        series.append(Subspace.from_rows(p.dim, [w for w in rows if w]))
         if series[-1].dim in (0, prev.dim):
             return series
 
@@ -248,7 +257,8 @@ def _dense_central_series(p):
 def _dense_center(p):
     e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
     # row (j, k): x -> the e_k coordinate of [x, e_j]
-    rows = [[p.bracket_vectors(ei, ej)[k] for ei in e]
+    rows = [{i: x for i, ei in enumerate(e)
+             if (x := p.bracket_vectors(ei, ej).get(k))}
             for ej in e for k in range(p.dim)]
     return Subspace.from_rows(p.dim, kernel_basis(rows, p.dim))
 

@@ -10,7 +10,7 @@ from nilpoisson.poisson import (
     is_holomorphic_poisson,
     theorem2_lambda,
 )
-from nilpoisson.scalars import GR_I, GR_ONE, GaussRational, Rational, gauss
+from nilpoisson.scalars import GR_I, GR_ONE, Rational, gauss
 
 from test_calculus import iwasawa
 
@@ -111,10 +111,8 @@ def test_theorem2_kodaira_exact_real_form(kodaira_ctx):
     # -v1^v2 is (e3 - i e4) ^ (e1 - i e2) / 4 over the real basis
     fr = kodaira_ctx.frame
     mi = -GR_I
-    u = [GR_ONE if k == 2 else GaussRational(0) for k in range(4)]
-    u[3] = mi  # e3 - i e4
-    w = [GR_ONE if k == 0 else GaussRational(0) for k in range(4)]
-    w[1] = mi  # e1 - i e2
+    u = {2: GR_ONE, 3: mi}  # e3 - i e4
+    w = {0: GR_ONE, 1: mi}  # e1 - i e2
     cu = fr.coords_10(u)
     cw = fr.coords_10(w)
     a = MixedElement.vector(cu)
