@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
-from .exterior import (FORM_BASE, MixedElement, Scratch2Form, element_entries,
-                       form_gen, interior, vec_gen, wedge_mono)
-from .lie_structure import (AlgebraPresentation, ComplexFrame, Grading,
-                            complex_frame, grading)
+from .exterior import (FORM_BASE, MixedElement, element_entries, form_gen,
+                       vec_gen, wedge_mono)
+from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
+                            grading)
 from .scalars import GR_ONE
 
 
@@ -28,20 +28,22 @@ class CalculusContext:
     )
 
     def __init__(self, presentation: AlgebraPresentation,
-                 frame: ComplexFrame | None = None,
-                 grad: Grading | None = None):
+                 frame: ComplexFrame | None = None):
         self.presentation = presentation
         self.frame = frame if frame is not None else complex_frame(presentation)
-        self.grading = grad if grad is not None else grading(presentation, self.frame)
+        self.grading = grading(presentation, self.frame)
         self.n = self.frame.n
         self.abelian = self.frame.abelian
         self._build_dbar_images()
         self._sch_cache = {}
 
-    # -- construction ------------------------------------------------------
-
     def _build_dbar_images(self):
-        """The nonzero dbar generator images, and [v_k, ow_m] on the side."""
+        """The nonzero dbar generator images, and [v_k, ow_m] on the side.
+
+        With d alpha(a, b) = -alpha([a, b]), the (0,2) part of d ow_m has
+        coefficient -conj(omega_m([v_i, v_j])) on ow_i ^ ow_j, and contracting
+        v_k into d ow_m leaves -ow_m([v_k, vbar_j]) on ow_j.
+        """
         n = self.n
         fr = self.frame
         self.dbar_images = {}
@@ -56,47 +58,22 @@ class CalculusContext:
             if terms:
                 self.dbar_images[i] = MixedElement(terms)
         for m in range(1, n + 1):
-            mixed = {}
-            antiholo = {}
-            holo = {}
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    c01 = fr.bracket_vvbar[(i, j)][1]
-                    if m - 1 in c01:
-                        mixed[(i, j)] = -c01[m - 1]
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    c10, c01 = fr.bracket_vv[(i, j)]
-                    if m - 1 in c01:
-                        holo[(i, j)] = -c01[m - 1]
-                    if m - 1 in c10:
-                        antiholo[(i, j)] = -c10[m - 1].conjugate()
-            form = Scratch2Form(mixed, antiholo, holo)
-            image = form.antiholo_element()
+            image = {(FORM_BASE + i, FORM_BASE + j): -c10[m - 1].conjugate()
+                     for (i, j), c10 in fr.bracket_vv.items() if m - 1 in c10}
             if image:
                 if self.abelian:
                     raise InternalInvariantError(
                         "abelian structure produced a (0,2) part in d ow"
                     )
-                self.dbar_images[FORM_BASE + m] = image
+                self.dbar_images[FORM_BASE + m] = MixedElement(image)
             for k in range(1, n + 1):
-                val = interior(k, form)
-                if val:
-                    self.bk_v_form[(k, m)] = val
-
-    # -- generator tables ---------------------------------------------------
-
-    def generators(self):
-        for i in range(1, self.n + 1):
-            yield vec_gen(i)
-        for j in range(1, self.n + 1):
-            yield form_gen(j)
-
-    def generator_element(self, code: int) -> MixedElement:
-        return MixedElement.term((code,), GR_ONE)
-
-    def vector_element(self, coords: dict) -> MixedElement:
-        return MixedElement.vector(coords)
+                terms = {}
+                for j in range(1, n + 1):
+                    c = fr.bracket_vvbar[(k, j)][1].get(m - 1)
+                    if c:
+                        terms[(FORM_BASE + j,)] = -c
+                if terms:
+                    self.bk_v_form[(k, m)] = MixedElement(terms)
 
 
 def _odd_leibniz(images: dict[int, MixedElement], mono: tuple, coeff,
@@ -167,9 +144,9 @@ def _schouten_generators(ctx: CalculusContext, ga: int, gb: int) -> MixedElement
         if ga == gb:
             return MixedElement()
         if ga < gb:
-            coords = ctx.frame.bracket_vv[(ga, gb)][0]
+            coords = ctx.frame.bracket_vv[(ga, gb)]
             return MixedElement.vector(coords)
-        coords = ctx.frame.bracket_vv[(gb, ga)][0]
+        coords = ctx.frame.bracket_vv[(gb, ga)]
         return -MixedElement.vector(coords)
     if a_vec and not b_vec:
         return ctx.bk_v_form.get((ga, gb - FORM_BASE), MixedElement())
@@ -221,9 +198,11 @@ def schouten(ctx: CalculusContext, a: MixedElement, b: MixedElement) -> MixedEle
 def ad_images(ctx: CalculusContext, lam: MixedElement) -> dict[int, MixedElement]:
     """Generator images of ad_lam; valid because ad of a bivector is an odd
     derivation."""
+    n = ctx.n
+    gens = [vec_gen(i) for i in range(1, n + 1)] + [form_gen(j) for j in range(1, n + 1)]
     images = {}
-    for g in ctx.generators():
-        val = schouten(ctx, lam, ctx.generator_element(g))
+    for g in gens:
+        val = schouten(ctx, lam, MixedElement.term((g,), GR_ONE))
         if val:
             images[g] = val
     return images

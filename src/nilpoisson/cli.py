@@ -113,7 +113,7 @@ def _blank_report(presentation, report):
     }
 
 
-def _dolbeault_payload(table, n, coef=None):
+def _dolbeault_payload(table, coef=None):
     payload = {}
     for (p, q), cell in sorted(table.items()):
         if coef is not None and p != coef:
@@ -139,11 +139,6 @@ def _human_verdict(verdict: str) -> str:
     inner = verdict[len("fails-at-("):-1]
     r, p, q = inner.split(",")
     return f"fails at r={r} (p={p},q={q})"
-
-
-def _bivector_text(e) -> str:
-    """Echo a (2,0) element in the same grammar --lambda accepts."""
-    return str(expr_from_element(e))
 
 
 def cmd_validate(args):
@@ -208,7 +203,7 @@ def cmd_cohomology(args):
     table = dolbeault_table(bc)
     elapsed = time.perf_counter() - t0
     doc = _blank_report(presentation, ctx.frame.report)
-    doc["cohomology"] = _dolbeault_payload(table, ctx.n, args.coef)
+    doc["cohomology"] = _dolbeault_payload(table, args.coef)
     doc["timings"]["compute"] = round(elapsed, 6)
     rows = []
     csv_rows = [("p", "q", "dim")]
@@ -229,33 +224,34 @@ def cmd_poisson(args):
     ctx = CalculusContext(presentation)
     space = holomorphic_bivector_space(ctx)
     doc = _blank_report(presentation, ctx.frame.report)
+    texts = [str(expr_from_element(c.bivector)) for c in space.candidates]
     details = {
         "closed_dim": space.dim,
-        "basis": [_bivector_text(c.bivector) for c in space.candidates],
+        "basis": texts,
         "candidates": [
             {
-                "bivector": _bivector_text(c.bivector),
+                "bivector": text,
                 "dbar_closed": c.dbar_closed,
                 "schouten_square_zero": c.schouten_square_zero,
                 "ad_identically_zero": c.ad_identically_zero,
             }
-            for c in space.candidates
+            for text, c in zip(texts, space.candidates)
         ],
     }
-    rows = [[_bivector_text(c.bivector), c.dbar_closed, c.schouten_square_zero,
-             c.ad_identically_zero] for c in space.candidates]
+    rows = [[text, c.dbar_closed, c.schouten_square_zero, c.ad_identically_zero]
+            for text, c in zip(texts, space.candidates)]
     lam = _resolve_lambda(args, ctx)
     if lam:
         cand = is_holomorphic_poisson(ctx, lam)
         doc["lambda"] = str(expr_from_element(cand.bivector))
         details["given"] = {
-            "bivector": _bivector_text(cand.bivector),
+            "bivector": doc["lambda"],
             "dbar_closed": cand.dbar_closed,
             "schouten_square_zero": cand.schouten_square_zero,
             "ad_identically_zero": cand.ad_identically_zero,
             "holomorphic_poisson": cand.holomorphic_poisson,
         }
-        rows.append([_bivector_text(cand.bivector), cand.dbar_closed,
+        rows.append([doc["lambda"], cand.dbar_closed,
                      cand.schouten_square_zero, cand.ad_identically_zero])
     doc["details"] = details
     doc["timings"]["compute"] = round(time.perf_counter() - t0, 6)
@@ -285,19 +281,18 @@ def _spectral_common(args):
     t0 = time.perf_counter()
     verdict = degeneration_verdict(bc)
     timings["pages"] = round(time.perf_counter() - t0, 6)
-    return presentation, ctx, lam, bc, verdict, timings
-
-
-def cmd_spectral(args):
-    presentation, ctx, lam, bc, verdict, timings = _spectral_common(args)
-    shown = verdict.pages.pages
-    if args.pages is not None:
-        shown = shown[:args.pages]
+    # the verdict needs every page; --pages only trims the report
+    shown = verdict.pages.pages[:args.pages]
     doc = _blank_report(presentation, ctx.frame.report)
     doc["lambda"] = str(expr_from_element(lam)) if lam else "0"
     doc["e_pages"] = _page_payload(shown)
     doc["verdict"] = verdict.verdict
     doc["timings"] = timings
+    return presentation, verdict, shown, doc
+
+
+def cmd_spectral(args):
+    presentation, verdict, shown, doc = _spectral_common(args)
     rows = []
     csv_rows = [("r", "p", "q", "dim")]
     for page in shown:
@@ -313,12 +308,7 @@ def cmd_spectral(args):
 
 
 def cmd_degeneration(args):
-    presentation, ctx, lam, bc, verdict, timings = _spectral_common(args)
-    doc = _blank_report(presentation, ctx.frame.report)
-    doc["lambda"] = str(expr_from_element(lam)) if lam else "0"
-    doc["e_pages"] = _page_payload(verdict.pages.pages)
-    doc["verdict"] = verdict.verdict
-    doc["timings"] = timings
+    presentation, verdict, shown, doc = _spectral_common(args)
     doc["cohomology"] = {str(k): d for k, d in sorted(verdict.hk_dims.items())}
     details = {}
     if verdict.failure is not None:
@@ -327,7 +317,7 @@ def cmd_degeneration(args):
         details["witness_image"] = str(verdict.witness_image)
     doc["details"] = details
     csv_rows = [("r", "p", "q", "dim")]
-    for page in verdict.pages.pages:
+    for page in shown:
         for (p, q), d in sorted(page.dims.items()):
             csv_rows.append((page.r, p, q, d))
     lines = [f"algebra: {presentation.name}",

@@ -231,19 +231,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.rows)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise LinalgError("ambient mismatch")
-        return Subspace.from_rows(self.ambient, self.rows + other.rows)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """The common kernel of both annihilators."""
-        if self.ambient != other.ambient:
-            raise LinalgError("ambient mismatch")
-        stacked = (kernel_basis(self.rows, self.ambient)
-                   + kernel_basis(other.rows, self.ambient))
-        return Subspace(self.ambient, kernel_basis(stacked, self.ambient))
-
 
 def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
     """Canonical data for total/sub where sub is contained in total.

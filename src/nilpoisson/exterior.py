@@ -25,10 +25,6 @@ def form_gen(j: int) -> int:
     return FORM_BASE + j
 
 
-def is_vec(code: int) -> bool:
-    return code < FORM_BASE
-
-
 def mono_bidegree(mono: Monomial) -> tuple[int, int]:
     p = sum(1 for g in mono if g < FORM_BASE)
     return p, len(mono) - p
@@ -94,11 +90,6 @@ class MixedElement:
     def vector(cls, coords: dict) -> "MixedElement":
         """sum_a coords[a] v_(a+1), from sparse coordinates indexed from 0."""
         return cls({(a + 1,): coords[a] for a in sorted(coords)})
-
-    @classmethod
-    def form(cls, coords: dict) -> "MixedElement":
-        """sum_a coords[a] ow_(a+1), from sparse coordinates indexed from 0."""
-        return cls({(FORM_BASE + a + 1,): coords[a] for a in sorted(coords)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,17 +157,6 @@ class MixedElement:
                         del out[m]
         return MixedElement(out)
 
-    def bidegree_split(self) -> dict[tuple[int, int], "MixedElement"]:
-        cells: dict[tuple[int, int], MixedElement] = {}
-        for m, c in self.terms.items():
-            pq = mono_bidegree(m)
-            cell = cells.get(pq)
-            if cell is None:
-                cell = MixedElement()
-                cells[pq] = cell
-            cell.terms[m] = c
-        return cells
-
     def homogeneous_bidegree(self) -> tuple[int, int] | None:
         """The (p, q) of a homogeneous element; None for 0 or mixed."""
         pq = None
@@ -198,48 +178,6 @@ class MixedElement:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-class Scratch2Form:
-    """Transient full 2-form over the (1,0)/(0,1) coframe.
-
-    mixed[(i, j)] is the coefficient of w_i ^ ow_j (w_i the transient (1,0)
-    form), antiholo[(i, j)] with i < j the coefficient of ow_i ^ ow_j.  A
-    (2,0) block never appears for an integrable structure; the constructor
-    refuses one.
-    """
-
-    __slots__ = ("mixed", "antiholo")
-
-    def __init__(self, mixed: dict, antiholo: dict, holo: dict | None = None):
-        if holo and any(holo.values()):
-            raise InternalInvariantError(
-                "2-form has a (2,0) block; complex structure is not integrable"
-            )
-        self.mixed = {k: v for k, v in mixed.items() if v}
-        self.antiholo = {k: v for k, v in antiholo.items() if v}
-
-    def is_zero(self) -> bool:
-        return not self.mixed and not self.antiholo
-
-    def antiholo_element(self) -> MixedElement:
-        terms = {}
-        for (i, j), c in self.antiholo.items():
-            terms[(FORM_BASE + i, FORM_BASE + j)] = c
-        return MixedElement(terms)
-
-
-def interior(v_index: int, two_form: Scratch2Form) -> MixedElement:
-    """Contract v_{v_index} into the first slot of a scratch 2-form.
-
-    Pairings: <v_i, w_j> = delta_ij and <v_i, ow_j> = 0, so only the mixed
-    block contributes and the value is a pure (0,1)-form.
-    """
-    out = MixedElement()
-    for (i, j), c in two_form.mixed.items():
-        if i == v_index:
-            out = out + MixedElement.term((FORM_BASE + j,), c)
-    return out
 
 
 def cell_monomials(n: int, p: int, q: int) -> list[Monomial]:

@@ -118,9 +118,6 @@ class BigradedComplex:
                             basis.get((p + 1, q + 1)), dm.get((p + 1, q)),
                             am.get((p, q)), am.get((p, q + 1)), dm.get((p, q)))
 
-    def cell_dim(self, p: int, q: int) -> int:
-        return len(self.basis.get((p, q), []))
-
 
 @dataclass
 class CohomologyCell:
@@ -143,30 +140,28 @@ class CohomologyCell:
         return self.proj.apply(coords)
 
 
-def _image_subspace(mat: ExactMatrix, ambient: int) -> Subspace:
-    if mat is None:
-        return Subspace.zero(ambient)
-    return Subspace.from_rows(ambient, mat.cols)
+def _cohomology(label: tuple, basis: list, d_out: ExactMatrix | None,
+                d_in: ExactMatrix | None) -> CohomologyCell:
+    """ker d_out / im d_in on the cochains with this basis; a missing map is
+    zero."""
+    dim_cell = len(basis)
+    if d_out is None:
+        cocycles = Subspace.full(dim_cell)
+    else:
+        cocycles = Subspace(dim_cell, d_out.kernel())
+    if d_in is None:
+        boundaries = Subspace.zero(dim_cell)
+    else:
+        boundaries = Subspace.from_rows(dim_cell, d_in.cols)
+    # containment is the verified square-zero identity
+    dim, reps, proj = quotient_map(boundaries, cocycles, check=False)
+    return CohomologyCell(label, basis, cocycles, boundaries, dim, reps, proj)
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
-    n = bc.n
-    basis = bc.basis.get((p, q), [])
-    dim_cell = len(basis)
-    if dim_cell == 0:
-        z = Subspace.zero(0)
-        return CohomologyCell((p, q), [], z, z, 0, [], ExactMatrix([], 0))
-    out_mat = bc.dbar_mat.get((p, q))
-    if out_mat is None:
-        cocycles = Subspace.full(dim_cell)
-    else:
-        cocycles = Subspace(dim_cell, out_mat.kernel())
-    in_mat = bc.dbar_mat.get((p, q - 1)) if q >= 1 else None
-    boundaries = _image_subspace(in_mat, dim_cell)
-    # containment is the verified square-zero identity
-    dim, reps, proj = quotient_map(boundaries, cocycles, check=False)
-    return CohomologyCell((p, q), basis, cocycles, boundaries, dim, reps, proj)
+    return _cohomology((p, q), bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)),
+                       bc.dbar_mat.get((p, q - 1)))
 
 
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
@@ -227,23 +222,10 @@ class TotalComplex:
         return self.dmat[k].apply(coords)
 
 
-def poisson_cohomology(bc: BigradedComplex, tc: TotalComplex, k: int) -> CohomologyCell:
-    """H^k of (K, dbar + ad_lam); zero beyond the top degree."""
-    if k < 0 or k > tc.nmax:
-        z = Subspace.zero(0)
-        return CohomologyCell((k,), [], z, z, 0, [], ExactMatrix([], 0))
-    basis = tc.bases[k]
-    dim_cell = len(basis)
-    dk = tc.dmat[k]
-    if dk.nrows == 0:
-        cocycles = Subspace.full(dim_cell)
-    else:
-        cocycles = Subspace(dim_cell, dk.kernel())
-    dprev = tc.dmat.get(k - 1) if k >= 1 else None
-    boundaries = _image_subspace(dprev, dim_cell)
-    # containment is the verified square-zero identity of the total differential
-    dim, reps, proj = quotient_map(boundaries, cocycles, check=False)
-    return CohomologyCell((k,), basis, cocycles, boundaries, dim, reps, proj)
+def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
+    """H^k of (K, dbar + ad_lam); zero outside 0..2n."""
+    return _cohomology((k,), tc.bases.get(k, []), tc.dmat.get(k),
+                       tc.dmat.get(k - 1))
 
 
 def poisson_betti(tc: TotalComplex) -> dict[int, int]:
@@ -315,9 +297,6 @@ class SpectralPage:
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
-
-    def nonzero_cells(self):
-        return sorted(k for k, v in self.dims.items() if v)
 
     def cell(self, p: int, q: int):
         """(Z_r, reps, proj) of E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1})."""
@@ -416,16 +395,14 @@ def e2_dims_via_induced_map(bc: BigradedComplex,
     return dims
 
 
-def spectral_pages(bc: BigradedComplex, r_max: int | None = None) -> PageResult:
+def spectral_pages(bc: BigradedComplex) -> PageResult:
+    """Pages E_1 .. E_{n+1}; every d_r with r > n leaves the p range, so the
+    pages stabilize there."""
     n = bc.n
-    if r_max is None:
-        r_max = n + 1
-    if r_max < 1:
-        raise ValidationError("r_max must be at least 1")
     tc = TotalComplex(bc)
     pairs, unpaired = _pairing(tc)
     pages = []
-    for r in range(1, r_max + 1):
+    for r in range(1, n + 2):
         dims = {(p, q): unpaired.get((p, q), 0)
                 for p in range(n + 1) for q in range(n + 1)}
         for length, src, tgt in pairs:
@@ -466,13 +443,9 @@ class DegenerationVerdict:
         return f"fails-at-({r},{p},{q})"
 
 
-def degeneration_verdict(bc: BigradedComplex,
-                         r_max: int | None = None) -> DegenerationVerdict:
+def degeneration_verdict(bc: BigradedComplex) -> DegenerationVerdict:
     n = bc.n
-    # pages stabilize at n + 1 (any later differential leaves the p range),
-    # so the verdict always computes at least that far
-    r_max = n + 1 if r_max is None else max(r_max, n + 1)
-    result = spectral_pages(bc, r_max=r_max)
+    result = spectral_pages(bc)
     tc = result.tc
     failure = None
     witness_src = witness_img = None

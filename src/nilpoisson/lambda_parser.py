@@ -153,9 +153,6 @@ class LambdaExpr:
     def __hash__(self):
         return hash(self.terms)
 
-    def max_index(self) -> int:
-        return max((j for _, j, _ in self.terms), default=0)
-
     def bind(self, n: int) -> MixedElement:
         """Validate indices against the complex dimension and build the element."""
         for i, j, _ in self.terms:

@@ -189,14 +189,16 @@ _PLUS = {0: GR_ONE, 1: GR_ONE}
 _MINUS = {0: GR_ONE, 1: -GR_ONE}
 
 
-def central_series(p: AlgebraPresentation, cap: int = 64) -> list[Subspace]:
-    """Descending central series g^0 = g, g^{k+1} = [g^k, g], until it stalls."""
+def central_series(p: AlgebraPresentation) -> list[Subspace]:
+    """Descending central series g^0 = g, g^{k+1} = [g^k, g], until it
+    reaches zero or stalls; each step shrinks the dimension or stops, so
+    there are at most dim + 1 entries."""
     n2 = p.dim
     # ad[j][i] = [e_{i+1}, e_{j+1}], so [b, e_{j+1}] = combine(b, ad[j])
     ad = [[_basis_bracket(p, i, j) for i in range(1, n2 + 1)]
           for j in range(1, n2 + 1)]
     series = [Subspace.full(n2)]
-    while len(series) < cap:
+    while True:
         prev = series[-1]
         rows = [w for b in prev.rows for col in ad if (w := combine(b, col))]
         nxt = Subspace.from_rows(n2, rows)
@@ -239,16 +241,14 @@ class ComplexFrame:
         self.omega_rows = omega_rows
         self.omegabar_rows = omegabar_rows
         # sparse coefficients, indexed from 0, on the v and on the vbar frame
-        self.bracket_vv = bracket_vv      # {(i,j) i<j: (v_coords, vbar_coords)}
+        # [v_i, v_j] has no vbar part for an integrable structure
+        self.bracket_vv = bracket_vv      # {(i,j) i<j: v_coords}
         self.bracket_vvbar = bracket_vvbar  # {(i,j) all: (v_coords, vbar_coords)}
         self.abelian = abelian
         self.report = report  # the ValidationReport the frame was built after
 
     def coords_10(self, u: Vector) -> dict:
         return _pair_rows(self.omega_rows, u)
-
-    def coords_01(self, u: Vector) -> dict:
-        return _pair_rows(self.omegabar_rows, u)
 
     def vector_from_coords(self, coords: dict) -> Vector:
         return combine(coords, self.v_rows)
@@ -308,15 +308,14 @@ def complex_frame(p: AlgebraPresentation,
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
-            c10 = _pair_rows(omega_rows, u)
-            c01 = _pair_rows(omegabar_rows, u)
-            if c01:
+            if _pair_rows(omegabar_rows, u):
                 raise InternalInvariantError(
                     "integrable structure produced a (0,1) part in [v_i, v_j]"
                 )
+            c10 = _pair_rows(omega_rows, u)
             if c10:
                 abelian = False
-            bracket_vv[(i, j)] = (c10, c01)
+            bracket_vv[(i, j)] = c10
     bracket_vvbar = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -403,14 +402,24 @@ def presentation_to_dict(p: AlgebraPresentation) -> dict:
     return {"dim": p.dim, "brackets": brackets, "J": jmat}
 
 
+def _integer(value, key: str) -> int:
+    """An integer field of a presentation: a JSON integer or an integer
+    string; int() would truncate a float and read a boolean as 0 or 1."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f'"{key}" must be an integer, not {value!r}')
+    return int(value)
+
+
 def presentation_from_dict(data: dict, name: str = "file") -> AlgebraPresentation:
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"], "dim")
         brackets = {}
         for ent in data.get("brackets", []):
-            i, j = int(ent["i"]), int(ent["j"])
+            i, j = _integer(ent["i"], "i"), _integer(ent["j"], "j")
             if i == j:
                 raise ValueError(f"bracket ({i},{i}) of a vector with itself")
+            if not isinstance(ent["out"], dict):
+                raise ValueError(f'"out" of bracket ({i},{j}) must be a JSON object')
             if i > j:
                 i, j = j, i
                 out = {int(k): -rational_from_string(v) for k, v in ent["out"].items()}

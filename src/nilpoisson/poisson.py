@@ -105,8 +105,8 @@ def theorem2_lambda(ctx: CalculusContext) -> PoissonCandidate:
     g = ctx.grading
     c10 = g.c10
     if c10.dim >= 2:
-        a = ctx.vector_element(c10.rows[0])
-        b = ctx.vector_element(c10.rows[1])
+        a = MixedElement.vector(c10.rows[0])
+        b = MixedElement.vector(c10.rows[1])
         lam = a.wedge(b)
     else:
         if c10.dim == 0:
@@ -118,8 +118,8 @@ def theorem2_lambda(ctx: CalculusContext) -> PoissonCandidate:
             raise InternalInvariantError(
                 "graded complement below the top level is zero; "
                 "the filtration should be strictly decreasing")
-        c = ctx.vector_element(top.rows[0])
-        v = ctx.vector_element(below.rows[0])
+        c = MixedElement.vector(top.rows[0])
+        v = MixedElement.vector(below.rows[0])
         lam = c.wedge(v)
     cand = is_holomorphic_poisson(ctx, lam)
     if not cand.holomorphic_poisson:

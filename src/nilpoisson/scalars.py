@@ -110,37 +110,8 @@ def gauss(re=0, im=0) -> GaussRational:
     return GaussRational(Rational(re), Rational(im))
 
 
-def gauss_from_string(text: str) -> GaussRational:
-    """Parse "p/q", "p/qi" or "(re+im i)" (the coefficient grammar)."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty coefficient literal")
-    if s.startswith("(") and s.endswith(")"):
-        body = s[1:-1]
-        if not body.endswith("i"):
-            raise ValueError(f"parenthesized coefficient must end in i: {text!r}")
-        body = body[:-1]
-        # split re +- im at the last top-level sign that is not an exponent
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "+-/":
-                re_part, sign, im_part = body[:k], body[k], body[k + 1 :]
-                im = rational_from_string(im_part or "1")
-                if sign == "-":
-                    im = -im
-                return GaussRational(rational_from_string(re_part), im)
-        raise ValueError(f"bad complex coefficient {text!r}")
-    if s.endswith("i"):
-        body = s[:-1]
-        if body in ("", "+"):
-            return GR_I
-        if body == "-":
-            return -GR_I
-        return GaussRational(RAT_ZERO, rational_from_string(body))
-    return GaussRational(rational_from_string(s), RAT_ZERO)
-
-
 def gauss_to_string(z: GaussRational) -> str:
-    """Inverse of gauss_from_string on canonical output."""
+    """The coefficient grammar of `lambda_parser`, which reads it back."""
     if not z.im:
         return str(z.re)
     if not z.re:

@@ -115,6 +115,9 @@ def test_dbar_generator_table_tower4():
     assert dbar(ctx, vterm(4)).is_zero()
     for j in range(1, 5):
         assert dbar(ctx, fterm(j)).is_zero()
+    # [v_k, ow_m]: v_k contracted into the (1,1) part of d ow_m
+    assert ctx.bk_v_form == {(1, 2): term([], [1], -half),
+                             (1, 3): -fterm(2), (1, 4): -fterm(3)}
 
 
 def test_dbar_generator_table_iwasawa():

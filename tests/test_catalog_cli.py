@@ -392,6 +392,45 @@ def test_cli_numeric_presentation_entries_are_usage_errors(capsys, tmp_path, fie
         assert err == "error: bad algebra data: rational literal 0 is not a string\n"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("out", ["1"], '"out" of bracket (1,2) must be a JSON object'),
+    ("i", 1.7, '"i" must be an integer, not 1.7'),
+    ("j", True, '"j" must be an integer, not True'),
+    ("dim", 2.0, '"dim" must be an integer, not 2.0'),
+])
+def test_cli_malformed_presentation_is_usage_error(capsys, tmp_path, field,
+                                                   value, message):
+    data = {
+        "dim": 2,
+        "brackets": [{"i": 1, "j": 2, "out": {"2": "0"}}],
+        "J": [["0", "-1"], ["1", "0"]],
+    }
+    if field == "dim":
+        data["dim"] = value
+    else:
+        data["brackets"][0][field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("validate", "info"):
+        rc, out, err = run(capsys, cmd, "--file", str(path))
+        assert (rc, out) == (2, ""), cmd
+        assert err == f"error: bad algebra data: {message}\n"
+
+
+def test_cli_integer_string_fields_accepted(capsys, tmp_path):
+    data = {
+        "dim": "4",
+        "brackets": [{"i": "2", "j": "1", "out": {"3": "-1"}}],
+        "J": [["0", "-1", "0", "0"], ["1", "0", "0", "0"],
+              ["0", "0", "0", "-1"], ["0", "0", "1", "0"]],
+    }
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    assert load_file(str(path)).brackets == catalog_load("kodaira").brackets
+    rc, out, _ = run(capsys, "validate", "--file", str(path))
+    assert rc == 0 and "nilpotent:           True  (step 2)" in out
+
+
 def test_cli_pages_bounded_before_any_complex(capsys, monkeypatch):
     import nilpoisson.cli as cli
     import nilpoisson.homology as homology
@@ -422,3 +461,24 @@ def test_cli_pages_up_to_n_plus_one(capsys):
                      "3", "--format", "json")
     assert rc == 0
     assert sorted(json.loads(out)["e_pages"]) == ["1", "2", "3"]
+
+
+def test_cli_degeneration_pages_trims_report(capsys):
+    base = ("degeneration", "--algebra", "kodaira", "--lambda", "v1^v2")
+    _, full, _ = run(capsys, *base, "--format", "json")
+    rc, out, _ = run(capsys, *base, "--pages", "1", "--format", "json")
+    assert rc == 0
+    full, doc = json.loads(full), json.loads(out)
+    assert sorted(doc["e_pages"]) == ["1"]
+    assert doc["e_pages"]["1"] == full["e_pages"]["1"]
+    # the verdict, its witness and H^k still come from every page
+    for key in ("verdict", "cohomology", "details", "lambda"):
+        assert doc[key] == full[key], key
+    rc, out, _ = run(capsys, *base, "--pages", "2", "--format", "csv")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["r", "p", "q", "dim"]
+    assert sorted({r for r, _, _, _ in rows[1:]}) == ["1", "2"]
+    assert len(rows) == 1 + 2 * 9
+    # the table shows no pages, so it does not change
+    assert run(capsys, *base, "--pages", "1")[1] == run(capsys, *base)[1]

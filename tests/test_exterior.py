@@ -7,14 +7,11 @@ from nilpoisson.errors import InternalInvariantError
 from nilpoisson.exterior import (
     FORM_BASE,
     MixedElement,
-    Scratch2Form,
     cell_monomials,
     element_entries,
     element_from_coords,
     form_gen,
     graded_monomials,
-    interior,
-    is_vec,
     mono_bidegree,
     mono_str,
     vec_gen,
@@ -36,8 +33,7 @@ def rand_element(rng, n, max_terms=4):
 
 
 def test_generator_codes_disjoint():
-    assert is_vec(vec_gen(3))
-    assert not is_vec(form_gen(3))
+    assert vec_gen(3) < FORM_BASE <= form_gen(3)
     assert vec_gen(5) < form_gen(1)
     assert form_gen(2) == FORM_BASE + 2
 
@@ -100,8 +96,6 @@ def test_vector_and_form_constructors():
     coords = {0: gauss(1), 2: gauss(Rational(-1, 2))}
     v = MixedElement.vector(coords)
     assert v.terms == {(vec_gen(1),): gauss(1), (vec_gen(3),): gauss(Rational(-1, 2))}
-    f = MixedElement.form(coords)
-    assert f.terms == {(form_gen(1),): gauss(1), (form_gen(3),): gauss(Rational(-1, 2))}
 
 
 def test_mono_bidegree_and_str():
@@ -115,12 +109,10 @@ def test_bidegree_split_pinned():
     e = MixedElement.term((vec_gen(1),), GR_ONE) + MixedElement.term(
         (vec_gen(2), form_gen(1)), gauss(3)
     )
-    parts = e.bidegree_split()
-    assert set(parts) == {(1, 0), (1, 1)}
-    assert parts[(1, 0)].terms == {(vec_gen(1),): GR_ONE}
-    assert parts[(1, 1)].terms == {(vec_gen(2), form_gen(1)): gauss(3)}
+    assert {mono_bidegree(m) for m in e.terms} == {(1, 0), (1, 1)}
     assert e.homogeneous_bidegree() is None
-    assert parts[(1, 1)].homogeneous_bidegree() == (1, 1)
+    part = MixedElement.term((vec_gen(2), form_gen(1)), gauss(3))
+    assert part.homogeneous_bidegree() == (1, 1)
     assert MixedElement.zero().homogeneous_bidegree() is None
 
 
@@ -164,26 +156,3 @@ def test_element_coords_rejects_foreign_monomial():
     stray = MixedElement.term((vec_gen(1), vec_gen(2)), GR_ONE)
     with pytest.raises(InternalInvariantError):
         element_entries(stray, index)
-
-
-def test_interior_pinned():
-    half = Rational(1, 2)
-    # -1/2 w1^ow1: contracting v1 leaves -1/2 ow1, contracting v2 gives 0
-    tf = Scratch2Form({(1, 1): gauss(-half)}, {})
-    assert interior(1, tf).terms == {(form_gen(1),): gauss(-half)}
-    assert interior(2, tf).is_zero()
-    tf2 = Scratch2Form({(1, 3): gauss(-1)}, {})
-    assert interior(1, tf2).terms == {(form_gen(3),): gauss(-1)}
-
-
-def test_scratch2form_refuses_holomorphic_block():
-    with pytest.raises(InternalInvariantError):
-        Scratch2Form({}, {}, holo={(1, 2): GR_ONE})
-    # an all-zero holo block is fine
-    Scratch2Form({}, {}, holo={(1, 2): gauss(0)})
-
-
-def test_scratch2form_antiholo_element():
-    tf = Scratch2Form({}, {(1, 2): gauss(5)})
-    e = tf.antiholo_element()
-    assert e.terms == {(form_gen(1), form_gen(2)): gauss(5)}

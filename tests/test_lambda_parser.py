@@ -48,6 +48,21 @@ def test_round_trip_strings():
         assert parse_lambda(str(e)) == e
 
 
+_FRACTIONS = st.fractions(min_value=-99, max_value=99, max_denominator=99)
+# terms (coeff, i, j) with i < j, as the parser normalizes them
+_EXPR = st.lists(
+    st.builds(lambda c, ij: (c, *sorted(ij)), st.builds(gauss, _FRACTIONS, _FRACTIONS),
+              st.sets(st.integers(1, 12), min_size=2, max_size=2)),
+    min_size=1, max_size=6).map(LambdaExpr).filter(lambda e: e.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPR)
+def test_str_parse_round_trip_random(e):
+    # the echo of an expression is read back as the same expression
+    assert parse_lambda(str(e)) == e
+
+
 def test_parse_errors_carry_position():
     cases = {
         "": "position 0",
@@ -123,11 +138,6 @@ def test_bind_range_checks():
         (vec_gen(1), vec_gen(4)): gauss(2),
         (vec_gen(2), vec_gen(3)): gauss(-1),
     }
-
-
-def test_max_index():
-    assert parse_lambda("v2^v5 - v3^v4").max_index() == 5
-    assert LambdaExpr([]).max_index() == 0
 
 
 def test_expr_from_element_round_trip():
