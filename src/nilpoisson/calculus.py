@@ -2,7 +2,9 @@
 exterior algebra.
 
 All operators are odd derivations pinned by their generator values, and one
-term walk, `_odd_leibniz`, applies every such derivation:
+term walk, `_odd_leibniz`, applies every such derivation.  It works on
+bitmask monomials (v_i is bit i-1, ow_j is bit n+j-1, see `exterior`) and
+signs each term by a popcount, with no wedge product:
   dbar v    = sum_j [v, vbar_j]^(1,0) ^ ow_j
   dbar ow_m = (0,2) part of d ow_m,      d alpha(a, b) = -alpha([a, b])
   [v, ow_m] = contraction of v into d ow_m
@@ -12,8 +14,8 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
-from .exterior import (FORM_BASE, MixedElement, element_entries, form_gen,
-                       vec_gen, wedge_mono)
+from .exterior import (FORM_BASE, MixedElement, form_gen, mask_mono, mono_mask,
+                       mono_str, vec_gen)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
                             grading)
 from .scalars import GR_ONE
@@ -76,32 +78,53 @@ class CalculusContext:
                     self.bk_v_form[(k, m)] = MixedElement(terms)
 
 
-def _odd_leibniz(images: dict[int, MixedElement], mono: tuple, coeff,
-                 out: dict) -> None:
-    """Add coeff * D(mono) into the sparse terms out, D the odd derivation
-    with these generator images:
+def _compile(images: dict[int, MixedElement], n: int) -> list[tuple]:
+    """The generator images as (bit g, g - 1, terms), g ascending, each term
+    (image mask I, sign mask B, |I| even, c, -c) with B the XOR of b - 1
+    over the bits b of I."""
+    table = []
+    for code, img in images.items():
+        terms = []
+        for mono, c in img.terms.items():
+            mask = mono_mask(mono, n)
+            signs = 0
+            for g in mono:
+                signs ^= mono_mask((g,), n) - 1
+            terms.append((mask, signs, len(mono) % 2 == 0, c, -c))
+        if terms:
+            bit = mono_mask((code,), n)
+            table.append((bit, bit - 1, terms))
+    table.sort(key=lambda entry: entry[0])
+    return table
+
+
+def _odd_leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
+    """Add coeff * D(src) into the sparse terms out, keyed by mask, D the odd
+    derivation with these compiled generator images:
 
         D(g_1 ... g_k) = sum_t (-1)^(t-1) g_1 ... g_(t-1) D(g_t) g_(t+1) ... g_k
 
-    Each image term is merged in place between the prefix and the suffix;
+    With R = src without g_t, the term of an image monomial I is
+    (-1)^((|I|+1)(t-1)) I ^ R, and I ^ R is canonical up to the parity of
+    the pairs x in I, y in R with y < x, which is the popcount of R & B.
     coeff None stands for 1 and multiplies nothing.
     """
-    for t, g in enumerate(mono):
-        img = images.get(g)
-        if not img:
+    for g, below, terms in table:
+        if not src & g:
             continue
-        pre, post = mono[:t], mono[t + 1:]
-        for m, c in img.terms.items():
-            s1, m = wedge_mono(pre, m)
-            if not s1:
+        rest = src ^ g
+        before = (rest & below).bit_count()
+        for mask, signs, even, c, neg in terms:
+            if mask & rest:
                 continue
-            s2, m = wedge_mono(m, post)
-            if not s2:
-                continue
+            parity = (rest & signs).bit_count()
+            if even:
+                parity += before
+            if parity & 1:
+                c = neg
             if coeff is not None:
                 c = coeff * c
-            if (s1 != s2) != (t % 2 == 1):
-                c = -c
+            m = mask | rest
             s = out.get(m)
             if s is None:
                 out[m] = c
@@ -115,21 +138,33 @@ def _odd_leibniz(images: dict[int, MixedElement], mono: tuple, coeff,
 
 def apply_odd_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedElement:
     """Extend generator images to the unique odd derivation and apply it."""
+    # any n at least the largest vector index keeps vector bits below forms
+    codes = [*images]
+    codes += [g for img in images.values() for m in img.terms for g in m]
+    codes += [g for m in e.terms for g in m]
+    n = max((g for g in codes if g < FORM_BASE), default=0)
+    table = _compile(images, n)
     out: dict = {}
     for mono, coeff in e.terms.items():
-        _odd_leibniz(images, mono, coeff, out)
-    return MixedElement(out)
+        _odd_leibniz(table, mono_mask(mono, n), coeff, out)
+    return MixedElement({mask_mono(m, n): c for m, c in out.items()})
 
 
-def derivation_matrix(images: dict[int, MixedElement], source_basis,
+def derivation_matrix(images: dict[int, MixedElement], n: int, source_masks,
                       target_index: dict, where: str) -> ExactMatrix:
     """The odd derivation with these generator images, one sparse column
-    per source monomial."""
+    per source mask; target_index numbers the target masks."""
+    table = _compile(images, n)
     cols = []
-    for mono in source_basis:
+    for src in source_masks:
         out: dict = {}
-        _odd_leibniz(images, mono, None, out)
-        cols.append(element_entries(MixedElement(out), target_index, where))
+        _odd_leibniz(table, src, None, out)
+        try:
+            cols.append({target_index[m]: c for m, c in out.items()})
+        except KeyError as exc:
+            raise InternalInvariantError(
+                f"{where}: monomial {mono_str(mask_mono(exc.args[0], n))} "
+                "outside basis") from None
     return ExactMatrix(cols, len(target_index))
 
 

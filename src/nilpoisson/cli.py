@@ -113,18 +113,6 @@ def _blank_report(presentation, report):
     }
 
 
-def _dolbeault_payload(table, coef=None):
-    payload = {}
-    for (p, q), cell in sorted(table.items()):
-        if coef is not None and p != coef:
-            continue
-        payload[f"{p},{q}"] = {
-            "dim": cell.dim,
-            "representatives": [str(e) for e in cell.representatives()],
-        }
-    return payload
-
-
 def _page_payload(pages):
     out = {}
     for page in pages:
@@ -203,15 +191,16 @@ def cmd_cohomology(args):
     table = dolbeault_table(bc)
     elapsed = time.perf_counter() - t0
     doc = _blank_report(presentation, ctx.frame.report)
-    doc["cohomology"] = _dolbeault_payload(table, args.coef)
+    doc["cohomology"] = {}
     doc["timings"]["compute"] = round(elapsed, 6)
     rows = []
     csv_rows = [("p", "q", "dim")]
     for (p, q), cell in sorted(table.items()):
         if args.coef is not None and p != args.coef:
             continue
-        reps = ", ".join(str(e) for e in cell.representatives())
-        rows.append([p, q, cell.dim, reps])
+        reps = [str(e) for e in cell.representatives()]
+        doc["cohomology"][f"{p},{q}"] = {"dim": cell.dim, "representatives": reps}
+        rows.append([p, q, cell.dim, ", ".join(reps)])
         csv_rows.append((p, q, cell.dim))
     text = (f"algebra: {presentation.name}\n"
             + _render_rows(["p", "q", "dim", "representatives"], rows))

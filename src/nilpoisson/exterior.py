@@ -4,6 +4,11 @@ A monomial is a strictly increasing tuple of generator codes: vector v_i
 is coded as i, conjugate form (written ow_j in text output) as FORM_BASE + j.
 Every generator is odd, and the canonical factor order is vectors before
 forms with indices ascending, which the code order realizes directly.
+
+The derivation kernel in `calculus` reads a monomial of the n-dimensional
+complex as a bitmask instead: v_i is bit i-1 and ow_j is bit n+j-1, so
+ascending bit order is again the canonical factor order.  `mono_mask` and
+`mask_mono` convert, and `cell_masks` lists a cell in `cell_monomials` order.
 """
 from __future__ import annotations
 
@@ -54,6 +59,26 @@ def wedge_mono(a: Monomial, b: Monomial):
     out.extend(a[i:])
     out.extend(b[j:])
     return (1 if inv % 2 == 0 else -1), tuple(out)
+
+
+def mono_mask(mono: Monomial, n: int) -> int:
+    """The bitmask of a monomial: v_i is bit i-1, ow_j is bit n+j-1."""
+    mask = 0
+    for g in mono:
+        mask |= 1 << (g - 1 if g < FORM_BASE else n + g - FORM_BASE - 1)
+    return mask
+
+
+def mask_mono(mask: int, n: int) -> Monomial:
+    """The monomial of a bitmask, factors in ascending bit order."""
+    out = []
+    b = 0
+    while mask:
+        if mask & 1:
+            out.append(b + 1 if b < n else FORM_BASE + b - n + 1)
+        mask >>= 1
+        b += 1
+    return tuple(out)
 
 
 def mono_str(mono: Monomial) -> str:
@@ -184,11 +209,19 @@ def cell_monomials(n: int, p: int, q: int) -> list[Monomial]:
     """Basis of the (p, q) cell, vec-set lexicographic outer, form-set inner."""
     if p < 0 or q < 0 or p > n or q > n:
         return []
-    out = []
-    for vecs in combinations(range(1, n + 1), p):
-        for forms in combinations(range(1, n + 1), q):
-            out.append(vecs + tuple(FORM_BASE + j for j in forms))
-    return out
+    forms = [tuple(FORM_BASE + j for j in c)
+             for c in combinations(range(1, n + 1), q)]
+    return [vecs + f for vecs in combinations(range(1, n + 1), p) for f in forms]
+
+
+def cell_masks(n: int, p: int, q: int) -> list[int]:
+    """The bitmasks of `cell_monomials(n, p, q)`, in the same order."""
+    if p < 0 or q < 0 or p > n or q > n:
+        return []
+    vecs = [sum(1 << (i - 1) for i in c) for c in combinations(range(1, n + 1), p)]
+    forms = [sum(1 << (n + j - 1) for j in c)
+             for c in combinations(range(1, n + 1), q)]
+    return [a | b for a in vecs for b in forms]
 
 
 def graded_monomials(n: int, k: int) -> list[Monomial]:

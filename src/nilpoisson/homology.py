@@ -21,9 +21,8 @@ from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Subspace, combine, eliminate, mat_mul,
                            quotient_map)
-from .exterior import (FORM_BASE, MixedElement, cell_monomials,
-                       element_from_coords, graded_monomials, mono_bidegree,
-                       mono_str)
+from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
+                       element_from_coords, mono_str)
 from .lie_structure import AlgebraPresentation, complex_frame
 
 # Largest complex dimension served: the complex has 4^n monomials, 65536 at
@@ -82,25 +81,26 @@ class BigradedComplex:
                     f"lam is not Poisson: [lam, lam] = {sq} != 0")
         ad_imgs = ad_images(ctx, self.lam) if self.lam else {}
 
+        # the masks and their index serve assembly only
         self.basis: dict[tuple[int, int], list] = {}
-        self.index: dict[tuple[int, int], dict] = {}
+        masks, index = {}, {}
         for p in range(n + 1):
             for q in range(n + 1):
-                b = cell_monomials(n, p, q)
-                self.basis[(p, q)] = b
-                self.index[(p, q)] = {m: i for i, m in enumerate(b)}
+                self.basis[(p, q)] = cell_monomials(n, p, q)
+                masks[(p, q)] = cell_masks(n, p, q)
+                index[(p, q)] = {m: i for i, m in enumerate(masks[(p, q)])}
 
         self.dbar_mat: dict[tuple[int, int], ExactMatrix] = {}
         self.ad_mat: dict[tuple[int, int], ExactMatrix] = {}
         for p in range(n + 1):
             for q in range(n + 1):
-                src = self.basis[(p, q)]
+                src = masks[(p, q)]
                 if q + 1 <= n:
                     self.dbar_mat[(p, q)] = derivation_matrix(
-                        ctx.dbar_images, src, self.index[(p, q + 1)], "dbar")
+                        ctx.dbar_images, n, src, index[(p, q + 1)], "dbar")
                 if self.lam and p + 1 <= n:
                     self.ad_mat[(p, q)] = derivation_matrix(
-                        ad_imgs, src, self.index[(p + 1, q)], "ad_lam")
+                        ad_imgs, n, src, index[(p + 1, q)], "ad_lam")
         self._check_identities()
 
     def _check_identities(self):
@@ -169,6 +169,12 @@ def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell
             for p in range(bc.n + 1) for q in range(bc.n + 1)}
 
 
+def _column_degrees(n: int, k: int) -> list[int]:
+    """The p of the cells (p, k - p) of K^k, descending: the cell order of
+    `graded_monomials`."""
+    return [p for p in range(min(k, n), -1, -1) if k - p <= n]
+
+
 class TotalComplex:
     """K^k with the total differential D = dbar + ad_lam, basis ordered by
     vector degree descending so every F^p is a leading coordinate block."""
@@ -179,32 +185,33 @@ class TotalComplex:
         self.n = n
         self.nmax = 2 * n
         self.bases: dict[int, list] = {}
-        self.index: dict[int, dict] = {}
         self.pdeg: dict[int, list[int]] = {}
         for k in range(self.nmax + 1):
-            b = graded_monomials(n, k)
-            self.bases[k] = b
-            self.index[k] = {m: i for i, m in enumerate(b)}
-            self.pdeg[k] = [mono_bidegree(m)[0] for m in b]
+            ps = _column_degrees(n, k)
+            self.bases[k] = [m for p in ps for m in bc.basis[(p, k - p)]]
+            self.pdeg[k] = [p for p in ps for _ in bc.basis[(p, k - p)]]
         self.dmat = {k: self._build_d(k) for k in range(self.nmax + 1)}
+
+    @cached_property
+    def index(self) -> dict[int, dict]:
+        """The position of every monomial of K^k, by k."""
+        return {k: {m: i for i, m in enumerate(b)} for k, b in self.bases.items()}
 
     def _build_d(self, k: int) -> ExactMatrix:
         """D^k from the cell columns of dbar and ad_lam.  The cells of K^k
-        are consecutive blocks in the order of `graded_monomials`, and the two
-        maps out of a cell land in different cells, so a column of D^k is the
-        union of the two cell columns, shifted to their blocks."""
+        are consecutive blocks, and the two maps out of a cell land in
+        different cells, so a column of D^k is the union of the two cell
+        columns, shifted to their blocks."""
         if k == self.nmax:
             return ExactMatrix.zeros(0, len(self.bases[k]))
-        bc, n = self.bc, self.n
-        start = {}
-        for p in range(min(k + 1, n), -1, -1):
-            if k + 1 - p <= n:
-                start[p] = self.index[k + 1][bc.basis[(p, k + 1 - p)][0]]
+        bc = self.bc
+        start, row = {}, 0
+        for p in _column_degrees(self.n, k + 1):
+            start[p] = row
+            row += len(bc.basis[(p, k + 1 - p)])
         cols = []
-        for p in range(min(k, n), -1, -1):
+        for p in _column_degrees(self.n, k):
             q = k - p
-            if q > n:
-                continue
             shifted = []
             for mat, p_to in ((bc.dbar_mat.get((p, q)), p),
                               (bc.ad_mat.get((p, q)), p + 1)):

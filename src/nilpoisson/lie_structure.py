@@ -28,12 +28,14 @@ Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 class AlgebraPresentation:
     """Real nilpotent Lie algebra with complex structure, exact data."""
 
-    __slots__ = ("dim", "brackets", "jmat", "frame_rows", "name")
+    __slots__ = ("dim", "brackets", "jmat", "jcols", "frame_rows", "name")
 
     def __init__(self, dim, brackets, jmat, frame_rows=None, name="algebra"):
         self.dim = dim
         self.brackets = brackets  # {(i, j): {k: Rational}} with i < j, 1-based
         self.jmat = jmat  # rows: (J e_j)_i = jmat[i][j]
+        # the nonzero (i, (J e_j)_i) of each column j; nothing mutates jmat
+        self.jcols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*jmat)]
         self.frame_rows = frame_rows  # optional preferred (1,0) basis vectors
         self.name = name
 
@@ -46,24 +48,28 @@ class AlgebraPresentation:
         return {k: -c for k, c in out.items()}
 
     def bracket_vectors(self, u: Vector, w: Vector) -> Vector:
-        """Bilinear extension of the structure constants over Q(i)."""
+        """Bilinear extension of the structure constants over Q(i), expanded
+        over the nonzero coordinates of u and w."""
+        coeffs: dict = {}
+        for a, x in u.items():
+            for b, y in w.items():
+                if a == b:
+                    continue
+                key = (a + 1, b + 1) if a < b else (b + 1, a + 1)
+                if key not in self.brackets:
+                    continue
+                f = coeffs.get(key, GR_ZERO)
+                coeffs[key] = f + x * y if a < b else f - x * y
         acc: Vector = {}
-        for (i, j), out in self.brackets.items():
-            ui, uj = u.get(i - 1), u.get(j - 1)
-            wi, wj = w.get(i - 1), w.get(j - 1)
-            f = GR_ZERO
-            if ui and wj:
-                f = ui * wj
-            if uj and wi:
-                f = f - uj * wi
+        for key, f in coeffs.items():
             if f:
-                _add_scaled(acc, f, ((k - 1, c) for k, c in out.items()))
+                _add_scaled(acc, f, ((k - 1, c) for k, c in self.brackets[key].items()))
         return acc
 
     def j_apply(self, u: Vector) -> Vector:
         acc: Vector = {}
         for j, x in u.items():
-            _add_scaled(acc, x, ((i, row[j]) for i, row in enumerate(self.jmat)))
+            _add_scaled(acc, x, self.jcols[j])
         return acc
 
     def basis_vector(self, i: int) -> Vector:

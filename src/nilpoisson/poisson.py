@@ -14,8 +14,8 @@ from .calculus import (CalculusContext, ad_images, dbar, derivation_matrix,
                        schouten)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
-from .exterior import (MixedElement, cell_monomials, element_entries,
-                       element_from_coords)
+from .exterior import (MixedElement, cell_masks, cell_monomials,
+                       element_entries, element_from_coords)
 
 
 @dataclass
@@ -72,8 +72,9 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     """
     n = ctx.n
     basis = cell_monomials(n, 2, 0)
-    tgt_index = {m: i for i, m in enumerate(cell_monomials(n, 2, 1))}
-    mat = derivation_matrix(ctx.dbar_images, basis, tgt_index, "dbar")
+    tgt_index = {m: i for i, m in enumerate(cell_masks(n, 2, 1))}
+    mat = derivation_matrix(ctx.dbar_images, n, cell_masks(n, 2, 0), tgt_index,
+                            "dbar")
     closed = Subspace(len(basis), mat.kernel())
     candidates = []
     for coords in closed.rows:

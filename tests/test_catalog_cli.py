@@ -205,6 +205,25 @@ def test_cli_degeneration_json_keys(capsys):
     assert set(doc["algebra"]) == {"name", "dim", "n", "step", "abelian", "valid"}
 
 
+def test_cli_degeneration_tower6_counterexample(capsys):
+    # the tower:4 counterexample extended to n = 6, with ad_lam != 0
+    rc, out, _ = run(
+        capsys,
+        "degeneration", "--algebra", "tower:6",
+        "--lambda", "2 v1^v6 - v2^v5 + v3^v4", "--format", "json",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "fails-at-(2,0,2)"
+    assert doc["details"] == {
+        "failure": [2, 0, 2],
+        "witness_source": "(1) v5^ow3 + (1) ow2^ow3",
+        "witness_image": "(-2) v5^v6^ow2",
+    }
+    hk = [1, 3, 9, 18, 29, 38, 40, 38, 29, 18, 9, 3, 1]
+    assert doc["cohomology"] == {str(k): d for k, d in enumerate(hk)}
+
+
 def test_cli_degeneration_theorem2(capsys):
     rc, out, _ = run(
         capsys, "degeneration", "--algebra", "tower:4", "--theorem2", "--format", "json"
