@@ -7,21 +7,28 @@ such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
 through `eliminate` (forward reduction, wrapped by `rref` into the reduced
 row echelon form) and every linear combination through `_axpy`.
 
+Elimination works over whichever field its input lives in: when every entry
+is real, `eliminate` runs its loop on the real parts, over Q, and `rref`
+lifts the reduced rows back to Q(i) once, at the end.  The loop does the same
+operations in the same order either way, so the results are equal entry for
+entry; only the cost of each operation differs.
+
 Every subspace is stored by its reduced row echelon basis under the ambient
 coordinate order, so two equal subspaces always carry identical bases and
 representatives picked from them are deterministic.
 """
 from __future__ import annotations
 
-from .scalars import GR_ONE, GR_ZERO, GaussRational
+from .scalars import GR_ONE, RAT_ZERO, GaussRational
 
 
 class LinalgError(ValueError):
     pass
 
 
-def _axpy(acc: dict, f: GaussRational, vec: dict) -> None:
-    """acc += f * vec in place, dropping the entries that cancel."""
+def _axpy(acc: dict, f, vec: dict) -> None:
+    """acc += f * vec in place, dropping the entries that cancel; f and the
+    entries are GaussRationals, or real rationals inside `eliminate`."""
     for j, x in vec.items():
         y = acc.get(j)
         if y is None:
@@ -42,25 +49,32 @@ def combine(coeffs: dict, vectors) -> dict:
     return acc
 
 
-def sum_entries(a: dict, b: dict) -> GaussRational:
-    """The bilinear dot product of two vectors."""
-    if len(b) < len(a):
-        a, b = b, a
-    acc = GR_ZERO
-    for j, x in a.items():
-        y = b.get(j)
-        if y:
-            acc = acc + x * y
-    return acc
+def _lower(rows: list[dict]) -> list[dict] | None:
+    """The rows' real parts when every entry is real, else None."""
+    out = []
+    for row in rows:
+        low = {}
+        for j, x in row.items():
+            if x.im:
+                return None
+            low[j] = x.re
+        out.append(low)
+    return out
 
 
-def eliminate(rows) -> tuple[dict, list]:
+def eliminate(rows: list[dict]) -> tuple[dict, list, bool]:
     """Forward elimination of sparse rows, taken in order.
 
     Each row is reduced at its leading (smallest) index by the rows kept
-    before it until that index is new; the row is then made monic and kept.  Returns ({leading index: kept sparse row}, the leading
-    index of each input row, None for a row that reduced to zero).
+    before it until that index is new; the row is then made monic and kept.
+    When every entry is real the rows are reduced over Q instead of Q(i).
+    Returns ({leading index: kept sparse row}, the leading index of each
+    input row, None for a row that reduced to zero, and whether the kept rows
+    hold real rationals rather than GaussRationals).
     """
+    low = _lower(rows)
+    if low is not None:
+        rows = low
     kept: dict[int, dict] = {}
     leads: list = []
     for row in rows:
@@ -76,22 +90,21 @@ def eliminate(rows) -> tuple[dict, list]:
             leads.append(None)
             continue
         f = v[lead]
-        if f != GR_ONE:
+        if f != 1:
             v = {j: x / f for j, x in v.items()}
         kept[lead] = v
         leads.append(lead)
-    return kept, leads
+    return kept, leads, low is not None
 
 
-def rref(rows: list[dict], ncols: int):
-    """Reduced row echelon form of rows of width ncols.
+def rref(rows: list[dict]):
+    """Reduced row echelon form of the rows.
 
     Returns (reduced nonzero rows, pivot column list).  Pivots are monic with
     zeros above and below, so the output is the canonical basis of the row
-    space.  The reduction reads only the stored entries; ncols is the width
-    they live in.
+    space.  The reduction reads only the stored entries.
     """
-    kept, _ = eliminate(rows)
+    kept, _, real = eliminate(rows)
     pivots = sorted(kept)
     # back substitution, last pivot first: the rows used are already reduced,
     # so they have no entry at any other pivot column
@@ -99,11 +112,16 @@ def rref(rows: list[dict], ncols: int):
         row = kept[c]
         for j in [j for j in row if j != c and j in kept]:
             _axpy(row, -row[j], kept[j])
-    return [kept[c] for c in pivots], pivots
+    red = [kept[c] for c in pivots]
+    if real:
+        red = [{j: GaussRational(x, RAT_ZERO) for j, x in r.items()}
+               for r in red]
+    return red, pivots
 
 
-def rank(rows: list[dict], ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+def rank(rows: list[dict]) -> int:
+    """The number of rows forward elimination keeps."""
+    return len(eliminate(rows)[0])
 
 
 def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
@@ -113,8 +131,7 @@ def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
     pivot columns only, so the vectors sorted by free column are already the
     reduced row echelon basis."""
     last = ncols - 1
-    red, pivots = rref([{last - j: x for j, x in r.items()} for r in rows],
-                       ncols)
+    red, pivots = rref([{last - j: x for j, x in r.items()} for r in rows])
     pivot_set = set(pivots)
     vecs = {last - c: {last - c: GR_ONE}
             for c in range(ncols) if c not in pivot_set}
@@ -132,8 +149,7 @@ def mat_mul(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
 def invert(rows: list[dict]) -> list[dict]:
     """The rows of the inverse of the square matrix with these rows."""
     n = len(rows)
-    red, pivots = rref([{**r, n + i: GR_ONE} for i, r in enumerate(rows)],
-                       2 * n)
+    red, pivots = rref([{**r, n + i: GR_ONE} for i, r in enumerate(rows)])
     if pivots != list(range(n)):
         raise LinalgError("matrix is singular")
     return [{j - n: x for j, x in r.items() if j >= n} for r in red]
@@ -156,7 +172,7 @@ class ExactMatrix:
 
     def rank(self) -> int:
         # the rank of the transpose, whose rows are the stored columns
-        return rank(self.cols, self.nrows)
+        return rank(self.cols)
 
     def kernel(self) -> list[dict]:
         rows: dict[int, dict] = {}
@@ -192,7 +208,7 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient: int, rows: list[dict]) -> "Subspace":
-        basis, pivots = rref(rows, ambient)
+        basis, pivots = rref(rows)
         return cls(ambient, basis, pivots)
 
     @classmethod

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import (Subspace, combine, invert, kernel_basis,
-                           quotient_map, sum_entries)
+                           quotient_map)
 from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
                       Rational, rational_from_string, rational_to_string)
 
@@ -140,7 +140,16 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
     if not rep.ok:
         return rep
 
-    for i, j, k in combinations(range(1, n2 + 1), 3):
+    # every term [[a,b],c] needs [a,b] != 0, so a triple none of whose pairs
+    # has a bracket cannot fail; visit the others in lexicographic order
+    linked: dict[int, set] = {a: set() for a in range(1, n2 + 1)}
+    for i, j in p.brackets:
+        linked[i].add(j)
+        linked[j].add(i)
+    triples = ((i, j, k) for i, j in combinations(range(1, n2 + 1), 2)
+               for k in (range(j + 1, n2 + 1) if j in linked[i]
+                         else sorted(c for c in linked[i] | linked[j] if c > j)))
+    for i, j, k in triples:
         jac: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, x in p.bracket_basis(a, b).items():
@@ -234,16 +243,19 @@ class ComplexFrame:
     """Diagonalizing frame for J with exact dual coframe and brackets."""
 
     __slots__ = (
-        "presentation", "n", "v_rows", "vbar_rows", "omega_rows",
+        "presentation", "n", "v_rows", "vbar_rows", "binv", "omega_rows",
         "omegabar_rows", "bracket_vv", "bracket_vvbar", "abelian", "report",
     )
 
-    def __init__(self, presentation, n, v_rows, vbar_rows, omega_rows,
+    def __init__(self, presentation, n, v_rows, vbar_rows, binv, omega_rows,
                  omegabar_rows, bracket_vv, bracket_vvbar, abelian, report):
         self.presentation = presentation
         self.n = n
         self.v_rows = v_rows
         self.vbar_rows = vbar_rows
+        # rows of the inverse of the frame v_rows + vbar_rows; the coframe
+        # rows omega_rows + omegabar_rows are its columns
+        self.binv = binv
         self.omega_rows = omega_rows
         self.omegabar_rows = omegabar_rows
         # sparse coefficients, indexed from 0, on the v and on the vbar frame
@@ -254,15 +266,20 @@ class ComplexFrame:
         self.report = report  # the ValidationReport the frame was built after
 
     def coords_10(self, u: Vector) -> dict:
-        return _pair_rows(self.omega_rows, u)
+        return _coframe_coords(self.binv, self.n, u)[0]
 
     def vector_from_coords(self, coords: dict) -> Vector:
         return combine(coords, self.v_rows)
 
 
-def _pair_rows(rows: list[Vector], u: Vector) -> dict:
-    """The nonzero pairings of u with each row, by row index."""
-    return {a: x for a, w in enumerate(rows) if (x := sum_entries(w, u))}
+def _coframe_coords(binv: list[Vector], n: int, u: Vector) -> tuple[dict, dict]:
+    """The nonzero omega_a(u) and omegabar_a(u), each by a ascending.  The
+    coframe rows are the columns of binv, so all 2n pairings are one
+    combination of binv's rows, split at n."""
+    w = combine(u, binv)
+    keys = sorted(w)
+    return ({k: w[k] for k in keys if k < n},
+            {k - n: w[k] for k in keys if k >= n})
 
 
 def complex_frame(p: AlgebraPresentation,
@@ -314,11 +331,11 @@ def complex_frame(p: AlgebraPresentation,
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
-            if _pair_rows(omegabar_rows, u):
+            c10, c01 = _coframe_coords(binv, n, u)
+            if c01:
                 raise InternalInvariantError(
                     "integrable structure produced a (0,1) part in [v_i, v_j]"
                 )
-            c10 = _pair_rows(omega_rows, u)
             if c10:
                 abelian = False
             bracket_vv[(i, j)] = c10
@@ -326,12 +343,11 @@ def complex_frame(p: AlgebraPresentation,
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             u = p.bracket_vectors(v_rows[i - 1], vbar_rows[j - 1])
-            bracket_vvbar[(i, j)] = (_pair_rows(omega_rows, u),
-                                     _pair_rows(omegabar_rows, u))
+            bracket_vvbar[(i, j)] = _coframe_coords(binv, n, u)
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
-    return ComplexFrame(p, n, v_rows, vbar_rows, omega_rows, omegabar_rows,
-                        bracket_vv, bracket_vvbar, abelian, rep)
+    return ComplexFrame(p, n, v_rows, vbar_rows, binv, omega_rows,
+                        omegabar_rows, bracket_vv, bracket_vvbar, abelian, rep)
 
 
 @dataclass

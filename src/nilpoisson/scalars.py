@@ -1,6 +1,8 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-The whole engine runs over Q(i).  Real rationals are stdlib Fractions unless
+The whole engine runs over Q(i), except that an elimination whose input is
+all real lowers to Q: `exact_linalg.eliminate` then reduces the real parts
+and hands back GaussRationals.  Real rationals are stdlib Fractions unless
 gmpy2 is importable, in which case its mpq type (same semantics, much faster)
 is used transparently.
 """

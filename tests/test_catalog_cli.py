@@ -205,6 +205,31 @@ def test_cli_degeneration_json_keys(capsys):
     assert set(doc["algebra"]) == {"name", "dim", "n", "step", "abelian", "valid"}
 
 
+def test_cli_degeneration_non_real_lambda(capsys):
+    # i times the pinned lambda: ad_lam has non-real entries, so every
+    # elimination of D runs over Q(i).  Scaling the (p, q) column by i^p
+    # conjugates the two complexes, so their pages agree.
+    rc, out, _ = run(
+        capsys,
+        "degeneration", "--algebra", "tower:4",
+        "--lambda", "2i v1^v4 - i v2^v3", "--format", "json",
+    )
+    assert rc == 0
+    doc = json.loads(out)
+    rc, out, _ = run(
+        capsys,
+        "degeneration", "--algebra", "tower:4",
+        "--lambda", "2 v1^v4 - v2^v3", "--format", "json",
+    )
+    assert rc == 0
+    real = json.loads(out)
+    assert doc["verdict"] == "fails-at-(2,0,2)"
+    assert doc["details"]["failure"] == [2, 0, 2]
+    assert doc["details"]["witness_image"] == "(-2i) v3^v4^ow2"
+    assert doc["e_pages"] == real["e_pages"]
+    assert doc["cohomology"] == real["cohomology"]
+
+
 def test_cli_degeneration_tower6_counterexample(capsys):
     # the tower:4 counterexample extended to n = 6, with ad_lam != 0
     rc, out, _ = run(

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilpoisson.exact_linalg import (
     ExactMatrix,
@@ -14,7 +16,7 @@ from nilpoisson.exact_linalg import (
     rank,
     rref,
 )
-from nilpoisson.scalars import GR_ONE, GR_ZERO, GaussRational, Rational
+from nilpoisson.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Rational
 
 
 def rand_rows(rng, nrows, ncols, span=6, density=0.7):
@@ -79,7 +81,7 @@ def test_rref_pinned():
     one = GR_ONE
     two = GaussRational(Rational(2))
     rows = [{0: two, 1: two}, {0: one, 1: one}]
-    red, piv = rref(rows, 2)
+    red, piv = rref(rows)
     assert piv == [0]
     assert red == [{0: one, 1: one}]
 
@@ -89,8 +91,8 @@ def test_rref_idempotent_and_canonical():
     for _ in range(40):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = rand_rows(rng, m, n)
-        red, piv = rref(rows, n)
-        again, piv2 = rref(red, n)
+        red, piv = rref(rows)
+        again, piv2 = rref(red)
         assert red == again
         assert piv == piv2
         # row space is unchanged by left-multiplying with invertible noise:
@@ -100,9 +102,44 @@ def test_rref_idempotent_and_canonical():
         if len(noisy) > 1:
             scale = GaussRational(Rational(rng.randint(1, 5)))
             noisy[0] = add(noisy[0], noisy[1], scale)
-        red2, piv3 = rref(noisy, n)
+        red2, piv3 = rref(noisy)
         assert red2 == red
         assert piv3 == piv
+
+
+@st.composite
+def _real_rows(draw):
+    """(ncols, sparse rows with real GaussRational entries, a row index)."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols),
+        min_size=1, max_size=6))
+    k = draw(st.integers(0, len(rows) - 1))
+    return ncols, [{j: GaussRational(Rational(x)) for j, x in r.items()}
+                   for r in rows], k
+
+
+@settings(max_examples=200, deadline=None)
+@given(_real_rows())
+def test_real_and_gaussian_elimination_agree(case):
+    # real rows reduce over Q; i*M, and M with one row times i, have the same
+    # row space and kernel but non-real entries, so they reduce over Q(i)
+    ncols, rows, k = case
+    times_i = [{j: GR_I * x for j, x in r.items()} for r in rows]
+    one_row = rows[:k] + [times_i[k]] + rows[k + 1:]
+
+    def results(m):
+        return (rref(m), rank(m), kernel_basis(m, ncols),
+                Subspace.from_rows(ncols, m))
+
+    want = results(rows)
+    for m in (rows, times_i, one_row):
+        got = results(m)
+        assert got == want
+        (red, _), _, ker, sub = got
+        for vec in red + ker + sub.rows:
+            assert all(type(x) is GaussRational for x in vec.values())
 
 
 def test_rank_matches_float_svd():
@@ -110,7 +147,7 @@ def test_rank_matches_float_svd():
     for _ in range(60):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         rows = rand_rows(rng, m, n)
-        assert rank(rows, n) == float_rank(rows, n)
+        assert rank(rows) == float_rank(rows, n)
 
 
 def test_kernel_basis_is_exact_kernel():
@@ -119,11 +156,11 @@ def test_kernel_basis_is_exact_kernel():
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = rand_rows(rng, m, n)
         ker = kernel_basis(rows, n)
-        assert len(ker) == n - rank(rows, n)
+        assert len(ker) == n - rank(rows)
         for kv in ker:
             assert all(not dot(row, kv) for row in rows)
         # kernel rows themselves independent
-        assert rank(ker, n) == len(ker)
+        assert rank(ker) == len(ker)
 
 
 def test_kernel_basis_canonical():
@@ -153,7 +190,7 @@ def test_invert_round_trip():
     for _ in range(25):
         n = rng.randint(1, 5)
         rows = rand_rows(rng, n, n, density=1.0)
-        if rank(rows, n) < n:
+        if rank(rows) < n:
             continue
         inv = invert(rows)
         m, minv = from_rows(rows, n), from_rows(inv, n)
@@ -249,7 +286,7 @@ def test_exact_matrix_wrappers():
     rng = random.Random(3141)
     rows = rand_rows(rng, 4, 5)
     m = from_rows(rows, 5)
-    assert m.rank() == rank(rows, 5)
+    assert m.rank() == rank(rows)
     assert m.nrows == 4 and m.ncols == 5
     v = {0: GR_ONE, 2: GR_ONE, 4: GR_ONE}
     assert m.apply(v) == {i: x for i, r in enumerate(rows) if (x := dot(r, v))}
@@ -259,9 +296,9 @@ def test_exact_matrix_wrappers():
 
 
 def test_zero_dimensional_edges():
-    assert rref([], 4) == ([], [])
+    assert rref([]) == ([], [])
     assert kernel_basis([], 3) == [{j: GR_ONE} for j in range(3)]
-    assert rank([], 5) == 0
+    assert rank([]) == 0
     s = Subspace.zero(4)
     assert s.dim == 0
     f = Subspace.full(3)

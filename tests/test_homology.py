@@ -62,7 +62,7 @@ def z_dim_brute(ctx, lam, r, p, k):
         for rr, c in enumerate(low):
             if c in coords:
                 rows[rr][col] = coords[c]
-    return len(fp) - rank(rows, len(fp))
+    return len(fp) - rank(rows)
 
 
 def page_dims_brute(ctx, lam, r, p, q):

@@ -29,7 +29,7 @@ def conjugated(p, rng, span=2):
     while True:
         g = [{j: x for j in range(d) if (x := GaussRational(Rational(rng.randint(-span, span))))}
              for _ in range(d)]
-        if rank(g, d) == d:
+        if rank(g) == d:
             break
     ginv = invert(g)
     # e'_j = sum_i g[i][j] e_i; structure constants and J transform accordingly
