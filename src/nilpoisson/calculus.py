@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
-from .exterior import (FORM_BASE, MixedElement, form_gen, mask_mono, mono_mask,
-                       mono_str, vec_gen)
+from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
+                       form_gen, mask_mono, mono_mask, mono_str, vec_gen)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
                             grading)
 from .scalars import GR_ONE
@@ -29,53 +29,53 @@ class CalculusContext:
         "dbar_images", "bk_v_form", "_sch_cache",
     )
 
-    def __init__(self, presentation: AlgebraPresentation,
-                 frame: ComplexFrame | None = None):
+    def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
-        self.frame = frame if frame is not None else complex_frame(presentation)
+        self.frame = complex_frame(presentation)
         self.grading = grading(presentation, self.frame)
         self.n = self.frame.n
         self.abelian = self.frame.abelian
-        self._build_dbar_images()
+        self.dbar_images, self.bk_v_form = dbar_images(self.frame)
         self._sch_cache = {}
 
-    def _build_dbar_images(self):
-        """The nonzero dbar generator images, and [v_k, ow_m] on the side.
 
-        With d alpha(a, b) = -alpha([a, b]), the (0,2) part of d ow_m has
-        coefficient -conj(omega_m([v_i, v_j])) on ow_i ^ ow_j, and contracting
-        v_k into d ow_m leaves -ow_m([v_k, vbar_j]) on ow_j.
-        """
-        n = self.n
-        fr = self.frame
-        self.dbar_images = {}
-        self.bk_v_form = {}
-        for i in range(1, n + 1):
+def dbar_images(fr: ComplexFrame) -> tuple[dict, dict]:
+    """The nonzero dbar generator images, and [v_k, ow_m] on the side.
+
+    With d alpha(a, b) = -alpha([a, b]), the (0,2) part of d ow_m has
+    coefficient -conj(omega_m([v_i, v_j])) on ow_i ^ ow_j, and contracting
+    v_k into d ow_m leaves -ow_m([v_k, vbar_j]) on ow_j.
+    """
+    n = fr.n
+    images = {}
+    bk_v_form = {}
+    for i in range(1, n + 1):
+        terms = {}
+        for j in range(1, n + 1):
+            c10 = fr.bracket_vvbar[(i, j)][0]
+            for a in sorted(c10):
+                # the monomial (v_a, ow_j) is already canonical
+                terms[(a + 1, FORM_BASE + j)] = c10[a]
+        if terms:
+            images[i] = MixedElement(terms)
+    for m in range(1, n + 1):
+        image = {(FORM_BASE + i, FORM_BASE + j): -c10[m - 1].conjugate()
+                 for (i, j), c10 in fr.bracket_vv.items() if m - 1 in c10}
+        if image:
+            if fr.abelian:
+                raise InternalInvariantError(
+                    "abelian structure produced a (0,2) part in d ow"
+                )
+            images[FORM_BASE + m] = MixedElement(image)
+        for k in range(1, n + 1):
             terms = {}
             for j in range(1, n + 1):
-                c10 = fr.bracket_vvbar[(i, j)][0]
-                for a in sorted(c10):
-                    # the monomial (v_a, ow_j) is already canonical
-                    terms[(a + 1, FORM_BASE + j)] = c10[a]
+                c = fr.bracket_vvbar[(k, j)][1].get(m - 1)
+                if c:
+                    terms[(FORM_BASE + j,)] = -c
             if terms:
-                self.dbar_images[i] = MixedElement(terms)
-        for m in range(1, n + 1):
-            image = {(FORM_BASE + i, FORM_BASE + j): -c10[m - 1].conjugate()
-                     for (i, j), c10 in fr.bracket_vv.items() if m - 1 in c10}
-            if image:
-                if self.abelian:
-                    raise InternalInvariantError(
-                        "abelian structure produced a (0,2) part in d ow"
-                    )
-                self.dbar_images[FORM_BASE + m] = MixedElement(image)
-            for k in range(1, n + 1):
-                terms = {}
-                for j in range(1, n + 1):
-                    c = fr.bracket_vvbar[(k, j)][1].get(m - 1)
-                    if c:
-                        terms[(FORM_BASE + j,)] = -c
-                if terms:
-                    self.bk_v_form[(k, m)] = MixedElement(terms)
+                bk_v_form[(k, m)] = MixedElement(terms)
+    return images, bk_v_form
 
 
 def _compile(images: dict[int, MixedElement], n: int) -> list[tuple]:
@@ -166,6 +166,18 @@ def derivation_matrix(images: dict[int, MixedElement], n: int, source_masks,
                 f"{where}: monomial {mono_str(mask_mono(exc.args[0], n))} "
                 "outside basis") from None
     return ExactMatrix(cols, len(target_index))
+
+
+def dbar_cell(images: dict[int, MixedElement], n: int, p: int,
+              q: int) -> tuple[list, ExactMatrix | None]:
+    """The basis of cell (p, q) and the matrix of dbar with these generator
+    images out of it, None at q = n."""
+    basis = cell_monomials(n, p, q)
+    if q == n:
+        return basis, None
+    index = {m: i for i, m in enumerate(cell_masks(n, p, q + 1))}
+    return basis, derivation_matrix(images, n, cell_masks(n, p, q), index,
+                                    "dbar")
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:

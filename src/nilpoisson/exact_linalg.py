@@ -194,9 +194,9 @@ class ExactMatrix:
 
 class Subspace:
     """Subspace of Q(i)^ambient held by its canonical RREF basis, as sparse
-    rows with the pivot (leading index) of each."""
+    rows with the pivot (leading index) of each, and the row at each pivot."""
 
-    __slots__ = ("ambient", "rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots", "_at")
 
     def __init__(self, ambient: int, rows: list[dict],
                  pivots: list[int] | None = None):
@@ -205,6 +205,7 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = [min(r) for r in rows] if pivots is None else pivots
+        self._at = dict(zip(self.pivots, rows))
 
     @classmethod
     def from_rows(cls, ambient: int, rows: list[dict]) -> "Subspace":
@@ -231,18 +232,15 @@ class Subspace:
             and self.rows == other.rows
         )
 
-    def reduce(self, vec: dict) -> dict:
-        """Residual of vec after eliminating this subspace's pivots.  RREF
-        rows vanish at each other's pivots, so one pass suffices."""
-        v = dict(vec)
-        at_pivots = [(v[pc], row) for row, pc in zip(self.rows, self.pivots)
-                     if pc in v]
-        for f, row in at_pivots:
-            _axpy(v, -f, row)
-        return v
-
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        """Whether vec reduces to zero by this subspace's pivots.  RREF rows
+        vanish at each other's pivots, so one pass over vec suffices."""
+        v = dict(vec)
+        for j, f in vec.items():
+            row = self._at.get(j)
+            if row is not None:
+                _axpy(v, -f, row)
+        return not v
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(row) for row in other.rows)
@@ -262,8 +260,7 @@ def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
     """
     if check and not total.contains_subspace(sub):
         raise LinalgError("quotient_map: sub is not contained in total")
-    sub_pivots = set(sub.pivots)
-    if not sub_pivots.issubset(set(total.pivots)):
+    if not sub._at.keys() <= total._at.keys():
         raise LinalgError("quotient_map: sub pivots escape total")
     # class j is read off at the pivot of reps[j], less what each sub row
     # puts there, which sub's own pivot entry records
@@ -271,7 +268,7 @@ def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
     reps = []
     slot: dict[int, int] = {}
     for row, pc in zip(total.rows, total.pivots):
-        if pc not in sub_pivots:
+        if pc not in sub._at:
             slot[pc] = len(reps)
             cols[pc] = {len(reps): GR_ONE}
             reps.append(row)

@@ -218,9 +218,9 @@ def cell_masks(n: int, p: int, q: int) -> list[int]:
     """The bitmasks of `cell_monomials(n, p, q)`, in the same order."""
     if p < 0 or q < 0 or p > n or q > n:
         return []
-    vecs = [sum(1 << (i - 1) for i in c) for c in combinations(range(1, n + 1), p)]
-    forms = [sum(1 << (n + j - 1) for j in c)
-             for c in combinations(range(1, n + 1), q)]
+    bits = [1 << i for i in range(n)]
+    vecs = [sum(c) for c in combinations(bits, p)]
+    forms = [sum(c) << n for c in combinations(bits, q)]
     return [a | b for a in vecs for b in forms]
 
 

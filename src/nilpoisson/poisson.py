@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import (CalculusContext, ad_images, dbar, derivation_matrix,
-                       schouten)
+from .calculus import CalculusContext, ad_images, dbar, dbar_cell, schouten
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
-from .exterior import (MixedElement, cell_masks, cell_monomials,
-                       element_entries, element_from_coords)
+from .exterior import MixedElement, element_entries, element_from_coords
 
 
 @dataclass
@@ -70,11 +68,7 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     tested against [lam, lam] = 0 individually and only the survivors are
     returned; the quadric itself is not parametrized.
     """
-    n = ctx.n
-    basis = cell_monomials(n, 2, 0)
-    tgt_index = {m: i for i, m in enumerate(cell_masks(n, 2, 1))}
-    mat = derivation_matrix(ctx.dbar_images, n, cell_masks(n, 2, 0), tgt_index,
-                            "dbar")
+    basis, mat = dbar_cell(ctx.dbar_images, ctx.n, 2, 0)
     closed = Subspace(len(basis), mat.kernel())
     candidates = []
     for coords in closed.rows:

@@ -425,19 +425,23 @@ def test_cell_masks_decode_to_cell_monomials(case):
 def test_center_split_tower4(monkeypatch):
     seen = {}
 
-    def spy(abc, ell, a):
-        seen.update(abc=abc, a=a)
-        return split(abc, ell, a)
+    def spy(column, a):
+        seen.update(column=column, a=a)
+        return split(column, a)
 
     split = homology._center_split
     monkeypatch.setattr(homology, "_center_split", spy)
-    homology.d_bicomplex_crosscheck(CalculusContext(tower(4)), 1)
-    abc, a = seen["abc"], seen["a"]
+    ctx = CalculusContext(tower(4))
+    columns = {}
+    for ell in range(5):
+        homology.d_bicomplex_crosscheck(ctx, ell)
+        columns[ell], a = seen["column"], seen["a"]
     # the adapted frame puts the (1,0) center v4 first: v4, v1, v2, v3 are
     # its generators 1, 2, 3, 4, and the forms follow the same order
     assert a == 1
-    c, t = split(abc, 1, a)[0]
-    src, tgt = abc.basis[(1, 0)], abc.basis[(1, 1)]
+    column = columns[1]
+    c, t = split(column, a)[0]
+    src, tgt = column[0][0], column[1][0]
 
     def col(mat, i):
         return {tgt[r]: x for r, x in mat.cols[src.index((vec_gen(i),))].items()}
@@ -451,9 +455,9 @@ def test_center_split_tower4(monkeypatch):
     # dbar(v4) = 0
     assert not col(c, 1) and not col(t, 1)
     # the two parts always reassemble dbar, column by column
-    for ell in range(5):
-        for m, (c, t) in split(abc, ell, a).items():
-            for cc, tc, dc in zip(c.cols, t.cols, abc.dbar_mat[(ell, m)].cols):
+    for ell, column in columns.items():
+        for m, (c, t) in split(column, a).items():
+            for cc, tc, dc in zip(c.cols, t.cols, column[m][1].cols):
                 assert not cc.keys() & tc.keys()
                 assert {**cc, **tc} == dc
 

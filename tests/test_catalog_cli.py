@@ -327,20 +327,88 @@ def test_cli_crosscheck_validates_once(capsys, monkeypatch):
     assert calls == ["tower(4)"]
 
 
-def test_cli_refuses_oversized_algebra(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "tower:12"),
+    ("crosscheck", "--algebra", "tower:12", "--coef", "2"),
+], ids=["cohomology", "crosscheck"])
+def test_cli_refuses_oversized_algebra(capsys, monkeypatch, argv):
     # the size guard fires before any monomial basis is built
-    import nilpoisson.homology as homology
+    import nilpoisson.calculus as calculus
 
     def no_basis(*args):
         raise AssertionError("a monomial basis was built")
 
-    monkeypatch.setattr(homology, "cell_monomials", no_basis)
-    rc, out, err = run(capsys, "cohomology", "--algebra", "tower:12")
+    monkeypatch.setattr(calculus, "cell_monomials", no_basis)
+    rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err == ("error: complex dimension n = 12 is above the supported "
                    "maximum 8: its bigraded complex would hold 4^12 = "
                    "16777216 monomials\n")
+
+
+def test_cli_poisson_serves_any_n(capsys):
+    # the size guard belongs to the bigraded complex, not to the d-bar cells
+    rc, out, _ = run(capsys, "poisson", "--algebra", "tower:9", "--format",
+                     "json")
+    assert rc == 0
+    assert json.loads(out)["details"]["closed_dim"] == 4
+
+
+def test_cli_crosscheck_builds_one_context_and_no_complex(capsys, monkeypatch):
+    import nilpoisson.calculus as calculus
+    import nilpoisson.homology as homology
+
+    built = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, attr, name in ((homology.BigradedComplex, "__init__", "complex"),
+                              (calculus.CalculusContext, "__init__", "context"),
+                              (calculus, "grading", "grading")):
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    rc, _, _ = run(capsys, "crosscheck", "--algebra", "tower:4", "--coef", "2")
+    assert rc == 0
+    assert built == ["context", "grading"]
+
+
+def test_cli_crosscheck_checks_dbar_square_in_original_frame(capsys,
+                                                             monkeypatch):
+    # replace dbar out of the original-frame cell (2, 1) by a single unit
+    # entry at the first row that dbar out of (2, 0) reaches, so that
+    # dbar^2 out of (2, 0) has an entry; the adapted frame stays intact
+    import nilpoisson.cli as cli
+    import nilpoisson.homology as homology
+    from nilpoisson.exact_linalg import ExactMatrix
+    from nilpoisson.scalars import GR_ONE
+
+    contexts = []
+    real_context, real_cell = cli.CalculusContext, homology.dbar_cell
+
+    def recorded(presentation):
+        contexts.append(real_context(presentation))
+        return contexts[-1]
+
+    def corrupted(images, n, p, q):
+        basis, mat = real_cell(images, n, p, q)
+        if images is contexts[0].dbar_images and (p, q) == (2, 1):
+            d0 = real_cell(images, n, 2, 0)[1]
+            i = min(i for col in d0.cols for i in col)
+            mat = ExactMatrix.zeros(mat.nrows, mat.ncols)
+            mat.cols[i][0] = GR_ONE
+        return basis, mat
+
+    monkeypatch.setattr(cli, "CalculusContext", recorded)
+    monkeypatch.setattr(homology, "dbar_cell", corrupted)
+    rc, out, err = run(capsys, "crosscheck", "--algebra", "tower:4", "--coef",
+                       "2")
+    assert (rc, out) == (3, "")
+    assert err == ("internal invariant violated: dbar^2 != 0 on cell "
+                   "(p,q)=(2, 0): entry 1 from v1^v2 to v1^v2^ow1^ow2\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -351,11 +351,11 @@ def test_crosscheck_identity_failure_names_degree_and_entry(monkeypatch):
 
     real = homology._center_split
 
-    def corrupted(abc, ell, a):
-        split = real(abc, ell, a)
+    def corrupted(column, a):
+        split = real(column, a)
         c0 = split[0][0]
         i = min(i for col in c0.cols for i in col)
-        c1 = ExactMatrix.zeros(len(abc.basis[(ell, 2)]), c0.nrows)
+        c1 = ExactMatrix.zeros(len(column[2][0]), c0.nrows)
         c1.cols[i][0] = GR_ONE
         split[1] = (c1, split[1][1])
         return split
