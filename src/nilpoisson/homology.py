@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .calculus import (CalculusContext, ad_images, dbar, dbar_cell, dbar_images,
-                       derivation_matrix, schouten)
+from .calculus import (CalculusContext, ad_images, apply_derivation, dbar,
+                       dbar_cell, dbar_images, derivation_matrix,
+                       derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Subspace, combine, eliminate, mat_mul,
@@ -78,24 +79,26 @@ class BigradedComplex:
             if bad:
                 raise ValidationError(
                     f"lam is not holomorphic: dbar(lam) = {bad} != 0")
-            sq = schouten(ctx, self.lam, self.lam)
+            ad_imgs = ad_images(ctx, self.lam)
+            sq = apply_derivation(ad_imgs, self.lam)
             if sq:
                 raise ValidationError(
                     f"lam is not Poisson: [lam, lam] = {sq} != 0")
-        ad_imgs = ad_images(ctx, self.lam) if self.lam else {}
+            ad_table = derivation_table(ad_imgs, n)
+        dbar_table = derivation_table(ctx.dbar_images, n)
 
         self.basis: dict[tuple[int, int], list] = {}
         self.dbar_mat: dict[tuple[int, int], ExactMatrix] = {}
         self.ad_mat: dict[tuple[int, int], ExactMatrix] = {}
         for p in range(n + 1):
             for q in range(n + 1):
-                self.basis[(p, q)], mat = dbar_cell(ctx.dbar_images, n, p, q)
+                self.basis[(p, q)], mat = dbar_cell(dbar_table, n, p, q)
                 if mat is not None:
                     self.dbar_mat[(p, q)] = mat
                 if self.lam and p < n:
-                    index = {m: i for i, m in enumerate(cell_masks(n, p + 1, q))}
                     self.ad_mat[(p, q)] = derivation_matrix(
-                        ad_imgs, n, cell_masks(n, p, q), index, "ad_lam")
+                        ad_table, n, cell_masks(n, p, q),
+                        cell_masks(n, p + 1, q), "ad_lam")
         self._check_identities()
 
     def _check_identities(self):
@@ -564,8 +567,9 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
         frame_rows=frame_rows, name=ctx.presentation.name + "#center-adapted")
     # validation reads no frame rows, so the original presentation's holds
     images, _ = dbar_images(complex_frame(adapted, ctx.frame.report))
-    column = [dbar_cell(images, n, ell, m) for m in range(n + 1)]
-    base = [dbar_cell(ctx.dbar_images, n, ell, m) for m in range(n + 1)]
+    column, base = ([dbar_cell(table, n, ell, m) for m in range(n + 1)]
+                    for table in (derivation_table(images, n),
+                                  derivation_table(ctx.dbar_images, n)))
     dsplit = _center_split(column, a)
     for m in range(n - 1):
         c1, t1 = dsplit[m]

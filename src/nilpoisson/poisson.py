@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calculus import CalculusContext, ad_images, dbar, dbar_cell, schouten
+from .calculus import (CalculusContext, ad_images, apply_derivation, dbar,
+                       dbar_cell, derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
 from .exterior import MixedElement, element_entries, element_from_coords
@@ -35,9 +36,9 @@ def is_holomorphic_poisson(ctx: CalculusContext, lam: MixedElement) -> PoissonCa
     if lam and lam.homogeneous_bidegree() != (2, 0):
         raise ValidationError("expected a homogeneous (2,0) bivector")
     closed = not dbar(ctx, lam)
-    square = not schouten(ctx, lam, lam)
     images = ad_images(ctx, lam)
-    ad_zero = not any(images.values())
+    square = not apply_derivation(images, lam)
+    ad_zero = not images
     return PoissonCandidate(lam, closed, square, ad_zero)
 
 
@@ -68,7 +69,7 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     tested against [lam, lam] = 0 individually and only the survivors are
     returned; the quadric itself is not parametrized.
     """
-    basis, mat = dbar_cell(ctx.dbar_images, ctx.n, 2, 0)
+    basis, mat = dbar_cell(derivation_table(ctx.dbar_images, ctx.n), ctx.n, 2, 0)
     closed = Subspace(len(basis), mat.kernel())
     candidates = []
     for coords in closed.rows:

@@ -7,25 +7,26 @@ from hypothesis import strategies as st
 import nilpoisson.homology as homology
 from nilpoisson.calculus import (
     CalculusContext,
-    ad,
     ad_images,
-    apply_odd_derivation,
+    apply_derivation,
     dbar,
     dbar_lambda,
     derivation_matrix,
+    derivation_table,
     schouten,
 )
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, NotAbelianError
-from nilpoisson.exterior import (MixedElement, cell_masks, cell_monomials,
-                                 element_entries, form_gen, graded_monomials,
-                                 mask_mono, mono_mask, vec_gen, wedge,
-                                 wedge_mono)
+from nilpoisson.exterior import (FORM_BASE, MixedElement, cell_masks,
+                                 cell_monomials, element_entries, form_gen,
+                                 graded_monomials, mask_mono, mono_mask,
+                                 vec_gen, wedge, wedge_mono)
 from nilpoisson.homology import BigradedComplex
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.lie_structure import AlgebraPresentation, validate
 from nilpoisson.poisson import holomorphic_bivector_space
 from nilpoisson.scalars import GR_ONE, GR_ZERO, GaussRational, Rational, gauss
+from test_lie_structure import conjugated
 
 
 def vterm(*idx):
@@ -119,9 +120,14 @@ def test_dbar_generator_table_tower4():
     assert dbar(ctx, vterm(4)).is_zero()
     for j in range(1, 5):
         assert dbar(ctx, fterm(j)).is_zero()
-    # [v_k, ow_m]: v_k contracted into the (1,1) part of d ow_m
-    assert ctx.bk_v_form == {(1, 2): term([], [1], -half),
-                             (1, 3): -fterm(2), (1, 4): -fterm(3)}
+    # [v_k, ow_m]: v_k contracted into the (1,1) part of d ow_m, and
+    # [ow_m, v_k] = -[v_k, ow_m]; every other generator bracket is zero
+    v1 = vec_gen(1)
+    row = {form_gen(2): term([], [1], -half), form_gen(3): -fterm(2),
+           form_gen(4): -fterm(3)}
+    assert ctx.bracket_table == {
+        v1: row, vec_gen(2): {}, vec_gen(3): {}, vec_gen(4): {},
+        form_gen(1): {}, **{g: {v1: -x} for g, x in row.items()}}
 
 
 def test_dbar_generator_table_iwasawa():
@@ -222,28 +228,101 @@ def test_ad_is_odd_derivation():
         ka = rng.randint(0, 4)
         a = rand_homogeneous(rng, 4, ka)
         b = rand_mixed(rng, 4)
-        lhs = ad(ctx, pi, wedge(a, b))
-        rhs = wedge(ad(ctx, pi, a), b) + wedge(a, ad(ctx, pi, b)).scale(gauss((-1) ** ka))
+        lhs = schouten(ctx, pi, wedge(a, b))
+        rhs = wedge(schouten(ctx, pi, a), b) + wedge(
+            a, schouten(ctx, pi, b)).scale(gauss((-1) ** ka))
         assert lhs == rhs
 
 
-def test_ad_images_agree_with_schouten():
-    ctx = CalculusContext(tower(4))
-    pi = parse_lambda("2 v1^v4 - v2^v3").bind(4)
-    images = ad_images(ctx, pi)
-    rng = random.Random(9)
-    for _ in range(20):
-        e = rand_mixed(rng, 4)
-        assert apply_odd_derivation(images, e) == ad(ctx, pi, e)
+def generator_bracket(ctx, g, h):
+    """[g, h] of two generators, straight from the frame: the Lie bracket of
+    two vectors, the Lie derivative
+    [v_k, ow_m] = L_(v_k) ow_m = -sum_j ow_m([v_k, vbar_j]) ow_j,
+    graded antisymmetry [ow_m, v_k] = -[v_k, ow_m], and [ow, ow] = 0."""
+    if g >= FORM_BASE:
+        return MixedElement() if h >= FORM_BASE else -generator_bracket(ctx, h, g)
+    if h < FORM_BASE:
+        if g == h:
+            return MixedElement()
+        if g > h:
+            return -generator_bracket(ctx, h, g)
+        return MixedElement.vector(ctx.frame.bracket_vv[(g, h)])
+    m = h - FORM_BASE - 1
+    vvbar = ctx.frame.bracket_vvbar
+    return MixedElement({(form_gen(j),): -vvbar[(g, j)][1][m]
+                         for j in range(1, ctx.n + 1) if m in vvbar[(g, j)][1]})
+
+
+def schouten_reference(ctx, a, b):
+    """The textbook bracket of monomials a_1 ... a_k and b_1 ... b_l,
+    sum_(i,j) (-1)^(i+j) [a_i, b_j] ^ (a without a_i) ^ (b without b_j),
+    extended bilinearly."""
+    out = MixedElement()
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            for i, x in enumerate(ma):
+                rest_a = MixedElement.term(ma[:i] + ma[i + 1:], GR_ONE)
+                for j, y in enumerate(mb):
+                    rest_b = MixedElement.term(mb[:j] + mb[j + 1:], GR_ONE)
+                    c = ca * cb if (i + j) % 2 == 0 else -(ca * cb)
+                    out = out + generator_bracket(ctx, x, y).scale(c).wedge(
+                        rest_a).wedge(rest_b)
+    return out
+
+
+BRACKET_CONTEXTS = None
+
+
+def bracket_contexts():
+    """Every context of `contexts()`, Iwasawa included, and tower:4 in a
+    random rational basis."""
+    global BRACKET_CONTEXTS
+    if BRACKET_CONTEXTS is None:
+        BRACKET_CONTEXTS = contexts() + [
+            CalculusContext(conjugated(tower(4), random.Random(29)))]
+    return BRACKET_CONTEXTS
+
+
+@st.composite
+def _bracket_cases(draw):
+    k = draw(st.integers(0, len(bracket_contexts()) - 1))
+    n = bracket_contexts()[k].n
+    codes = [vec_gen(i) for i in range(1, n + 1)]
+    codes += [form_gen(j) for j in range(1, n + 1)]
+    coeffs = st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)).filter(bool)
+
+    def monomials(sizes):
+        return sizes.flatmap(lambda d: st.sets(
+            st.sampled_from(codes), min_size=d, max_size=d).map(
+                lambda s: tuple(sorted(s))))
+
+    degrees = st.integers(0, 2 * n)
+    # homogeneous: one degree for every term; mixed: a degree per term
+    homogeneous = degrees.flatmap(lambda d: st.dictionaries(
+        monomials(st.just(d)), coeffs, max_size=3))
+    mixed = st.dictionaries(monomials(degrees), coeffs, max_size=3)
+    elements = st.one_of(homogeneous, mixed).map(MixedElement)
+    return k, draw(elements), draw(elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bracket_cases())
+# [v1, ow2 ^ ow4] on tower:4: the even rule for [v1, .] gives
+# -1/2 ow1 ^ ow4 - ow2 ^ ow3, the odd one flips the second term
+@example((2, vterm(1), fterm(2, 4)))
+def test_schouten_matches_textbook_formula(case):
+    k, a, b = case
+    ctx = bracket_contexts()[k]
+    assert schouten(ctx, a, b) == schouten_reference(ctx, a, b)
 
 
 def test_ad_pi_pinned_values():
     ctx = CalculusContext(tower(4))
     pi = parse_lambda("2 v1^v4 - v2^v3").bind(4)
-    assert ad(ctx, pi, fterm(1)).is_zero()
-    assert ad(ctx, pi, fterm(2)) == term([4], [1])
-    assert ad(ctx, pi, fterm(3)) == term([4], [2], gauss(2))
-    assert ad(ctx, pi, fterm(4)) == term([4], [3], gauss(2))
+    assert schouten(ctx, pi, fterm(1)).is_zero()
+    assert schouten(ctx, pi, fterm(2)) == term([4], [1])
+    assert schouten(ctx, pi, fterm(3)) == term([4], [2], gauss(2))
+    assert schouten(ctx, pi, fterm(4)) == term([4], [3], gauss(2))
     assert dbar(ctx, pi).is_zero()
     assert schouten(ctx, pi, pi).is_zero()
 
@@ -253,10 +332,10 @@ def test_ad_pi_on_vector_forms():
     pi = parse_lambda("2 v1^v4 - v2^v3").bind(4)
     # ow1 kills the action; ow2 onward climbs the tower
     for v in range(1, 5):
-        assert ad(ctx, pi, term([v], [1])).is_zero()
-        assert ad(ctx, pi, term([4], [v])).is_zero()
-    assert ad(ctx, pi, term([1], [3])) == term([1, 4], [2], gauss(-2))
-    assert ad(ctx, pi, term([3], [2])) == -term([3, 4], [1])
+        assert schouten(ctx, pi, term([v], [1])).is_zero()
+        assert schouten(ctx, pi, term([4], [v])).is_zero()
+    assert schouten(ctx, pi, term([1], [3])) == term([1, 4], [2], gauss(-2))
+    assert schouten(ctx, pi, term([3], [2])) == -term([3, 4], [1])
 
 
 def test_tower5_lambda_is_central():
@@ -266,7 +345,7 @@ def test_tower5_lambda_is_central():
     assert not ad_images(ctx, lam)
     rng = random.Random(10)
     for _ in range(15):
-        assert ad(ctx, lam, rand_mixed(rng, 5)).is_zero()
+        assert schouten(ctx, lam, rand_mixed(rng, 5)).is_zero()
 
 
 def test_dbar_lambda_is_sum():
@@ -275,18 +354,21 @@ def test_dbar_lambda_is_sum():
     rng = random.Random(11)
     for _ in range(20):
         e = rand_mixed(rng, 4)
-        assert dbar_lambda(ctx, pi, e) == dbar(ctx, e) + ad(ctx, pi, e)
+        assert dbar_lambda(ctx, pi, e) == dbar(ctx, e) + schouten(ctx, pi, e)
 
 
 def leibniz_reference(images, e):
-    """The odd Leibniz rule written out with MixedElement wedges."""
+    """The graded Leibniz rule written out with MixedElement wedges: an
+    image term I of g_t contributes
+    (-1)^((|I|-1)(t-1)) g_1 ... g_(t-1) I g_(t+1) ... g_k."""
     out = MixedElement()
     for mono, coeff in e.terms.items():
         for t, g in enumerate(mono):
-            img = images.get(g, MixedElement())
-            pre = MixedElement.term(mono[:t], coeff if t % 2 == 0 else -coeff)
             post = MixedElement.term(mono[t + 1:], GR_ONE)
-            out = out + pre.wedge(img).wedge(post)
+            for img, c in images.get(g, MixedElement()).terms.items():
+                c = coeff * c if t * (len(img) - 1) % 2 == 0 else -(coeff * c)
+                pre = MixedElement.term(mono[:t], c)
+                out = out + pre.wedge(MixedElement.term(img, GR_ONE)).wedge(post)
     return out
 
 
@@ -302,8 +384,8 @@ def _derivation_cases(draw):
             lambda s: tuple(sorted(s)))
         return st.dictionaries(monos, coeffs, max_size=4).map(MixedElement)
 
-    # images of any degree, often sharing a factor with the monomial they
-    # are merged into, so that repeated factors must cancel
+    # images of any degree, odd and even, often sharing a factor with the
+    # monomial they are merged into, so that repeated factors must cancel
     images = draw(st.dictionaries(st.sampled_from(codes), elements(3),
                                   max_size=2 * n))
     return n, images, draw(elements(2 * n))
@@ -314,14 +396,15 @@ def _derivation_cases(draw):
 # two terms of D(v1^v2) land on v1^v2^ow1 and cancel
 @example((2, {vec_gen(1): term([1], [1]), vec_gen(2): -term([2], [1])},
           vterm(1, 2)))
-def test_derivation_kernel_matches_odd_leibniz(case):
+def test_derivation_kernel_matches_graded_leibniz(case):
     n, images, e = case
-    assert apply_odd_derivation(images, e) == leibniz_reference(images, e)
+    assert apply_derivation(images, e) == leibniz_reference(images, e)
     everything = [m for k in range(2 * n + 1) for m in graded_monomials(n, k)]
     index = {m: i for i, m in enumerate(everything)}
     source = sorted(e.terms)
-    mat = derivation_matrix(images, n, [mono_mask(m, n) for m in source],
-                            {mono_mask(m, n): i for m, i in index.items()}, "test")
+    mat = derivation_matrix(derivation_table(images, n), n,
+                            [mono_mask(m, n) for m in source],
+                            [mono_mask(m, n) for m in everything], "test")
     assert mat.nrows == len(everything)
     for mono, col in zip(source, mat.cols):
         want = leibniz_reference(images, MixedElement.term(mono, GR_ONE))
@@ -332,8 +415,8 @@ def test_derivation_matrix_names_stray_monomial():
     ctx = CalculusContext(tower(4))
     with pytest.raises(InternalInvariantError,
                        match=r"^dbar: monomial v2\^ow1 outside basis$"):
-        derivation_matrix(ctx.dbar_images, 4, [mono_mask((vec_gen(1),), 4)], {},
-                          "dbar")
+        derivation_matrix(derivation_table(ctx.dbar_images, 4), 4,
+                          [mono_mask((vec_gen(1),), 4)], [], "dbar")
 
 
 def _cell_matrix_reference(images, bc, src_cell, tgt_cell):
@@ -392,18 +475,20 @@ def _disjoint_monomials(draw):
 @given(_disjoint_monomials())
 def test_popcount_sign_matches_wedge_mono(case):
     # D(g) = I with I disjoint from R: D(g ^ R) is one signed monomial, whose
-    # sign the kernel takes from popcounts and the reference from wedge_mono
+    # sign the kernel takes from popcounts and the reference from wedge_mono;
+    # D has degree |I| - 1, so passing pre costs (-1)^(|pre| (|I| + 1))
     n, g, image, rest = case
     pre = tuple(x for x in rest if x < g)
     post = tuple(x for x in rest if x > g)
     s1, m = wedge_mono(pre, image)
     s2, m = wedge_mono(m, post)
-    sign = s1 * s2 * (-1) ** len(pre)
+    sign = s1 * s2 * (-1) ** (len(pre) * (len(image) + 1))
     images = {g: MixedElement.term(image, GR_ONE)}
-    got = apply_odd_derivation(images, MixedElement.term(pre + (g,) + post, GR_ONE))
+    got = apply_derivation(images, MixedElement.term(pre + (g,) + post, GR_ONE))
     assert got == MixedElement.term(m, gauss(sign))
-    mat = derivation_matrix(images, n, [mono_mask(pre + (g,) + post, n)],
-                            {mono_mask(m, n): 0}, "test")
+    mat = derivation_matrix(derivation_table(images, n), n,
+                            [mono_mask(pre + (g,) + post, n)],
+                            [mono_mask(m, n)], "test")
     assert mat.cols == [{0: gauss(sign)}]
 
 

@@ -383,6 +383,7 @@ def test_cli_crosscheck_checks_dbar_square_in_original_frame(capsys,
     # dbar^2 out of (2, 0) has an entry; the adapted frame stays intact
     import nilpoisson.cli as cli
     import nilpoisson.homology as homology
+    from nilpoisson.calculus import derivation_table
     from nilpoisson.exact_linalg import ExactMatrix
     from nilpoisson.scalars import GR_ONE
 
@@ -393,10 +394,11 @@ def test_cli_crosscheck_checks_dbar_square_in_original_frame(capsys,
         contexts.append(real_context(presentation))
         return contexts[-1]
 
-    def corrupted(images, n, p, q):
-        basis, mat = real_cell(images, n, p, q)
-        if images is contexts[0].dbar_images and (p, q) == (2, 1):
-            d0 = real_cell(images, n, 2, 0)[1]
+    def corrupted(table, n, p, q):
+        basis, mat = real_cell(table, n, p, q)
+        original = derivation_table(contexts[0].dbar_images, n)
+        if table == original and (p, q) == (2, 1):
+            d0 = real_cell(table, n, 2, 0)[1]
             i = min(i for col in d0.cols for i in col)
             mat = ExactMatrix.zeros(mat.nrows, mat.ncols)
             mat.cols[i][0] = GR_ONE
