@@ -30,11 +30,12 @@ from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
 
 
 class CalculusContext:
-    """Frame, grading, and cached generator values for one algebra."""
+    """Frame, grading, and the generator values of dbar and of every
+    [h, .] for one algebra, compiled once for `_leibniz`."""
 
     __slots__ = (
         "presentation", "frame", "grading", "n", "abelian",
-        "dbar_images", "bracket_table",
+        "dbar_images", "bracket_table", "dbar_table", "bracket_tables",
     )
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -44,6 +45,9 @@ class CalculusContext:
         self.n = self.frame.n
         self.abelian = self.frame.abelian
         self.dbar_images, self.bracket_table = dbar_images(self.frame)
+        self.dbar_table = derivation_table(self.dbar_images, self.n)
+        self.bracket_tables = {h: derivation_table(row, self.n)
+                               for h, row in self.bracket_table.items()}
 
 
 def dbar_images(fr: ComplexFrame) -> tuple[dict, dict]:
@@ -145,6 +149,14 @@ def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
                     del out[m]
 
 
+def _apply_table(table: list[tuple], n: int, e: MixedElement) -> MixedElement:
+    """The derivation with this compiled table, applied to e."""
+    out: dict = {}
+    for mono, coeff in e.terms.items():
+        _leibniz(table, mono_mask(mono, n), coeff, out)
+    return MixedElement({mask_mono(m, n): c for m, c in out.items()})
+
+
 def apply_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedElement:
     """Extend generator images to the unique graded derivation and apply it."""
     # any n at least the largest vector index keeps vector bits below forms
@@ -152,11 +164,7 @@ def apply_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedE
     codes += [g for img in images.values() for m in img.terms for g in m]
     codes += [g for m in e.terms for g in m]
     n = max((g for g in codes if g < FORM_BASE), default=0)
-    table = derivation_table(images, n)
-    out: dict = {}
-    for mono, coeff in e.terms.items():
-        _leibniz(table, mono_mask(mono, n), coeff, out)
-    return MixedElement({mask_mono(m, n): c for m, c in out.items()})
+    return _apply_table(derivation_table(images, n), n, e)
 
 
 def derivation_matrix(table: list[tuple], n: int, source_masks,
@@ -189,14 +197,14 @@ def dbar_cell(table: list[tuple], n: int, p: int,
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:
-    return apply_derivation(ctx.dbar_images, e)
+    return _apply_table(ctx.dbar_table, ctx.n, e)
 
 
 def ad_images(ctx: CalculusContext, a: MixedElement) -> dict[int, MixedElement]:
     """The nonzero generator images [a, h] = -[h, a] of [a, .]."""
     images = {}
-    for h, row in ctx.bracket_table.items():
-        val = apply_derivation(row, a)
+    for h, table in ctx.bracket_tables.items():
+        val = _apply_table(table, ctx.n, a)
         if val:
             images[h] = -val
     return images

@@ -18,7 +18,7 @@ from .errors import (InternalInvariantError, NilpoissonError, UsageError,
 from .exact_linalg import LinalgError
 from .exterior import MixedElement
 from .homology import (BigradedComplex, d_bicomplex_crosscheck,
-                       degeneration_verdict, dolbeault_table)
+                       degeneration_verdict, dolbeault_column, dolbeault_table)
 from .lambda_parser import expr_from_element, parse_lambda
 from .lie_structure import validate
 from .poisson import (holomorphic_bivector_space, is_holomorphic_poisson,
@@ -185,10 +185,12 @@ def cmd_cohomology(args):
     presentation = _load_presentation(args)
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
-    if args.coef is not None and not (0 <= args.coef <= ctx.n):
+    if args.coef is None:
+        table = dolbeault_table(BigradedComplex(ctx))
+    elif 0 <= args.coef <= ctx.n:
+        table = dolbeault_column(ctx, args.coef)
+    else:
         raise UsageError(f"--coef must be within 0..{ctx.n}")
-    bc = BigradedComplex(ctx)
-    table = dolbeault_table(bc)
     elapsed = time.perf_counter() - t0
     doc = _blank_report(presentation, ctx.frame.report)
     doc["cohomology"] = {}
@@ -196,8 +198,6 @@ def cmd_cohomology(args):
     rows = []
     csv_rows = [("p", "q", "dim")]
     for (p, q), cell in sorted(table.items()):
-        if args.coef is not None and p != args.coef:
-            continue
         reps = [str(e) for e in cell.representatives()]
         doc["cohomology"][f"{p},{q}"] = {"dim": cell.dim, "representatives": reps}
         rows.append([p, q, cell.dim, ", ".join(reps)])

@@ -2,13 +2,14 @@
 
 The double complex A^{p,q} (p vector factors, q form factors) carries the
 vertical differential dbar and, once a holomorphic Poisson bivector lam is
-fixed, the horizontal ad_lam.  The pages of the column filtration come from
-one sparse column reduction of each total differential D^k (the persistence
-pairing): a pair joining filtration degrees p < p' is a nonzero d_{p'-p}, so
-E_r^{p,q} counts the unpaired basis elements of (p, q) and the pairs of
-length at least r with an end there.  Canonical representatives and the d_r
-matrices are built on request, as quotients of the exact kernels
-Z_r = F^p intersect D^{-1} F^{p+r}.
+fixed, the horizontal ad_lam; a cell matrix not stored is the zero map.
+The pages of the column filtration come from one sparse column reduction of
+each total differential D^k (the persistence pairing): a pair joining
+filtration degrees p < p' is a nonzero d_{p'-p}, so E_r^{p,q} counts the
+unpaired basis elements of (p, q) and the pairs of length at least r with an
+end there.  Canonical representatives and the d_r matrices are built on
+request, as quotients of the exact kernels Z_r = F^p intersect D^{-1} F^{p+r}.
+The verdict's oracles never read the pairing, and build only what they read.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Subspace, combine, eliminate, mat_mul,
                            quotient_map)
-from .exterior import (FORM_BASE, MixedElement, cell_masks,
+from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
                        element_from_coords, mono_str)
 from .lie_structure import AlgebraPresentation, complex_frame
 
@@ -41,7 +42,8 @@ def _check_size(n: int) -> None:
 
 def _check_zero(identity, where, src_basis, tgt_basis, *factors):
     """Raise unless a2 a1 (+ b2 b1) vanishes, naming its first nonzero entry
-    (by target, then source) and the basis monomials at its ends."""
+    (by target, then source) and the basis monomials at its ends.  A missing
+    (None) factor is zero, and so is then each product of the callers' sums."""
     if any(m is None for m in factors):
         return
     if len(factors) == 4:
@@ -64,13 +66,16 @@ def _check_zero(identity, where, src_basis, tgt_basis, *factors):
 
 
 class BigradedComplex:
-    """Cell bases plus exact dbar and ad_lam matrices, identities verified."""
+    """Cell bases plus exact dbar and ad_lam matrices, identities verified.
+    A missing matrix is the zero map: there is none at the edge, and none of
+    dbar (on the tori) or of ad_lam (lam central or 0) when it is zero."""
 
     def __init__(self, ctx: CalculusContext, lam: MixedElement | None = None):
         n = ctx.n
         _check_size(n)
         self.lam = lam if lam is not None else MixedElement()
         self.n = n
+        ad_table = []
         if self.lam:
             pq = self.lam.homogeneous_bidegree()
             if pq != (2, 0):
@@ -85,17 +90,20 @@ class BigradedComplex:
                 raise ValidationError(
                     f"lam is not Poisson: [lam, lam] = {sq} != 0")
             ad_table = derivation_table(ad_imgs, n)
-        dbar_table = derivation_table(ctx.dbar_images, n)
+        dbar_table = ctx.dbar_table
 
         self.basis: dict[tuple[int, int], list] = {}
         self.dbar_mat: dict[tuple[int, int], ExactMatrix] = {}
         self.ad_mat: dict[tuple[int, int], ExactMatrix] = {}
         for p in range(n + 1):
             for q in range(n + 1):
-                self.basis[(p, q)], mat = dbar_cell(dbar_table, n, p, q)
-                if mat is not None:
-                    self.dbar_mat[(p, q)] = mat
-                if self.lam and p < n:
+                if dbar_table:
+                    self.basis[(p, q)], mat = dbar_cell(dbar_table, n, p, q)
+                    if mat is not None:
+                        self.dbar_mat[(p, q)] = mat
+                else:
+                    self.basis[(p, q)] = cell_monomials(n, p, q)
+                if ad_table and p < n:
                     self.ad_mat[(p, q)] = derivation_matrix(
                         ad_table, n, cell_masks(n, p, q),
                         cell_masks(n, p + 1, q), "ad_lam")
@@ -108,7 +116,7 @@ class BigradedComplex:
                 where, src = f"cell (p,q)={(p, q)}", basis[(p, q)]
                 _check_zero("dbar^2", where, src, basis.get((p, q + 2)),
                             dm.get((p, q + 1)), dm.get((p, q)))
-                if not self.lam:
+                if not am:
                     continue
                 _check_zero("ad_lam^2", where, src, basis.get((p + 2, q)),
                             am.get((p + 1, q)), am.get((p, q)))
@@ -165,6 +173,50 @@ def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
     return {(p, q): dolbeault_cohomology(bc, p, q)
             for p in range(bc.n + 1) for q in range(bc.n + 1)}
+
+
+def _dbar_column(table: list[tuple], n: int, ell: int) -> list[tuple]:
+    """Column ell alone, as the (basis, dbar out of it, None at q = n) of
+    each cell (ell, q), with dbar^2 = 0 checked on it."""
+    column = [dbar_cell(table, n, ell, q) for q in range(n + 1)]
+    for q in range(n - 1):
+        _check_zero("dbar^2", f"cell (p,q)={(ell, q)}", column[q][0],
+                    column[q + 2][0], column[q + 1][1], column[q][1])
+    return column
+
+
+def dolbeault_column(ctx: CalculusContext,
+                     ell: int) -> dict[tuple[int, int], CohomologyCell]:
+    """The cells (ell, q) of `dolbeault_table`, from column ell alone."""
+    _check_size(ctx.n)
+    column = _dbar_column(ctx.dbar_table, ctx.n, ell)
+    return {(ell, q): _cohomology((ell, q), basis, d,
+                                  column[q - 1][1] if q else None)
+            for q, (basis, d) in enumerate(column)}
+
+
+def _verdict_columns(bc: BigradedComplex) -> tuple[dict, dict]:
+    """The cells the E_2 oracle reads (those ad_lam acts out of, and their
+    targets) and dim H^{p,q} of every cell from the ranks of dbar.  A rank
+    is read off a built cell where there is one, so no dbar matrix is
+    reduced more often than when every cell is built."""
+    cells: dict = {}
+    for (p, q), am in bc.ad_mat.items():
+        if not am.is_zero():
+            for pq in ((p, q), (p + 1, q)):
+                if pq not in cells:
+                    cells[pq] = dolbeault_cohomology(bc, *pq)
+    ranks = {}
+    for (p, q), d in bc.dbar_mat.items():
+        if (p, q) in cells:
+            ranks[(p, q)] = d.ncols - cells[(p, q)].cocycles.dim
+        elif (p, q + 1) in cells:
+            ranks[(p, q)] = cells[(p, q + 1)].boundaries.dim
+        else:
+            ranks[(p, q)] = d.rank()
+    dims = {(p, q): len(basis) - ranks.get((p, q), 0) - ranks.get((p, q - 1), 0)
+            for (p, q), basis in bc.basis.items()}
+    return cells, dims
 
 
 def _column_degrees(n: int, k: int) -> list[int]:
@@ -370,38 +422,25 @@ class PageResult:
 
 
 def e2_dims_via_induced_map(bc: BigradedComplex,
-                            cells: dict | None = None) -> dict[tuple[int, int], int]:
-    """Second page dimensions from ad_lam acting on column cohomology."""
-    n = bc.n
-    if cells is None:
-        cells = dolbeault_table(bc)
-    induced: dict[tuple[int, int], ExactMatrix] = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            src = cells[(p, q)]
-            if src.dim == 0 or p + 1 > n:
-                continue
+                            columns: tuple | None = None) -> dict[tuple[int, int], int]:
+    """Second page dimensions from ad_lam acting on column cohomology;
+    `columns` is the pair `_verdict_columns` returns."""
+    cells, h = columns if columns is not None else _verdict_columns(bc)
+    ranks: dict[tuple[int, int], int] = {}
+    for (p, q), am in bc.ad_mat.items():
+        if not h[(p, q)] or am.is_zero():
+            continue
+        images = [am.apply(rep) for rep in cells[(p, q)].reps]
+        if h[(p + 1, q)]:
             tgt = cells[(p + 1, q)]
-            am = bc.ad_mat.get((p, q))
-            cols = []
-            for rep in src.reps:
-                y = am.apply(rep) if am is not None else {}
-                if tgt.dim:
-                    cols.append(tgt.class_coords(y))
-                elif am is not None and not tgt.cocycles.contains(y):
-                    raise InternalInvariantError("induced map image not closed")
-            if tgt.dim:
-                induced[(p, q)] = ExactMatrix(cols, tgt.dim)
-    dims = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            h = cells[(p, q)].dim
-            out = induced.get((p, q))
-            rank_out = out.rank() if out is not None else 0
-            inc = induced.get((p - 1, q))
-            rank_in = inc.rank() if inc is not None else 0
-            dims[(p, q)] = h - rank_out - rank_in
-    return dims
+            ranks[(p, q)] = ExactMatrix(
+                [tgt.class_coords(y) for y in images], tgt.dim).rank()
+        else:
+            dm = bc.dbar_mat.get((p + 1, q))
+            if dm is not None and any(dm.apply(y) for y in images):
+                raise InternalInvariantError("induced map image not closed")
+    return {(p, q): dim - ranks.get((p, q), 0) - ranks.get((p - 1, q), 0)
+            for (p, q), dim in h.items()}
 
 
 def spectral_pages(bc: BigradedComplex) -> PageResult:
@@ -419,14 +458,14 @@ def spectral_pages(bc: BigradedComplex) -> PageResult:
                 dims[src] += 1
                 dims[tgt] += 1
         pages.append(SpectralPage(r, dims, tc))
-    table = dolbeault_table(bc)
+    columns = _verdict_columns(bc)
     for (p, q), cell_dims in pages[0].dims.items():
-        want = table[(p, q)].dim
+        want = columns[1][(p, q)]
         if cell_dims != want:
             raise InternalInvariantError(
                 f"E_1 dim at {(p, q)} is {cell_dims}, column cohomology gives {want}")
     if len(pages) >= 2:
-        want2 = e2_dims_via_induced_map(bc, table)
+        want2 = e2_dims_via_induced_map(bc, columns)
         for key, val in pages[1].dims.items():
             if want2.get(key, 0) != val:
                 raise InternalInvariantError(
@@ -567,9 +606,8 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
         frame_rows=frame_rows, name=ctx.presentation.name + "#center-adapted")
     # validation reads no frame rows, so the original presentation's holds
     images, _ = dbar_images(complex_frame(adapted, ctx.frame.report))
-    column, base = ([dbar_cell(table, n, ell, m) for m in range(n + 1)]
-                    for table in (derivation_table(images, n),
-                                  derivation_table(ctx.dbar_images, n)))
+    table = derivation_table(images, n)
+    column = [dbar_cell(table, n, ell, m) for m in range(n + 1)]
     dsplit = _center_split(column, a)
     for m in range(n - 1):
         c1, t1 = dsplit[m]
@@ -579,11 +617,7 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
         _check_zero("dbar_t^2", where, src, tgt, t2, t1)
         _check_zero("dbar_c dbar_t + dbar_t dbar_c", where, src, tgt,
                     c2, t1, t2, c1)
-        _check_zero("dbar^2", f"cell (p,q)={(ell, m)}", base[m][0],
-                    base[m + 2][0], base[m + 1][1], base[m][1])
     total_dims = _betti(column)
-    direct_dims = {m: _cohomology((ell, m), basis, d,
-                                  base[m - 1][1] if m else None).dim
-                   for m, (basis, d) in enumerate(base)}
+    direct_dims = _betti(_dbar_column(ctx.dbar_table, n, ell))
     return DBicomplexReport(ell=ell, c_dim=a, total_dims=total_dims,
                             direct_dims=direct_dims, identities_ok=True)

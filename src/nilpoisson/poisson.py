@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import (CalculusContext, ad_images, apply_derivation, dbar,
-                       dbar_cell, derivation_table)
+                       dbar_cell)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
 from .exterior import MixedElement, element_entries, element_from_coords
@@ -69,7 +69,7 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     tested against [lam, lam] = 0 individually and only the survivors are
     returned; the quadric itself is not parametrized.
     """
-    basis, mat = dbar_cell(derivation_table(ctx.dbar_images, ctx.n), ctx.n, 2, 0)
+    basis, mat = dbar_cell(ctx.dbar_table, ctx.n, 2, 0)
     closed = Subspace(len(basis), mat.kernel())
     candidates = []
     for coords in closed.rows:

@@ -596,3 +596,50 @@ def test_cli_degeneration_pages_trims_report(capsys):
     assert len(rows) == 1 + 2 * 9
     # the table shows no pages, so it does not change
     assert run(capsys, *base, "--pages", "1")[1] == run(capsys, *base)[1]
+
+
+def test_cli_cohomology_coef_builds_only_its_column(capsys, monkeypatch):
+    # the column's cells are those of the whole table, with no whole
+    # complex built
+    rc, full, _ = run(capsys, "cohomology", "--algebra", "tower:4",
+                      "--format", "json")
+    assert rc == 0
+
+    def no_complex(*args):
+        raise AssertionError("a whole BigradedComplex was built")
+
+    monkeypatch.setattr(BigradedComplex, "__init__", no_complex)
+    rc, out, _ = run(capsys, "cohomology", "--algebra", "tower:4", "--coef",
+                     "2", "--format", "json")
+    assert rc == 0
+    want = {key: cell for key, cell in json.loads(full)["cohomology"].items()
+            if key.startswith("2,")}
+    assert json.loads(out)["cohomology"] == want
+    assert len(want) == 5
+
+
+def test_cli_cohomology_coef_checks_dbar_square_on_its_column(capsys,
+                                                              monkeypatch):
+    # replace dbar out of cell (2, 1) by a single unit entry at the first row
+    # that dbar out of (2, 0) reaches, so that dbar^2 out of (2, 0) has one
+    import nilpoisson.homology as homology
+    from nilpoisson.exact_linalg import ExactMatrix
+    from nilpoisson.scalars import GR_ONE
+
+    real_cell = homology.dbar_cell
+
+    def corrupted(table, n, p, q):
+        basis, mat = real_cell(table, n, p, q)
+        if (p, q) == (2, 1):
+            d0 = real_cell(table, n, 2, 0)[1]
+            i = min(i for col in d0.cols for i in col)
+            mat = ExactMatrix.zeros(mat.nrows, mat.ncols)
+            mat.cols[i][0] = GR_ONE
+        return basis, mat
+
+    monkeypatch.setattr(homology, "dbar_cell", corrupted)
+    rc, out, err = run(capsys, "cohomology", "--algebra", "tower:4", "--coef",
+                       "2")
+    assert (rc, out) == (3, "")
+    assert err == ("internal invariant violated: dbar^2 != 0 on cell "
+                   "(p,q)=(2, 0): entry 1 from v1^v2 to v1^v2^ow1^ow2\n")

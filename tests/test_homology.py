@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import nilpoisson.exact_linalg as exact_linalg
+import nilpoisson.homology as homology
 from nilpoisson.calculus import CalculusContext, dbar_lambda
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, ValidationError
@@ -30,6 +32,7 @@ from nilpoisson.homology import (
     spectral_pages,
 )
 from nilpoisson.lambda_parser import parse_lambda
+from nilpoisson.poisson import theorem2_lambda
 from nilpoisson.scalars import GR_ONE, gauss
 
 TOWER4_E2 = {
@@ -401,3 +404,120 @@ def test_class_coords_on_every_dolbeault_cell(tower4_bc):
             assert cell.class_coords(row) == {}, (p, q)
         cells += cell.dim > 0
     assert cells == 25
+
+
+# -- the oracles' failure paths ---------------------------------------------
+
+def test_e1_oracle_names_cell_where_pairing_disagrees(tower4_bc, monkeypatch):
+    # dropping the longest pair lowers E_1 at both of its ends
+    real = homology._pairing
+
+    def dropped(tc):
+        pairs, unpaired = real(tc)
+        return pairs[:-1], unpaired
+
+    monkeypatch.setattr(homology, "_pairing", dropped)
+    with pytest.raises(InternalInvariantError) as err:
+        spectral_pages(tower4_bc)
+    assert str(err.value) == (
+        "E_1 dim at (2, 3) is 7, column cohomology gives 8")
+
+
+def test_e2_oracle_names_cell_where_pairing_disagrees(tower4_ctx, tower4_pi,
+                                                      monkeypatch):
+    # zero ad_lam out of (0, 2) once D is assembled: the pairing still sees
+    # the true D, the induced map sees none out of (0, 2)
+    real = homology.TotalComplex
+
+    class Corrupting(real):
+        def __init__(self, bc):
+            super().__init__(bc)
+            m = bc.ad_mat[(0, 2)]
+            bc.ad_mat[(0, 2)] = ExactMatrix.zeros(m.nrows, m.ncols)
+
+    monkeypatch.setattr(homology, "TotalComplex", Corrupting)
+    with pytest.raises(InternalInvariantError) as err:
+        spectral_pages(BigradedComplex(tower4_ctx, tower4_pi))
+    assert str(err.value) == (
+        "E_2 dim at (0, 2) is 4, induced-map formula gives 6")
+
+
+def test_e2_oracle_rejects_image_that_is_not_closed():
+    # make dbar injective on the kodaira cell (1, 0) (its images are the
+    # first two cocycles of (1, 1), so dbar^2 = 0 still holds), whence
+    # h^{1,0} = 0, and let ad_lam send the class of 1 to a vector there
+    bc = BigradedComplex(CalculusContext(kodaira()))
+    width = len(bc.basis[(1, 0)])
+    cocycles = bc.dbar_mat[(1, 1)].kernel()
+    bc.dbar_mat[(1, 0)] = ExactMatrix(cocycles[:width],
+                                      len(bc.basis[(1, 1)]))
+    bc.ad_mat[(0, 0)] = ExactMatrix([{0: GR_ONE}], width)
+    with pytest.raises(InternalInvariantError) as err:
+        e2_dims_via_induced_map(bc)
+    assert str(err.value) == "induced map image not closed"
+
+
+# -- what the verdict builds ------------------------------------------------
+
+def _count_cells(monkeypatch) -> list:
+    built = []
+    real = homology._cohomology
+
+    def counted(label, *args):
+        built.append(label)
+        return real(label, *args)
+
+    monkeypatch.setattr(homology, "_cohomology", counted)
+    return built
+
+
+def test_central_lambda_builds_no_ad_matrix_and_no_cell(monkeypatch):
+    ctx = CalculusContext(tower(5))
+    bc = BigradedComplex(ctx, theorem2_lambda(ctx).bivector)
+    assert bc.ad_mat == {}
+    assert len(bc.dbar_mat) == 30
+    built = _count_cells(monkeypatch)
+    verdict = degeneration_verdict(bc)
+    assert built == []
+    assert verdict.verdict == "degenerates-at-E2"
+    assert verdict.pages.page(2).dims == verdict.pages.page(1).dims
+
+
+def test_torus_stores_no_cell_matrix():
+    # dbar and ad_lam vanish on every generator, so D = 0 and every page
+    # and H^k is the whole cochain space
+    ctx = CalculusContext(torus(4))
+    bc = BigradedComplex(ctx, theorem2_lambda(ctx).bivector)
+    assert bc.dbar_mat == {} and bc.ad_mat == {}
+    verdict = degeneration_verdict(bc)
+    full = {(p, q): math.comb(4, p) * math.comb(4, q)
+            for p in range(5) for q in range(5)}
+    for page in verdict.pages.pages:
+        assert page.dims == full
+    assert verdict.hk_dims == {k: math.comb(8, k) for k in range(9)}
+    assert verdict.verdict == "degenerates-at-E2"
+
+
+def test_e2_oracle_reads_only_cells_ad_acts_on(monkeypatch):
+    # i v1^v2 on kodaira: ad_lam acts out of (0, 1) and (1, 1) only, and
+    # dbar has the entries 1/2 i, so the cells read are reduced over Q(i)
+    ctx = CalculusContext(kodaira())
+    bc = BigradedComplex(ctx, parse_lambda("i v1^v2").bind(2))
+    assert [pq for pq, m in bc.ad_mat.items() if not m.is_zero()] == [
+        (0, 1), (1, 1)]
+    built = _count_cells(monkeypatch)
+    fields = []
+    real = exact_linalg.eliminate
+
+    def eliminate(rows):
+        out = real(rows)
+        fields.append(out[2])
+        return out
+
+    monkeypatch.setattr(exact_linalg, "eliminate", eliminate)
+    dims = e2_dims_via_induced_map(bc)
+    assert built == [(0, 1), (1, 1), (2, 1)]
+    assert False in fields
+    assert dims == {(p, q): 2 if q == 1 else 1
+                    for p in range(3) for q in range(3)}
+    assert dims == degeneration_verdict(bc).pages.page(2).dims
