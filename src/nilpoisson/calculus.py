@@ -149,7 +149,7 @@ def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
                     del out[m]
 
 
-def _apply_table(table: list[tuple], n: int, e: MixedElement) -> MixedElement:
+def apply_table(table: list[tuple], n: int, e: MixedElement) -> MixedElement:
     """The derivation with this compiled table, applied to e."""
     out: dict = {}
     for mono, coeff in e.terms.items():
@@ -164,7 +164,7 @@ def apply_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedE
     codes += [g for img in images.values() for m in img.terms for g in m]
     codes += [g for m in e.terms for g in m]
     n = max((g for g in codes if g < FORM_BASE), default=0)
-    return _apply_table(derivation_table(images, n), n, e)
+    return apply_table(derivation_table(images, n), n, e)
 
 
 def derivation_matrix(table: list[tuple], n: int, source_masks,
@@ -197,14 +197,14 @@ def dbar_cell(table: list[tuple], n: int, p: int,
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:
-    return _apply_table(ctx.dbar_table, ctx.n, e)
+    return apply_table(ctx.dbar_table, ctx.n, e)
 
 
 def ad_images(ctx: CalculusContext, a: MixedElement) -> dict[int, MixedElement]:
     """The nonzero generator images [a, h] = -[h, a] of [a, .]."""
     images = {}
     for h, table in ctx.bracket_tables.items():
-        val = _apply_table(table, ctx.n, a)
+        val = apply_table(table, ctx.n, a)
         if val:
             images[h] = -val
     return images

@@ -105,6 +105,8 @@ def load_file(path: str) -> AlgebraPresentation:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
     return presentation_from_dict(data, name=path)
 
 

@@ -49,14 +49,18 @@ def build_parser() -> argparse.ArgumentParser:
                          help="catalog entry, e.g. tower:4, torus:2, kodaira")
         cmd.add_argument("--file", metavar="PATH",
                          help="JSON presentation file instead of --algebra")
-        cmd.add_argument("--lambda", dest="lambda_expr", metavar="EXPR",
-                         help="bivector expression, e.g. '2 v1^v4 - v2^v3'")
-        cmd.add_argument("--theorem2", action="store_true",
-                         help="use the constructed central-wedge bivector")
-        cmd.add_argument("--coef", type=int, metavar="L",
-                         help="vector-coefficient degree")
-        cmd.add_argument("--pages", type=int, metavar="R",
-                         help="number of pages to report")
+        # each command takes only the options it reads
+        if name in ("poisson", "spectral", "degeneration"):
+            cmd.add_argument("--lambda", dest="lambda_expr", metavar="EXPR",
+                             help="bivector expression, e.g. '2 v1^v4 - v2^v3'")
+            cmd.add_argument("--theorem2", action="store_true",
+                             help="use the constructed central-wedge bivector")
+        if name in ("cohomology", "crosscheck"):
+            cmd.add_argument("--coef", type=int, metavar="L",
+                             help="vector-coefficient degree")
+        if name in ("spectral", "degeneration"):
+            cmd.add_argument("--pages", type=int, metavar="R",
+                             help="number of pages to report")
         cmd.add_argument("--format", dest="fmt", default="table",
                          choices=("table", "json", "csv"))
         cmd.add_argument("--out", metavar="PATH",

@@ -124,6 +124,37 @@ def test_cli_argparse_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--algebra", "tower:3", "--lambda", "v1^^v2"),
+    ("validate", "--algebra", "tower:3", "--coef", "1"),
+    ("info", "--algebra", "kodaira", "--coef", "7"),
+    ("info", "--algebra", "kodaira", "--theorem2"),
+    ("cohomology", "--algebra", "tower:3", "--theorem2"),
+    ("cohomology", "--algebra", "tower:3", "--lambda", "v1^v2"),
+    ("cohomology", "--algebra", "tower:3", "--pages", "2"),
+    ("poisson", "--algebra", "kodaira", "--coef", "1"),
+    ("poisson", "--algebra", "kodaira", "--pages", "2"),
+    ("spectral", "--algebra", "kodaira", "--lambda", "v1^v2", "--coef", "9"),
+    ("degeneration", "--algebra", "kodaira", "--theorem2", "--coef", "1"),
+    ("crosscheck", "--algebra", "tower:3", "--pages", "99"),
+    ("crosscheck", "--algebra", "tower:3", "--theorem2"),
+])
+def test_cli_refuses_options_the_command_does_not_read(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_cli_file_not_utf8_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe\x00{}")
+    rc, out, err = run(capsys, "validate", "--file", str(path))
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert str(path) in err
+
+
 def test_cli_info_table(capsys):
     rc, out, err = run(capsys, "info", "--algebra", "kodaira")
     assert rc == 0

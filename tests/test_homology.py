@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilpoisson.exact_linalg as exact_linalg
 import nilpoisson.homology as homology
@@ -32,8 +34,9 @@ from nilpoisson.homology import (
     spectral_pages,
 )
 from nilpoisson.lambda_parser import parse_lambda
-from nilpoisson.poisson import theorem2_lambda
+from nilpoisson.poisson import holomorphic_bivector_space, theorem2_lambda
 from nilpoisson.scalars import GR_ONE, gauss
+from test_lie_structure import conjugated
 
 TOWER4_E2 = {
     (0, 0): 1, (0, 1): 2, (0, 2): 4, (0, 3): 4, (0, 4): 1,
@@ -123,10 +126,61 @@ def test_tower4_pi_e2_frozen(tower4_bc):
     assert nz == [(0, 2), (0, 3), (2, 2), (2, 3)]
 
 
+def dbar_ranks(bc) -> dict:
+    return {pq: d.rank() for pq, d in bc.dbar_mat.items()}
+
+
+def induced_map_e2_reference(bc) -> dict:
+    """E_2 from the Dolbeault cells: ad_lam applied to the representatives
+    of each class, projected to the classes of the target cell."""
+    table = dolbeault_table(bc)
+    ranks = {}
+    for (p, q), am in bc.ad_mat.items():
+        tgt = table[(p + 1, q)]
+        ranks[(p, q)] = ExactMatrix(
+            [tgt.class_coords(am.apply(rep)) for rep in table[(p, q)].reps],
+            tgt.dim).rank()
+    return {(p, q): cell.dim - ranks.get((p, q), 0) - ranks.get((p - 1, q), 0)
+            for (p, q), cell in table.items()}
+
+
 def test_e2_against_induced_map(tower4_bc):
-    dims = e2_dims_via_induced_map(tower4_bc)
+    dims = e2_dims_via_induced_map(tower4_bc, dbar_ranks(tower4_bc))
     for pq, d in TOWER4_E2.items():
         assert dims.get(pq, 0) == d
+
+
+@pytest.mark.parametrize("algebra, lam", [
+    ("kodaira", "v1^v2"),
+    ("kodaira", "i v1^v2"),
+    ("tower:4", "2 v1^v4 - v2^v3"),
+    ("tower:4", "2i v1^v4 - i v2^v3"),
+    ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
+    ("torus:4", None),
+])
+def test_e2_ranks_match_cell_reference(algebra, lam):
+    ctx = CalculusContext(catalog_load(algebra))
+    bivector = (theorem2_lambda(ctx).bivector if lam is None
+                else parse_lambda(lam).bind(ctx.n))
+    bc = BigradedComplex(ctx, bivector)
+    assert e2_dims_via_induced_map(bc, dbar_ranks(bc)) == \
+        induced_map_e2_reference(bc)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32),
+       st.lists(st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2, max_size=2))
+def test_e2_ranks_match_cell_reference_in_random_frames(n, seed, coeffs):
+    # tower:n in a random rational basis, lam a random Gaussian combination
+    # of the Poisson candidates (on tower:4 ad_lam then acts on 12 cells)
+    ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
+    lam = MixedElement()
+    for cand, c in zip(holomorphic_bivector_space(ctx).candidates, coeffs):
+        lam = lam + cand.bivector.scale(c)
+    bc = BigradedComplex(ctx, lam)
+    assert e2_dims_via_induced_map(bc, dbar_ranks(bc)) == \
+        induced_map_e2_reference(bc)
 
 
 def test_page_dims_against_brute_force(tower4_ctx, tower4_pi, tower4_bc):
@@ -305,8 +359,6 @@ def test_assemble_rejects_wrong_bidegree():
 
 def test_conjugated_presentation_same_verdict(tower4_bc):
     # a random rational change of real basis must not move any dimension
-    from test_lie_structure import conjugated
-
     rng = random.Random(230)
     q = conjugated(tower(4), rng)
     ctx = CalculusContext(q)
@@ -442,19 +494,17 @@ def test_e2_oracle_names_cell_where_pairing_disagrees(tower4_ctx, tower4_pi,
         "E_2 dim at (0, 2) is 4, induced-map formula gives 6")
 
 
-def test_e2_oracle_rejects_image_that_is_not_closed():
-    # make dbar injective on the kodaira cell (1, 0) (its images are the
-    # first two cocycles of (1, 1), so dbar^2 = 0 still holds), whence
-    # h^{1,0} = 0, and let ad_lam send the class of 1 to a vector there
-    bc = BigradedComplex(CalculusContext(kodaira()))
-    width = len(bc.basis[(1, 0)])
-    cocycles = bc.dbar_mat[(1, 1)].kernel()
-    bc.dbar_mat[(1, 0)] = ExactMatrix(cocycles[:width],
-                                      len(bc.basis[(1, 1)]))
-    bc.ad_mat[(0, 0)] = ExactMatrix([{0: GR_ONE}], width)
+def test_identity_check_rejects_ad_image_that_is_not_closed():
+    # ad_lam sending 1 to v1, which dbar does not kill, breaks the
+    # anticommutation identity, so no E_2 oracle sees such an image
+    bc = BigradedComplex(CalculusContext(kodaira()),
+                         parse_lambda("v1^v2").bind(2))
+    bc.ad_mat[(0, 0)] = ExactMatrix([{0: GR_ONE}], len(bc.basis[(1, 0)]))
     with pytest.raises(InternalInvariantError) as err:
-        e2_dims_via_induced_map(bc)
-    assert str(err.value) == "induced map image not closed"
+        bc._check_identities()
+    assert str(err.value) == (
+        "dbar ad_lam + ad_lam dbar != 0 on cell (p,q)=(0, 0): "
+        "entry 1/2i from 1 to v2^ow1")
 
 
 # -- what the verdict builds ------------------------------------------------
@@ -500,11 +550,13 @@ def test_torus_stores_no_cell_matrix():
 
 def test_e2_oracle_reads_only_cells_ad_acts_on(monkeypatch):
     # i v1^v2 on kodaira: ad_lam acts out of (0, 1) and (1, 1) only, and
-    # dbar has the entries 1/2 i, so the cells read are reduced over Q(i)
+    # the blocks of D there hold i, so they are reduced over Q(i); the
+    # oracle counts ranks and builds no cohomology cell
     ctx = CalculusContext(kodaira())
     bc = BigradedComplex(ctx, parse_lambda("i v1^v2").bind(2))
     assert [pq for pq, m in bc.ad_mat.items() if not m.is_zero()] == [
         (0, 1), (1, 1)]
+    ranks = dbar_ranks(bc)
     built = _count_cells(monkeypatch)
     fields = []
     real = exact_linalg.eliminate
@@ -515,9 +567,22 @@ def test_e2_oracle_reads_only_cells_ad_acts_on(monkeypatch):
         return out
 
     monkeypatch.setattr(exact_linalg, "eliminate", eliminate)
-    dims = e2_dims_via_induced_map(bc)
-    assert built == [(0, 1), (1, 1), (2, 1)]
+    dims = e2_dims_via_induced_map(bc, ranks)
+    assert built == []
     assert False in fields
     assert dims == {(p, q): 2 if q == 1 else 1
                     for p in range(3) for q in range(3)}
     assert dims == degeneration_verdict(bc).pages.page(2).dims
+
+
+@pytest.mark.parametrize("algebra, lam, verdict", [
+    ("kodaira", "i v1^v2", "degenerates-at-E2"),
+    ("tower:4", "2 v1^v4 - v2^v3", "fails-at-(2,0,2)"),
+    ("tower:6", "2 v1^v6 - v2^v5 + v3^v4", "fails-at-(2,0,2)"),
+])
+def test_verdict_builds_no_cohomology_cell(monkeypatch, algebra, lam, verdict):
+    ctx = CalculusContext(catalog_load(algebra))
+    bc = BigradedComplex(ctx, parse_lambda(lam).bind(ctx.n))
+    built = _count_cells(monkeypatch)
+    assert degeneration_verdict(bc).verdict == verdict
+    assert built == []
