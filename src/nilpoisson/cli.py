@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -385,7 +386,8 @@ def _emit(args, doc, text, csv_rows) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
-        print(payload)
+        # flush here, so that a closed stdout fails inside `main`
+        print(payload, flush=True)
 
 
 def main(argv=None) -> int:
@@ -398,6 +400,17 @@ def main(argv=None) -> int:
         doc, text, csv_rows, code = _HANDLERS[args.command](args)
         _emit(args, doc, text, csv_rows)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the flush
+        # at interpreter shutdown does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

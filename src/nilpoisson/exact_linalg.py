@@ -5,13 +5,9 @@ and it is the only vector format: every function here takes and returns
 such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
 `Subspace` holds its canonical basis as sparse rows.  Every elimination runs
 through `eliminate` (forward reduction, wrapped by `rref` into the reduced
-row echelon form) and every linear combination through `_axpy`.
-
-Elimination works over whichever field its input lives in: when every entry
-is real, `eliminate` runs its loop on the real parts, over Q, and `rref`
-lifts the reduced rows back to Q(i) once, at the end.  The loop does the same
-operations in the same order either way, so the results are equal entry for
-entry; only the cost of each operation differs.
+row echelon form) and every linear combination through `_axpy`.  Real and
+non-real input take the same path: a real GaussRational is an integer pair
+over a common denominator, so no entry needs a cheaper field of its own.
 
 Every subspace is stored by its reduced row echelon basis under the ambient
 coordinate order, so two equal subspaces always carry identical bases and
@@ -19,7 +15,7 @@ representatives picked from them are deterministic.
 """
 from __future__ import annotations
 
-from .scalars import GR_ONE, RAT_ZERO, GaussRational
+from .scalars import GR_ONE
 
 
 class LinalgError(ValueError):
@@ -27,8 +23,7 @@ class LinalgError(ValueError):
 
 
 def _axpy(acc: dict, f, vec: dict) -> None:
-    """acc += f * vec in place, dropping the entries that cancel; f and the
-    entries are GaussRationals, or real rationals inside `eliminate`."""
+    """acc += f * vec in place, dropping the entries that cancel."""
     for j, x in vec.items():
         y = acc.get(j)
         if y is None:
@@ -49,32 +44,14 @@ def combine(coeffs: dict, vectors) -> dict:
     return acc
 
 
-def _lower(rows: list[dict]) -> list[dict] | None:
-    """The rows' real parts when every entry is real, else None."""
-    out = []
-    for row in rows:
-        low = {}
-        for j, x in row.items():
-            if x.im:
-                return None
-            low[j] = x.re
-        out.append(low)
-    return out
-
-
-def eliminate(rows: list[dict]) -> tuple[dict, list, bool]:
+def eliminate(rows: list[dict]) -> tuple[dict, list]:
     """Forward elimination of sparse rows, taken in order.
 
     Each row is reduced at its leading (smallest) index by the rows kept
     before it until that index is new; the row is then made monic and kept.
-    When every entry is real the rows are reduced over Q instead of Q(i).
     Returns ({leading index: kept sparse row}, the leading index of each
-    input row, None for a row that reduced to zero, and whether the kept rows
-    hold real rationals rather than GaussRationals).
+    input row, None for a row that reduced to zero).
     """
-    low = _lower(rows)
-    if low is not None:
-        rows = low
     kept: dict[int, dict] = {}
     leads: list = []
     for row in rows:
@@ -94,7 +71,7 @@ def eliminate(rows: list[dict]) -> tuple[dict, list, bool]:
             v = {j: x / f for j, x in v.items()}
         kept[lead] = v
         leads.append(lead)
-    return kept, leads, low is not None
+    return kept, leads
 
 
 def rref(rows: list[dict]):
@@ -104,7 +81,7 @@ def rref(rows: list[dict]):
     zeros above and below, so the output is the canonical basis of the row
     space.  The reduction reads only the stored entries.
     """
-    kept, _, real = eliminate(rows)
+    kept, _ = eliminate(rows)
     pivots = sorted(kept)
     # back substitution, last pivot first: the rows used are already reduced,
     # so they have no entry at any other pivot column
@@ -112,11 +89,7 @@ def rref(rows: list[dict]):
         row = kept[c]
         for j in [j for j in row if j != c and j in kept]:
             _axpy(row, -row[j], kept[j])
-    red = [kept[c] for c in pivots]
-    if real:
-        red = [{j: GaussRational(x, RAT_ZERO) for j, x in r.items()}
-               for r in red]
-    return red, pivots
+    return [kept[c] for c in pivots], pivots
 
 
 def rank(rows: list[dict]) -> int:

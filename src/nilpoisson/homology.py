@@ -295,8 +295,8 @@ def _pairing(tc: TotalComplex):
     for k in range(tc.nmax + 1):
         # number rows from the end, so that the last row leads
         top = len(tc.bases.get(k + 1, ())) - 1
-        _, leads, _ = eliminate([{top - i: c for i, c in col.items()}
-                                 for col in tc.dmat[k].cols])
+        _, leads = eliminate([{top - i: c for i, c in col.items()}
+                              for col in tc.dmat[k].cols])
         paired[k + 1] = set()
         for j, lead in enumerate(leads):
             if lead is not None:

@@ -1,14 +1,16 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-The whole engine runs over Q(i), except that an elimination whose input is
-all real lowers to Q: `exact_linalg.eliminate` then reduces the real parts
-and hands back GaussRationals.  Real rationals are stdlib Fractions unless
-gmpy2 is importable, in which case its mpq type (same semantics, much faster)
-is used transparently.
+The whole engine runs over Q(i).  A Gaussian rational is held as three
+Python ints (a + b*i)/d in lowest terms, so every arithmetic step is a few
+integer operations and one gcd.  Real rationals, which appear at the
+boundary (parsing, structure constants, `.re` and `.im`), are stdlib
+Fractions unless gmpy2 is importable, in which case its mpq type (same
+semantics) is used transparently.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 try:  # pragma: no cover - exercised implicitly by the whole suite
     from gmpy2 import mpq as Rational
@@ -37,70 +39,107 @@ def rational_to_string(value) -> str:
 
 
 class GaussRational:
-    """A Gaussian rational re + im*i with exact rational parts."""
+    """A Gaussian rational re + im*i, held as ints (a + b*i)/d with d > 0
+    and gcd(a, b, d) = 1.  The form is canonical: equal values hold equal
+    fields, and zero is (0, 0, 1)."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=RAT_ZERO, im=RAT_ZERO):
-        self.re = re if type(re) is type(RAT_ZERO) else Rational(re)
-        self.im = im if type(im) is type(RAT_ZERO) else Rational(im)
+        # re and im in lowest terms over their lcm leave gcd(a, b, d) = 1
+        p, q = int(re.numerator), int(re.denominator)
+        r, s = int(im.numerator), int(im.denominator)
+        d = lcm(q, s)
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
+
+    @property
+    def re(self) -> Rational:
+        return Rational(self.a, self.d)
+
+    @property
+    def im(self) -> Rational:
+        return Rational(self.b, self.d)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussRational):
-            return self.re == other.re and self.im == other.im
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)) or type(other) is type(RAT_ZERO):
-            return self.im == 0 and self.re == other
+            return (not self.b and self.a == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((Fraction(self.re), Fraction(self.im)))
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a + other.a, self.b + other.b, d)
+        return _make(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _make(self.a - other.a, self.b - other.b, d)
+        return _make(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "GaussRational") -> "GaussRational":
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
         if not b:
-            if not a:
-                return GR_ZERO
-            return GaussRational(a * c, a * d)
-        if not d:
-            return GaussRational(a * c, b * c)
-        return GaussRational(a * c - b * d, a * d + b * c)
+            return _make(a * c, a * e, self.d * other.d)
+        if not e:
+            return _make(a * c, b * c, self.d * other.d)
+        return _make(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other: "GaussRational") -> "GaussRational":
-        c, d = other.re, other.im
-        if not d:
+        # (a + b*i)/d divided by (c + e*i)/f is (a + b*i)(c - e*i) f / (d n)
+        # with n = c^2 + e^2 > 0; a real divisor c/f gives (a + b*i) f / (d c)
+        a, b, c, e, f = self.a, self.b, other.a, other.b, other.d
+        if not e:
             if not c:
                 raise ZeroDivisionError("division by zero GaussRational")
-            return GaussRational(self.re / c, self.im / c)
-        n = c * c + d * d
-        a, b = self.re, self.im
-        return GaussRational((a * c + b * d) / n, (b * c - a * d) / n)
+            if c < 0:
+                return _make(-a * f, -b * f, -c * self.d)
+            return _make(a * f, b * f, c * self.d)
+        return _make((a * c + b * e) * f, (b * c - a * e) * f,
+                     (c * c + e * e) * self.d)
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return _make(self.a, -self.b, self.d)
 
     def scale(self, r) -> "GaussRational":
-        return GaussRational(self.re * r, self.im * r)
+        """self * r for a real rational (or int) r."""
+        n = int(r.numerator)
+        return _make(self.a * n, self.b * n, self.d * int(r.denominator))
 
     def __complex__(self) -> complex:
-        return complex(float(Fraction(self.re)), float(Fraction(self.im)))
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!s}, {self.im!s})"
 
     def __str__(self) -> str:
         return gauss_to_string(self)
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d for ints with d > 0, reduced to lowest terms."""
+    g = gcd(a, b, d)
+    z = _new(GaussRational)
+    if g == 1:
+        z.a, z.b, z.d = a, b, d
+    else:
+        z.a, z.b, z.d = a // g, b // g, d // g
+    return z
 
 
 GR_ZERO = GaussRational(RAT_ZERO, RAT_ZERO)
@@ -114,14 +153,15 @@ def gauss(re=0, im=0) -> GaussRational:
 
 def gauss_to_string(z: GaussRational) -> str:
     """The coefficient grammar of `lambda_parser`, which reads it back."""
-    if not z.im:
-        return str(z.re)
-    if not z.re:
-        if z.im == 1:
+    re, im = z.re, z.im
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
             return "i"
-        if z.im == -1:
+        if im == -1:
             return "-i"
-        return f"{z.im}i"
-    sign = "+" if z.im > 0 else "-"
-    mag = z.im if z.im > 0 else -z.im
-    return f"({z.re}{sign}{mag}i)"
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    mag = im if im > 0 else -im
+    return f"({re}{sign}{mag}i)"

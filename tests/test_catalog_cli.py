@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -674,3 +678,27 @@ def test_cli_cohomology_coef_checks_dbar_square_on_its_column(capsys,
     assert (rc, out) == (3, "")
     assert err == ("internal invariant violated: dbar^2 != 0 on cell "
                    "(p,q)=(2, 0): entry 1 from v1^v2 to v1^v2^ow1^ow2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "kodaira"),
+    ("cohomology", "--algebra", "tower:6", "--format", "json"),
+])
+def test_cli_closed_stdout_exits_1_without_traceback(argv):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # every write to it fails, whatever the size of the output
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nilpoisson.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert b"Traceback" not in done.stderr
+    assert b"Exception ignored" not in done.stderr

@@ -123,8 +123,8 @@ def _real_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(_real_rows())
 def test_real_and_gaussian_elimination_agree(case):
-    # real rows reduce over Q; i*M, and M with one row times i, have the same
-    # row space and kernel but non-real entries, so they reduce over Q(i)
+    # i*M, and M with one row times i, have the same row space and kernel
+    # as the real M but non-real entries, so every result must agree
     ncols, rows, k = case
     times_i = [{j: GR_I * x for j, x in r.items()} for r in rows]
     one_row = rows[:k] + [times_i[k]] + rows[k + 1:]

@@ -1,7 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilpoisson.lambda_parser import LambdaParseError, parse_lambda
@@ -175,3 +177,122 @@ _FRACTIONS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10*
 @given(st.builds(gauss, _FRACTIONS, _FRACTIONS).filter(bool))
 def test_random_string_round_trip(z):
     assert read_back(gauss_to_string(z)) == z
+
+
+class _RefGauss:
+    """Reference arithmetic: a Gaussian rational held as two Fractions, with
+    the formulas the package used before it held (a + b*i)/d as ints."""
+
+    def __init__(self, re, im):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, _RefGauss):
+            return self.re == other.re and self.im == other.im
+        return self.im == 0 and self.re == other
+
+    def __add__(self, other):
+        return _RefGauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _RefGauss(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return _RefGauss(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _RefGauss(a * c - b * d, a * d + b * c)
+
+    def __truediv__(self, other):
+        c, d = other.re, other.im
+        if not d:
+            if not c:
+                raise ZeroDivisionError("division by zero")
+            return _RefGauss(self.re / c, self.im / c)
+        n = c * c + d * d
+        a, b = self.re, self.im
+        return _RefGauss((a * c + b * d) / n, (b * c - a * d) / n)
+
+    def conjugate(self):
+        return _RefGauss(self.re, -self.im)
+
+    def scale(self, r):
+        return _RefGauss(self.re * r, self.im * r)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+    def __repr__(self):
+        return f"GaussRational({self.re!s}, {self.im!s})"
+
+    def __str__(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            if self.im == 1:
+                return "i"
+            if self.im == -1:
+                return "-i"
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        mag = self.im if self.im > 0 else -self.im
+        return f"({self.re}{sign}{mag}i)"
+
+
+# zero parts, small values (so that sums cancel and units appear), and
+# large numerators and denominators up to 10^12, of either sign
+_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+)
+
+
+def _assert_matches(z, ref):
+    a, b, d = z.a, z.b, z.d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1
+    if not ref:
+        assert (a, b, d) == (0, 0, 1)
+    assert z.re == ref.re and z.im == ref.im
+    assert bool(z) == bool(ref)
+    assert str(z) == str(ref)
+    assert repr(z) == repr(ref)
+    assert complex(z) == complex(ref)
+    # equal values hold equal fields, so they hash alike
+    same = GaussRational(ref.re, ref.im)
+    assert z == same and hash(z) == hash(same)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PARTS, _PARTS, _PARTS, _PARTS)
+@example(Fraction(1, 2), Fraction(-1, 3), Fraction(-2, 3), Fraction(0))
+@example(Fraction(5), Fraction(0), Fraction(-7, 10**12), Fraction(0))
+@example(Fraction(1, 6), Fraction(0), Fraction(1, 3), Fraction(0))
+@example(Fraction(0), Fraction(3, 4), Fraction(0), Fraction(-3, 4))
+def test_arithmetic_matches_two_fraction_reference(p, q, r, s):
+    x, y = GaussRational(p, q), GaussRational(r, s)
+    rx, ry = _RefGauss(p, q), _RefGauss(r, s)
+    _assert_matches(x, rx)
+    _assert_matches(y, ry)
+    _assert_matches(x + y, rx + ry)
+    _assert_matches(x - y, rx - ry)
+    _assert_matches(x * y, rx * ry)
+    _assert_matches(y * x, ry * rx)
+    _assert_matches(-x, -rx)
+    _assert_matches(x.conjugate(), rx.conjugate())
+    _assert_matches(x.scale(r), rx.scale(r))
+    _assert_matches(x.scale(r.numerator), rx.scale(r.numerator))
+    if ry:
+        _assert_matches(x / y, rx / ry)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert (x == y) == (rx == ry)
+    assert (x == p) == (rx == p)
+    assert (x == p.numerator) == (rx == p.numerator)
+    assert (x != y) == (not rx == ry)
