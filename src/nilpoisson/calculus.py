@@ -138,6 +138,7 @@ def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
             if coeff is not None:
                 c = coeff * c
             m = mask | rest
+            # inline, not `_axpy`: this is the hot loop of matrix assembly
             s = out.get(m)
             if s is None:
                 out[m] = c

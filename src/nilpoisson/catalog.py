@@ -16,6 +16,16 @@ from .scalars import GaussRational, RAT_ZERO, Rational
 HALF = Rational(1, 2)
 MINUS_HALF = Rational(-1, 2)
 
+# Largest n of a preset family: at tower(128), `validate`, `info` and
+# `poisson` take 4-8 s.  The bound is checked before the dense 2n x 2n J
+# is allocated, which at n = 10^5 would hold 4 * 10^10 entries.
+MAX_PRESET_N = 128
+
+
+def _check_bound(family: str, n: int) -> None:
+    if n > MAX_PRESET_N:
+        raise UsageError(f"{family}(n) needs n <= {MAX_PRESET_N}, got {n}")
+
 
 def _paired_j(n_pairs: int):
     dim = 2 * n_pairs
@@ -36,6 +46,7 @@ def _paired_frame(n_pairs: int):
 def torus(n: int) -> AlgebraPresentation:
     if n < 1:
         raise UsageError("torus(n) needs n >= 1")
+    _check_bound("torus", n)
     return AlgebraPresentation(
         2 * n, {}, _paired_j(n), frame_rows=_paired_frame(n), name=f"torus({n})"
     )
@@ -46,6 +57,7 @@ def tower(n: int) -> AlgebraPresentation:
     [x1,xk] = [y1,yk] = x_{k+1}, [x1,yk] = -[y1,xk] = y_{k+1}."""
     if n < 2:
         raise UsageError("tower(n) needs n >= 2")
+    _check_bound("tower", n)
 
     def x(j):
         return 2 * j - 1

@@ -5,7 +5,10 @@ and it is the only vector format: every function here takes and returns
 such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
 `Subspace` holds its canonical basis as sparse rows.  Every elimination runs
 through `eliminate` (forward reduction, wrapped by `rref` into the reduced
-row echelon form) and every linear combination through `_axpy`.  Real and
+row echelon form) and every linear combination through `_axpy`, here and
+in the rest of the package (brackets, J, the Jacobi sum, exterior sums and
+products, the bivector parser); only the derivation walk
+`calculus._leibniz` keeps its own accumulate.  Real and
 non-real input take the same path: a real GaussRational is an integer pair
 over a common denominator, so no entry needs a cheaper field of its own.
 
@@ -23,7 +26,11 @@ class LinalgError(ValueError):
 
 
 def _axpy(acc: dict, f, vec: dict) -> None:
-    """acc += f * vec in place, dropping the entries that cancel."""
+    """acc += f * vec in place, dropping the entries that cancel.
+
+    f must be nonzero: a product under a key new to acc is stored untested,
+    so f = 0 would store zeros.
+    """
     for j, x in vec.items():
         y = acc.get(j)
         if y is None:
@@ -37,7 +44,7 @@ def _axpy(acc: dict, f, vec: dict) -> None:
 
 
 def combine(coeffs: dict, vectors) -> dict:
-    """sum_j coeffs[j] * vectors[j]."""
+    """sum_j coeffs[j] * vectors[j], for sparse coeffs (no zero stored)."""
     acc: dict = {}
     for j, f in coeffs.items():
         _axpy(acc, f, vectors[j])

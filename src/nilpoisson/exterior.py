@@ -15,7 +15,10 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InternalInvariantError
-from .scalars import GaussRational
+from .exact_linalg import _axpy
+from .scalars import GR_ONE, GaussRational
+
+_MINUS_ONE = -GR_ONE
 
 FORM_BASE = 1 << 20
 
@@ -127,30 +130,12 @@ class MixedElement:
 
     def __add__(self, other: "MixedElement") -> "MixedElement":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _axpy(out, GR_ONE, other.terms)
         return MixedElement(out)
 
     def __sub__(self, other: "MixedElement") -> "MixedElement":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s = s - c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        _axpy(out, _MINUS_ONE, other.terms)
         return MixedElement(out)
 
     def __neg__(self) -> "MixedElement":
@@ -164,22 +149,13 @@ class MixedElement:
     def wedge(self, other: "MixedElement") -> "MixedElement":
         out: dict = {}
         for ma, ca in self.terms.items():
+            # m -> ma ^ m is one to one where it is not zero
+            prod = {}
             for mb, cb in other.terms.items():
                 sign, m = wedge_mono(ma, mb)
-                if sign == 0:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                if sign:
+                    prod[m] = cb if sign > 0 else -cb
+            _axpy(out, ca, prod)
         return MixedElement(out)
 
     def homogeneous_bidegree(self) -> tuple[int, int] | None:

@@ -23,11 +23,12 @@ from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, Subspace, combine, eliminate, mat_mul,
-                           quotient_map)
+from .exact_linalg import (ExactMatrix, Subspace, _axpy, combine, eliminate,
+                           mat_mul, quotient_map)
 from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
                        element_from_coords, mono_str)
 from .lie_structure import AlgebraPresentation, complex_frame
+from .scalars import GR_ONE
 
 # Largest complex dimension served: the complex has 4^n monomials, 65536 at
 # n = 8, and exact elimination beyond that does not finish in useful time.
@@ -48,17 +49,10 @@ def _check_zero(identity, where, src_basis, tgt_basis, *factors):
     (None) factor is zero, and so is then each product of the callers' sums."""
     if any(m is None for m in factors):
         return
+    prod = mat_mul(*factors[:2])
     if len(factors) == 4:
-        # a2 a1 + b2 b1 as one product: [a2 b2] times a1 stacked on b1
-        a2, a1, b2, b1 = factors
-        off = a1.nrows
-        left = ExactMatrix(a2.cols + b2.cols, a2.nrows)
-        right = ExactMatrix(
-            [{**c1, **{i + off: x for i, x in c2.items()}}
-             for c1, c2 in zip(a1.cols, b1.cols)], off + b1.nrows)
-        prod = mat_mul(left, right)
-    else:
-        prod = mat_mul(*factors)
+        for col, other in zip(prod.cols, mat_mul(*factors[2:]).cols):
+            _axpy(col, GR_ONE, other)
     hits = [(i, j) for j, col in enumerate(prod.cols) for i in col]
     if hits:
         i, j = min(hits)
@@ -130,7 +124,6 @@ class BigradedComplex:
 class CohomologyCell:
     """One cohomology space with canonical representatives."""
 
-    label: tuple
     basis: list
     cocycles: Subspace
     boundaries: Subspace
@@ -147,7 +140,7 @@ class CohomologyCell:
         return self.proj.apply(coords)
 
 
-def _cohomology(label: tuple, basis: list, d_out: ExactMatrix | None,
+def _cohomology(basis: list, d_out: ExactMatrix | None,
                 d_in: ExactMatrix | None) -> CohomologyCell:
     """ker d_out / im d_in on the cochains with this basis; a missing map is
     zero."""
@@ -162,12 +155,12 @@ def _cohomology(label: tuple, basis: list, d_out: ExactMatrix | None,
         boundaries = Subspace.from_rows(dim_cell, d_in.cols)
     # containment is the verified square-zero identity
     dim, reps, proj = quotient_map(boundaries, cocycles, check=False)
-    return CohomologyCell(label, basis, cocycles, boundaries, dim, reps, proj)
+    return CohomologyCell(basis, cocycles, boundaries, dim, reps, proj)
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
-    return _cohomology((p, q), bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)),
+    return _cohomology(bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)),
                        bc.dbar_mat.get((p, q - 1)))
 
 
@@ -191,8 +184,7 @@ def dolbeault_column(ctx: CalculusContext,
     """The cells (ell, q) of `dolbeault_table`, from column ell alone."""
     _check_size(ctx.n)
     column = _dbar_column(ctx.dbar_table, ctx.n, ell)
-    return {(ell, q): _cohomology((ell, q), basis, d,
-                                  column[q - 1][1] if q else None)
+    return {(ell, q): _cohomology(basis, d, column[q - 1][1] if q else None)
             for q, (basis, d) in enumerate(column)}
 
 
@@ -264,8 +256,7 @@ class TotalComplex:
 
 def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
     """H^k of (K, dbar + ad_lam); zero outside 0..2n."""
-    return _cohomology((k,), tc.bases.get(k, []), tc.dmat.get(k),
-                       tc.dmat.get(k - 1))
+    return _cohomology(tc.bases.get(k, []), tc.dmat.get(k), tc.dmat.get(k - 1))
 
 
 def poisson_betti(tc: TotalComplex) -> dict[int, int]:

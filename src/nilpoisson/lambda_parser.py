@@ -12,6 +12,7 @@ negative of "v1^v2"; repeated index pairs are combined.
 from __future__ import annotations
 
 from .errors import UsageError
+from .exact_linalg import _axpy
 from .exterior import FORM_BASE, MixedElement
 from .scalars import (GR_ONE, GaussRational, RAT_ZERO, gauss,
                       gauss_to_string, rational_from_string)
@@ -138,13 +139,8 @@ class LambdaExpr:
     def __init__(self, terms):
         merged: dict = {}
         for coeff, i, j in terms:
-            key = (i, j)
-            prev = merged.get(key)
-            total = coeff if prev is None else prev + coeff
-            if total:
-                merged[key] = total
-            elif key in merged:
-                del merged[key]
+            if coeff:  # `_axpy` takes only a nonzero factor
+                _axpy(merged, coeff, {(i, j): GR_ONE})
         self.terms = tuple((ij[0], ij[1], c) for ij, c in sorted(merged.items()))
 
     def __eq__(self, other):

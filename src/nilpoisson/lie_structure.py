@@ -6,8 +6,11 @@ The (1,0) frame v_1..v_n diagonalizes J; catalog presets carry a preferred
 frame so printed formulas match the usual normalization v_j = (x_j - i y_j)/2.
 
 Vectors are sparse dicts {0-based coordinate: GaussRational}, as everywhere
-in the package.  The Jacobi check, the central series and the center read
-the brackets of basis vectors straight from the sparse structure constants.
+in the package.  A presentation compiles its rational input once into such
+vectors: the columns of J and a table of every nonzero bracket of basis
+vectors in both orders.  Brackets, J, the Jacobi check, the central series
+and the center all read that table, and every sum goes through
+`exact_linalg._axpy`.
 `validate` keeps the central series on its report and the grading reuses
 it, so one algebra's series is computed once.
 """
@@ -17,10 +20,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
-from .exact_linalg import (Subspace, combine, invert, kernel_basis,
+from .exact_linalg import (Subspace, _axpy, combine, invert, kernel_basis,
                            quotient_map)
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
-                      Rational, rational_from_string, rational_to_string)
+from .scalars import (GR_I, GR_ONE, GaussRational, RAT_ZERO, Rational,
+                      rational_from_string, rational_to_string)
 
 Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 
@@ -28,65 +31,45 @@ Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 class AlgebraPresentation:
     """Real nilpotent Lie algebra with complex structure, exact data."""
 
-    __slots__ = ("dim", "brackets", "jmat", "jcols", "frame_rows", "name")
+    __slots__ = ("dim", "brackets", "jmat", "jcols", "structure",
+                 "frame_rows", "name")
 
     def __init__(self, dim, brackets, jmat, frame_rows=None, name="algebra"):
         self.dim = dim
+        # the rational input, as `presentation_to_dict` writes it out
         self.brackets = brackets  # {(i, j): {k: Rational}} with i < j, 1-based
         self.jmat = jmat  # rows: (J e_j)_i = jmat[i][j]
-        # the nonzero (i, (J e_j)_i) of each column j; nothing mutates jmat
-        self.jcols = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*jmat)]
+        # the same data compiled once into sparse vectors over Q(i), 0-based:
+        # jcols[j] = J e_(j+1), and structure[(a, b)] = [e_(a+1), e_(b+1)]
+        # in both orders for each nonzero bracket; nothing mutates them
+        self.jcols = [{i: GaussRational(c) for i, c in enumerate(col) if c}
+                      for col in zip(*jmat)]
+        self.structure = {}
+        for (i, j), out in brackets.items():
+            vec = {k - 1: GaussRational(c) for k, c in out.items() if c}
+            if vec:
+                self.structure[(i - 1, j - 1)] = vec
+                self.structure[(j - 1, i - 1)] = {k: -c for k, c in vec.items()}
         self.frame_rows = frame_rows  # optional preferred (1,0) basis vectors
         self.name = name
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Rational]:
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        out = self.brackets.get((j, i), {})
-        return {k: -c for k, c in out.items()}
 
     def bracket_vectors(self, u: Vector, w: Vector) -> Vector:
         """Bilinear extension of the structure constants over Q(i), expanded
         over the nonzero coordinates of u and w."""
-        coeffs: dict = {}
+        acc: Vector = {}
+        structure = self.structure
         for a, x in u.items():
             for b, y in w.items():
-                if a == b:
-                    continue
-                key = (a + 1, b + 1) if a < b else (b + 1, a + 1)
-                if key not in self.brackets:
-                    continue
-                f = coeffs.get(key, GR_ZERO)
-                coeffs[key] = f + x * y if a < b else f - x * y
-        acc: Vector = {}
-        for key, f in coeffs.items():
-            if f:
-                _add_scaled(acc, f, ((k - 1, c) for k, c in self.brackets[key].items()))
+                vec = structure.get((a, b))
+                if vec is not None:
+                    _axpy(acc, x * y, vec)
         return acc
 
     def j_apply(self, u: Vector) -> Vector:
-        acc: Vector = {}
-        for j, x in u.items():
-            _add_scaled(acc, x, self.jcols[j])
-        return acc
+        return combine(u, self.jcols)
 
     def basis_vector(self, i: int) -> Vector:
         return {i - 1: GR_ONE}
-
-
-def _add_scaled(acc: Vector, f: GaussRational, pairs) -> None:
-    """acc[k] += f * c in place for each (k, rational c), dropping the
-    entries that cancel."""
-    for k, c in pairs:
-        if not c:
-            continue
-        y = acc.get(k, GR_ZERO) + f.scale(c)
-        if y:
-            acc[k] = y
-        else:
-            del acc[k]
 
 
 @dataclass
@@ -149,13 +132,15 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
     triples = ((i, j, k) for i, j in combinations(range(1, n2 + 1), 2)
                for k in (range(j + 1, n2 + 1) if j in linked[i]
                          else sorted(c for c in linked[i] | linked[j] if c > j)))
+    structure = p.structure
     for i, j, k in triples:
-        jac: dict = {}
+        jac: Vector = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in p.bracket_basis(a, b).items():
-                for t, y in p.bracket_basis(m, c).items():
-                    jac[t] = jac.get(t, RAT_ZERO) + x * y
-        if any(jac.values()):
+            for m, x in structure.get((a - 1, b - 1), {}).items():
+                vec = structure.get((m, c - 1))
+                if vec is not None:
+                    _axpy(jac, x, vec)
+        if jac:
             rep.jacobi_ok = False
             rep.jacobi_failure = (i, j, k)
             rep.errors.append(f"jacobi identity fails on ({i},{j},{k})")
@@ -184,7 +169,7 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
                 # N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j]
                 #               - J([Je_i, e_j] + [e_i, Je_j])
                 lhs = p.bracket_vectors(jb[i - 1], jb[j - 1])
-                base = _basis_bracket(p, i, j)
+                base = structure.get((i - 1, j - 1), {})
                 if lhs != base:
                     abelian = False
                 mixed = combine(_PLUS, [p.bracket_vectors(jb[i - 1], basis[j - 1]),
@@ -210,8 +195,7 @@ def central_series(p: AlgebraPresentation) -> list[Subspace]:
     there are at most dim + 1 entries."""
     n2 = p.dim
     # ad[j][i] = [e_{i+1}, e_{j+1}], so [b, e_{j+1}] = combine(b, ad[j])
-    ad = [[_basis_bracket(p, i, j) for i in range(1, n2 + 1)]
-          for j in range(1, n2 + 1)]
+    ad = [[p.structure.get((i, j), {}) for i in range(n2)] for j in range(n2)]
     series = [Subspace.full(n2)]
     while True:
         prev = series[-1]
@@ -226,38 +210,30 @@ def central_series(p: AlgebraPresentation) -> list[Subspace]:
 def center_subspace(p: AlgebraPresentation) -> Subspace:
     """The kernel of x -> ([x, e_j])_j, one row per coordinate k of [x, e_j]."""
     rows: dict = {}
-    for i in range(1, p.dim + 1):
-        for j in range(1, p.dim + 1):
-            for k, x in _basis_bracket(p, i, j).items():
-                rows.setdefault((j, k), {})[i - 1] = x
+    for i in range(p.dim):
+        for j in range(p.dim):
+            for k, x in p.structure.get((i, j), {}).items():
+                rows.setdefault((j, k), {})[i] = x
     return Subspace(p.dim, kernel_basis(list(rows.values()), p.dim))
-
-
-def _basis_bracket(p: AlgebraPresentation, i: int, j: int) -> dict:
-    """[e_i, e_j] as a sparse vector over Q(i), indexed from 0."""
-    return {k - 1: GaussRational(c, RAT_ZERO)
-            for k, c in p.bracket_basis(i, j).items() if c}
 
 
 class ComplexFrame:
     """Diagonalizing frame for J with exact dual coframe and brackets."""
 
     __slots__ = (
-        "presentation", "n", "v_rows", "vbar_rows", "binv", "omega_rows",
-        "omegabar_rows", "bracket_vv", "bracket_vvbar", "abelian", "report",
+        "presentation", "n", "v_rows", "vbar_rows", "binv", "bracket_vv",
+        "bracket_vvbar", "abelian", "report",
     )
 
-    def __init__(self, presentation, n, v_rows, vbar_rows, binv, omega_rows,
-                 omegabar_rows, bracket_vv, bracket_vvbar, abelian, report):
+    def __init__(self, presentation, n, v_rows, vbar_rows, binv, bracket_vv,
+                 bracket_vvbar, abelian, report):
         self.presentation = presentation
         self.n = n
         self.v_rows = v_rows
         self.vbar_rows = vbar_rows
-        # rows of the inverse of the frame v_rows + vbar_rows; the coframe
-        # rows omega_rows + omegabar_rows are its columns
+        # rows of the inverse of the frame v_rows + vbar_rows; column a of
+        # it is the dual coframe omega_(a+1), and column n + a is omegabar_(a+1)
         self.binv = binv
-        self.omega_rows = omega_rows
-        self.omegabar_rows = omegabar_rows
         # sparse coefficients, indexed from 0, on the v and on the vbar frame
         # [v_i, v_j] has no vbar part for an integrable structure
         self.bracket_vv = bracket_vv      # {(i,j) i<j: v_coords}
@@ -304,10 +280,10 @@ def complex_frame(p: AlgebraPresentation,
                 raise ValidationError("preferred frame row is not a (1,0) vector")
     else:
         # the rows of J - i
-        shifted = [{j: GaussRational(c, RAT_ZERO) for j, c in enumerate(row) if c}
+        shifted = [{j: GaussRational(c) for j, c in enumerate(row) if c}
                    for row in p.jmat]
         for k in range(n2):
-            shifted[k][k] = shifted[k].get(k, GR_ZERO) - GR_I
+            _axpy(shifted[k], -GR_I, {k: GR_ONE})
         v_rows = kernel_basis(shifted, n2)
         if len(v_rows) != n:
             raise ValidationError("the +i eigenspace of J has wrong dimension")
@@ -317,14 +293,6 @@ def complex_frame(p: AlgebraPresentation,
         binv = invert(v_rows + vbar_rows)
     except Exception as exc:
         raise ValidationError("frame rows do not span the complexification") from exc
-    # dual coframe rows: omega_i(v_j) = delta, omega_i(vbar_j) = 0 and
-    # conversely; they are the columns of the inverse
-    w_all: list[Vector] = [{} for _ in range(n2)]
-    for a, row in enumerate(binv):
-        for k, x in row.items():
-            w_all[k][a] = x
-    omega_rows = w_all[:n]
-    omegabar_rows = w_all[n:]
 
     bracket_vv = {}
     abelian = True
@@ -346,8 +314,8 @@ def complex_frame(p: AlgebraPresentation,
             bracket_vvbar[(i, j)] = _coframe_coords(binv, n, u)
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
-    return ComplexFrame(p, n, v_rows, vbar_rows, binv, omega_rows,
-                        omegabar_rows, bracket_vv, bracket_vvbar, abelian, rep)
+    return ComplexFrame(p, n, v_rows, vbar_rows, binv, bracket_vv,
+                        bracket_vvbar, abelian, rep)
 
 
 @dataclass

@@ -1,21 +1,18 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-The whole engine runs over Q(i).  A Gaussian rational is held as three
-Python ints (a + b*i)/d in lowest terms, so every arithmetic step is a few
-integer operations and one gcd.  Real rationals, which appear at the
-boundary (parsing, structure constants, `.re` and `.im`), are stdlib
-Fractions unless gmpy2 is importable, in which case its mpq type (same
-semantics) is used transparently.
+The whole engine runs over Q(i), structure constants and J included.  A
+Gaussian rational is held as three Python ints (a + b*i)/d in lowest terms,
+so every arithmetic step is a few integer operations and one gcd.  Real
+rationals appear only at the boundary, as stdlib Fractions: parsed literals,
+the input structure constants and J before a presentation compiles them,
+and `.re` and `.im` for rendering.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 
-try:  # pragma: no cover - exercised implicitly by the whole suite
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover
-    Rational = Fraction
+Rational = Fraction
 
 RAT_ZERO = Rational(0)
 RAT_ONE = Rational(1)
@@ -47,8 +44,8 @@ class GaussRational:
 
     def __init__(self, re=RAT_ZERO, im=RAT_ZERO):
         # re and im in lowest terms over their lcm leave gcd(a, b, d) = 1
-        p, q = int(re.numerator), int(re.denominator)
-        r, s = int(im.numerator), int(im.denominator)
+        p, q = re.numerator, re.denominator
+        r, s = im.numerator, im.denominator
         d = lcm(q, s)
         self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
@@ -66,7 +63,7 @@ class GaussRational:
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussRational):
             return self.a == other.a and self.b == other.b and self.d == other.d
-        if isinstance(other, (int, Fraction)) or type(other) is type(RAT_ZERO):
+        if isinstance(other, (int, Fraction)):
             return (not self.b and self.a == other.numerator
                     and self.d == other.denominator)
         return NotImplemented
@@ -112,11 +109,6 @@ class GaussRational:
 
     def conjugate(self) -> "GaussRational":
         return _make(self.a, -self.b, self.d)
-
-    def scale(self, r) -> "GaussRational":
-        """self * r for a real rational (or int) r."""
-        n = int(r.numerator)
-        return _make(self.a * n, self.b * n, self.d * int(r.denominator))
 
     def __complex__(self) -> complex:
         return complex(self.a / self.d, self.b / self.d)

@@ -382,6 +382,29 @@ def test_cli_refuses_oversized_algebra(capsys, monkeypatch, argv):
                    "16777216 monomials\n")
 
 
+def test_cli_refuses_oversized_preset_before_building_it(capsys, monkeypatch):
+    # a preset above n = 128 is refused before its dense 2n x 2n J exists
+    import nilpoisson.catalog as catalog
+
+    def no_j(*args):
+        raise AssertionError("the preset's J was built")
+
+    monkeypatch.setattr(catalog, "_paired_j", no_j)
+    for family in ("tower", "torus"):
+        rc, out, err = run(capsys, "info", "--algebra", f"{family}:129")
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {family}(n) needs n <= 128, got 129\n"
+    rc, _, err = run(capsys, "validate", "--algebra", "tower:100000")
+    assert rc == 2 and "n <= 128" in err
+
+
+def test_catalog_loads_largest_preset():
+    p = catalog_load("tower:128")
+    assert p.dim == 256 and len(p.brackets) == 1 + 4 * 126
+    assert catalog_load("torus:128").dim == 256
+
+
 def test_cli_poisson_serves_any_n(capsys):
     # the size guard belongs to the bigraded complex, not to the d-bar cells
     rc, out, _ = run(capsys, "poisson", "--algebra", "tower:9", "--format",

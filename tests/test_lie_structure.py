@@ -106,11 +106,54 @@ def test_kodaira_shape():
 
 def test_bracket_basis_antisymmetry():
     p = tower(4)
-    for i in range(1, 9):
-        for j in range(1, 9):
-            fwd = p.bracket_basis(i, j)
-            bwd = p.bracket_basis(j, i)
+    for a in range(8):
+        for b in range(8):
+            fwd = p.structure.get((a, b), {})
+            bwd = p.structure.get((b, a), {})
             assert fwd == {k: -c for k, c in bwd.items()}
+    # the compiled table is the rational input, 0-based, in both orders
+    assert len(p.structure) == 2 * len(p.brackets)
+    for (i, j), out in p.brackets.items():
+        assert p.structure[(i - 1, j - 1)] == {
+            k - 1: GaussRational(c) for k, c in out.items()}
+
+
+def _expected_bracket(p, u, w):
+    """[u, w] expanded by hand from the rational brackets: the pair i < j
+    contributes (u_i w_j - u_j w_i) [e_i, e_j]."""
+    acc = [GR_ZERO] * p.dim
+    for (i, j), out in p.brackets.items():
+        f = (u.get(i - 1, GR_ZERO) * w.get(j - 1, GR_ZERO)
+             - u.get(j - 1, GR_ZERO) * w.get(i - 1, GR_ZERO))
+        for k, c in out.items():
+            acc[k - 1] = acc[k - 1] + f * GaussRational(c)
+    return {k: x for k, x in enumerate(acc) if x}
+
+
+def _expected_j(p, u):
+    """J u expanded by hand from the rational matrix jmat."""
+    acc = [GR_ZERO] * p.dim
+    for i, row in enumerate(p.jmat):
+        for j, c in enumerate(row):
+            acc[i] = acc[i] + GaussRational(c) * u.get(j, GR_ZERO)
+    return {k: x for k, x in enumerate(acc) if x}
+
+
+_COMPILED = [tower(4), kodaira(), conjugated(tower(3), random.Random(715))]
+
+_GAUSS = st.builds(lambda a, b, d: GaussRational(Rational(a, d), Rational(b, d)),
+                   st.integers(-3, 3), st.integers(-3, 3),
+                   st.integers(1, 4)).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compiled_brackets_and_j_match_rational_input(data):
+    p = data.draw(st.sampled_from(_COMPILED))
+    vec = st.dictionaries(st.integers(0, p.dim - 1), _GAUSS, max_size=4)
+    u, w = data.draw(vec), data.draw(vec)
+    assert p.bracket_vectors(u, w) == _expected_bracket(p, u, w)
+    assert p.j_apply(u) == _expected_j(p, u)
 
 
 def test_validate_detects_jacobi_failure():
@@ -176,16 +219,21 @@ def test_frame_dual_pairings():
     p = tower(4)
     fr = complex_frame(p)
     n = fr.n
+    # the coframe omega_1..omega_n, omegabar_1..omegabar_n: the columns of binv
+    coframe = [{k: row[a] for k, row in enumerate(fr.binv) if a in row}
+               for a in range(2 * n)]
+    omega, omegabar = coframe[:n], coframe[n:]
+
     def pair(w, v):
         return sum((w.get(k, GR_ZERO) * v.get(k, GR_ZERO) for k in range(p.dim)), GR_ZERO)
 
     for a in range(n):
         for b in range(n):
             want = GR_ONE if a == b else GR_ZERO
-            assert pair(fr.omega_rows[a], fr.v_rows[b]) == want
-            assert pair(fr.omegabar_rows[a], fr.vbar_rows[b]) == want
+            assert pair(omega[a], fr.v_rows[b]) == want
+            assert pair(omegabar[a], fr.vbar_rows[b]) == want
             # cross pairings vanish
-            assert pair(fr.omega_rows[a], fr.vbar_rows[b]) == GR_ZERO
+            assert pair(omega[a], fr.vbar_rows[b]) == GR_ZERO
 
 
 def test_frame_coords_round_trip():

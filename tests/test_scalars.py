@@ -105,11 +105,6 @@ def test_conjugate_properties():
         assert norm.re >= 0
 
 
-def test_scale_by_rational():
-    z = gauss(Rational(2, 3), Rational(-1, 5))
-    assert z.scale(Rational(3)) == gauss(2, Rational(-3, 5))
-
-
 def test_complex_cast():
     assert complex(gauss(Rational(1, 2), -1)) == 0.5 - 1j
 
@@ -127,7 +122,7 @@ def test_rational_string_rejects_garbage():
 
 
 def test_rational_string_accepts_exact_decimals():
-    # both rational backends parse decimal literals exactly
+    # Fraction parses decimal literals exactly
     assert rational_from_string("1.5") == Rational(3, 2)
 
 
@@ -220,9 +215,6 @@ class _RefGauss:
     def conjugate(self):
         return _RefGauss(self.re, -self.im)
 
-    def scale(self, r):
-        return _RefGauss(self.re * r, self.im * r)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -285,8 +277,6 @@ def test_arithmetic_matches_two_fraction_reference(p, q, r, s):
     _assert_matches(y * x, ry * rx)
     _assert_matches(-x, -rx)
     _assert_matches(x.conjugate(), rx.conjugate())
-    _assert_matches(x.scale(r), rx.scale(r))
-    _assert_matches(x.scale(r.numerator), rx.scale(r.numerator))
     if ry:
         _assert_matches(x / y, rx / ry)
     else:
