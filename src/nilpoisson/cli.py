@@ -203,7 +203,7 @@ def cmd_cohomology(args):
     rows = []
     csv_rows = [("p", "q", "dim")]
     for (p, q), cell in sorted(table.items()):
-        reps = [str(e) for e in cell.representatives()]
+        reps = cell.representative_texts()
         doc["cohomology"][f"{p},{q}"] = {"dim": cell.dim, "representatives": reps}
         rows.append([p, q, cell.dim, ", ".join(reps)])
         csv_rows.append((p, q, cell.dim))

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .errors import InternalInvariantError
 from .exact_linalg import _axpy
-from .scalars import GR_ONE, GaussRational
+from .scalars import GR_ONE, GaussRational, gauss_to_string
 
 _MINUS_ONE = -GR_ONE
 
@@ -84,16 +84,30 @@ def mask_mono(mask: int, n: int) -> Monomial:
     return tuple(out)
 
 
+class _GeneratorNames(dict):
+    """Generator code -> its name in text output, each formatted once."""
+
+    def __missing__(self, g: int) -> str:
+        name = self[g] = f"v{g}" if g < FORM_BASE else f"ow{g - FORM_BASE}"
+        return name
+
+
+_NAMES = _GeneratorNames()
+
+
 def mono_str(mono: Monomial) -> str:
     if not mono:
         return "1"
-    parts = []
-    for g in mono:
-        if g < FORM_BASE:
-            parts.append(f"v{g}")
-        else:
-            parts.append(f"ow{g - FORM_BASE}")
-    return "^".join(parts)
+    return "^".join([_NAMES[g] for g in mono])
+
+
+def terms_str(terms) -> str:
+    """The text of an element from its (monomial, coefficient) pairs, taken
+    in the order given, which must be monomial order; "0" when there are
+    none."""
+    text = " + ".join([f"({gauss_to_string(c)}) {mono_str(m)}"
+                       for m, c in terms])
+    return text or "0"
 
 
 class MixedElement:
@@ -170,13 +184,8 @@ class MixedElement:
         return pq
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            parts.append(f"({c!s}) {mono_str(m)}")
-        return " + ".join(parts)
+        # monomials are distinct, so the pairs sort by monomial alone
+        return terms_str(sorted(self.terms.items()))
 
     __repr__ = __str__
 

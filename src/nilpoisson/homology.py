@@ -26,7 +26,7 @@ from .errors import (InternalInvariantError, NotAbelianError, UsageError,
 from .exact_linalg import (ExactMatrix, Subspace, _axpy, combine, eliminate,
                            mat_mul, quotient_map)
 from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
-                       element_from_coords, mono_str)
+                       element_from_coords, mono_str, terms_str)
 from .lie_structure import AlgebraPresentation, complex_frame
 from .scalars import GR_ONE
 
@@ -133,6 +133,13 @@ class CohomologyCell:
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
+
+    def representative_texts(self) -> list[str]:
+        """`str` of each representative, written from its coordinates: the
+        basis of a cell is in monomial order, so index order is term order."""
+        basis = self.basis
+        return [terms_str([(basis[j], r[j]) for j in sorted(r)])
+                for r in self.reps]
 
     def class_coords(self, coords: dict) -> dict:
         if not self.cocycles.contains(coords):

@@ -194,12 +194,21 @@ def central_series(p: AlgebraPresentation) -> list[Subspace]:
     reaches zero or stalls; each step shrinks the dimension or stops, so
     there are at most dim + 1 entries."""
     n2 = p.dim
-    # ad[j][i] = [e_{i+1}, e_{j+1}], so [b, e_{j+1}] = combine(b, ad[j])
-    ad = [[p.structure.get((i, j), {}) for i in range(n2)] for j in range(n2)]
+    # right[i] lists (j, [e_(i+1), e_(j+1)]) over the nonzero brackets only
+    right: dict[int, list] = {}
+    for (i, j), vec in p.structure.items():
+        right.setdefault(i, []).append((j, vec))
     series = [Subspace.full(n2)]
     while True:
         prev = series[-1]
-        rows = [w for b in prev.rows for col in ad if (w := combine(b, col))]
+        rows = []
+        for b in prev.rows:
+            # [b, e_(j+1)] = sum_i b_i [e_(i+1), e_(j+1)], for each j in turn
+            images: dict[int, dict] = {}
+            for i, x in b.items():
+                for j, vec in right.get(i, ()):
+                    _axpy(images.setdefault(j, {}), x, vec)
+            rows.extend(w for _, w in sorted(images.items()) if w)
         nxt = Subspace.from_rows(n2, rows)
         series.append(nxt)
         if nxt.dim == 0 or nxt.dim == prev.dim:

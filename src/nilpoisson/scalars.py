@@ -5,7 +5,9 @@ Gaussian rational is held as three Python ints (a + b*i)/d in lowest terms,
 so every arithmetic step is a few integer operations and one gcd.  Real
 rationals appear only at the boundary, as stdlib Fractions: parsed literals,
 the input structure constants and J before a presentation compiles them,
-and `.re` and `.im` for rendering.
+and `.re` and `.im` for `repr`.  Rendering (`gauss_to_string`) reads the
+triple itself and builds no Fraction: each part over d is reduced by one gcd
+when d is not 1.
 """
 from __future__ import annotations
 
@@ -143,17 +145,30 @@ def gauss(re=0, im=0) -> GaussRational:
     return GaussRational(Rational(re), Rational(im))
 
 
+def _ratio_to_string(n: int, d: int) -> str:
+    """n/d for d > 0, written as `str(Fraction(n, d))` writes it."""
+    if d != 1:
+        g = gcd(n, d)
+        if g != 1:
+            n //= g
+            d //= g
+        if d != 1:
+            return f"{n}/{d}"
+    return str(n)
+
+
 def gauss_to_string(z: GaussRational) -> str:
-    """The coefficient grammar of `lambda_parser`, which reads it back."""
-    re, im = z.re, z.im
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
+    """The coefficient grammar of `lambda_parser`, which reads it back,
+    written from the triple: each nonzero part reduced over d by itself."""
+    a, b, d = z.a, z.b, z.d
+    if not b:
+        return _ratio_to_string(a, d)
+    if not a:
+        if b == d:
             return "i"
-        if im == -1:
+        if b == -d:
             return "-i"
-        return f"{im}i"
-    sign = "+" if im > 0 else "-"
-    mag = im if im > 0 else -im
-    return f"({re}{sign}{mag}i)"
+        return f"{_ratio_to_string(b, d)}i"
+    if b > 0:
+        return f"({_ratio_to_string(a, d)}+{_ratio_to_string(b, d)}i)"
+    return f"({_ratio_to_string(a, d)}-{_ratio_to_string(-b, d)}i)"

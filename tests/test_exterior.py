@@ -14,6 +14,7 @@ from nilpoisson.exterior import (
     graded_monomials,
     mono_bidegree,
     mono_str,
+    terms_str,
     vec_gen,
     wedge,
     wedge_mono,
@@ -105,6 +106,14 @@ def test_mono_bidegree_and_str():
     assert mono_str(()) == "1"
 
 
+def test_element_str_pinned():
+    e = MixedElement.term((vec_gen(2), form_gen(1)), gauss(Rational(1, 4), Rational(1, 2)))
+    e = e + MixedElement.term((vec_gen(1), form_gen(3)), gauss(-2))
+    assert str(e) == "(-2) v1^ow3 + ((1/4+1/2i)) v2^ow1"
+    assert str(MixedElement.zero()) == "0"
+    assert terms_str([]) == "0"
+
+
 def test_bidegree_split_pinned():
     e = MixedElement.term((vec_gen(1),), GR_ONE) + MixedElement.term(
         (vec_gen(2), form_gen(1)), gauss(3)
@@ -156,3 +165,12 @@ def test_element_coords_rejects_foreign_monomial():
     stray = MixedElement.term((vec_gen(1), vec_gen(2)), GR_ONE)
     with pytest.raises(InternalInvariantError):
         element_entries(stray, index)
+
+
+def test_cell_monomials_sorted():
+    # rendering a cell's coordinates in index order relies on this
+    for n in range(1, 9):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                cell = cell_monomials(n, p, q)
+                assert cell == sorted(cell), (n, p, q)

@@ -183,6 +183,25 @@ def test_e2_ranks_match_cell_reference_in_random_frames(n, seed, coeffs):
         induced_map_e2_reference(bc)
 
 
+@pytest.mark.parametrize("name", ["kodaira", "tower:3", "tower:4", "tower:5",
+                                  "torus:3"])
+def test_representative_texts_match_elements_on_catalog(name):
+    _assert_texts_match(CalculusContext(catalog_load(name)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32))
+def test_representative_texts_match_elements_in_random_frames(n, seed):
+    # dense frames give multi-term representatives with non-real coefficients
+    _assert_texts_match(CalculusContext(conjugated(tower(n), random.Random(seed))))
+
+
+def _assert_texts_match(ctx):
+    for cell in dolbeault_table(BigradedComplex(ctx)).values():
+        assert cell.representative_texts() == [
+            str(e) for e in cell.representatives()]
+
+
 def test_page_dims_against_brute_force(tower4_ctx, tower4_pi, tower4_bc):
     # every page r = 1..n+1, so pairs of every filtration length are covered
     result = spectral_pages(tower4_bc)

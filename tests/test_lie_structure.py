@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import UsageError, ValidationError
-from nilpoisson.exact_linalg import ExactMatrix, Subspace, kernel_basis, mat_mul
+from nilpoisson.exact_linalg import (ExactMatrix, Subspace, combine, kernel_basis,
+                                    mat_mul)
 from nilpoisson.lie_structure import (
     AlgebraPresentation,
     center_subspace,
@@ -306,6 +307,41 @@ def _dense_central_series(p):
         series.append(Subspace.from_rows(p.dim, [w for w in rows if w]))
         if series[-1].dim in (0, prev.dim):
             return series
+
+
+def _all_pairs_central_series(p):
+    """The series with [b, e_j] = combine(b, ad[j]) formed for every basis
+    row b and every one of the dim basis vectors e_j, brackets or not."""
+    d = p.dim
+    ad = [[p.structure.get((i, j), {}) for i in range(d)] for j in range(d)]
+    series = [Subspace.full(d)]
+    while True:
+        prev = series[-1]
+        rows = [w for b in prev.rows for col in ad if (w := combine(b, col))]
+        series.append(Subspace.from_rows(d, rows))
+        if series[-1].dim in (0, prev.dim):
+            return series
+
+
+def _assert_same_series(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.rows == b.rows and a.pivots == b.pivots
+
+
+@pytest.mark.parametrize("name", ["kodaira"] + [f"tower:{n}" for n in range(2, 9)]
+                         + [f"torus:{n}" for n in range(1, 5)] + ["tower:16"])
+def test_central_series_matches_all_pairs_on_catalog(name):
+    p = catalog_load(name)
+    _assert_same_series(central_series(p), _all_pairs_central_series(p))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([kodaira(), tower(3), tower(4), tower(5), torus(2)]),
+       st.integers(0, 2 ** 32))
+def test_central_series_matches_all_pairs_in_random_frames(p, seed):
+    q = conjugated(p, random.Random(seed))
+    _assert_same_series(central_series(q), _all_pairs_central_series(q))
 
 
 def _dense_center(p):

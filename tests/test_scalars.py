@@ -154,6 +154,10 @@ def test_gauss_string_pinned_forms():
     assert gauss_to_string(gauss(0, 1)) == "i"
     assert gauss_to_string(gauss(0, -1)) == "-i"
     assert gauss_to_string(gauss(Rational(-2, 3))) == "-2/3"
+    # the triple holds each over the lcm of both parts: each part reduces
+    assert gauss_to_string(gauss(Rational(1, 4), Rational(1, 2))) == "(1/4+1/2i)"
+    assert gauss_to_string(gauss(Rational(-10**12 + 1, 6), Rational(1, 3))) \
+        == "(-333333333333/2+1/3i)"
     assert read_back("-5/4i") == gauss(0, Rational(-5, 4))
 
 
@@ -266,6 +270,10 @@ def _assert_matches(z, ref):
 @example(Fraction(5), Fraction(0), Fraction(-7, 10**12), Fraction(0))
 @example(Fraction(1, 6), Fraction(0), Fraction(1, 3), Fraction(0))
 @example(Fraction(0), Fraction(3, 4), Fraction(0), Fraction(-3, 4))
+# parts that reduce over d on their own: (1 + 2i)/4, and -3i/8
+@example(Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(-3, 8))
+# a large negative numerator beside a small imaginary part, and i/3
+@example(Fraction(-10**12 + 1, 6), Fraction(5, 4), Fraction(0), Fraction(1, 3))
 def test_arithmetic_matches_two_fraction_reference(p, q, r, s):
     x, y = GaussRational(p, q), GaussRational(r, s)
     rx, ry = _RefGauss(p, q), _RefGauss(r, s)
