@@ -116,9 +116,11 @@ def derivation_table(images: dict[int, MixedElement], n: int) -> list[tuple]:
     return table
 
 
-def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
-    """Add coeff * D(src) into the sparse terms out, keyed by mask, D the
-    derivation with this compiled table.
+def _leibniz(table: list[tuple], src: int, coeff, out: dict,
+             index: dict | None = None) -> None:
+    """Add coeff * D(src) into the sparse terms out, D the derivation with
+    this compiled table, keyed by mask, or by index[mask] when an index is
+    given (a mask outside it raises its KeyError).
 
     With R = src without g_t, moving I to the front turns the graded term of
     an image monomial I into (-1)^(t-1) I ^ R, and I ^ R is canonical up to
@@ -138,6 +140,8 @@ def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
             if coeff is not None:
                 c = coeff * c
             m = mask | rest
+            if index is not None:
+                m = index[m]
             # inline, not `_axpy`: this is the hot loop of matrix assembly
             s = out.get(m)
             if s is None:
@@ -175,14 +179,14 @@ def derivation_matrix(table: list[tuple], n: int, source_masks,
     target_index = {m: i for i, m in enumerate(target_masks)}
     cols = []
     for src in source_masks:
-        out: dict = {}
-        _leibniz(table, src, None, out)
+        col: dict = {}
         try:
-            cols.append({target_index[m]: c for m, c in out.items()})
+            _leibniz(table, src, None, col, target_index)
         except KeyError as exc:
             raise InternalInvariantError(
                 f"{where}: monomial {mono_str(mask_mono(exc.args[0], n))} "
                 "outside basis") from None
+        cols.append(col)
     return ExactMatrix(cols, len(target_index))
 
 

@@ -18,7 +18,7 @@ from .errors import (InternalInvariantError, NilpoissonError, UsageError,
                      ValidationError)
 from .exact_linalg import LinalgError
 from .exterior import MixedElement
-from .homology import (BigradedComplex, d_bicomplex_crosscheck,
+from .homology import (BigradedComplex, _check_size, d_bicomplex_crosscheck,
                        degeneration_verdict, dolbeault_column, dolbeault_table)
 from .lambda_parser import expr_from_element, parse_lambda
 from .lie_structure import validate
@@ -188,6 +188,7 @@ def cmd_info(args):
 
 def cmd_cohomology(args):
     presentation = _load_presentation(args)
+    _check_size(presentation.dim // 2)
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
     if args.coef is None:
@@ -197,19 +198,24 @@ def cmd_cohomology(args):
     else:
         raise UsageError(f"--coef must be within 0..{ctx.n}")
     elapsed = time.perf_counter() - t0
-    doc = _blank_report(presentation, ctx.frame.report)
-    doc["cohomology"] = {}
-    doc["timings"]["compute"] = round(elapsed, 6)
-    rows = []
-    csv_rows = [("p", "q", "dim")]
-    for (p, q), cell in sorted(table.items()):
-        reps = cell.representative_texts()
-        doc["cohomology"][f"{p},{q}"] = {"dim": cell.dim, "representatives": reps}
-        rows.append([p, q, cell.dim, ", ".join(reps)])
-        csv_rows.append((p, q, cell.dim))
+    cells = sorted(table.items())
+    # build only what the format prints
+    if args.fmt == "csv":
+        return None, None, [("p", "q", "dim")] + [
+            (p, q, cell.dim) for (p, q), cell in cells], 0
+    reps = [cell.representative_texts() for _, cell in cells]
+    if args.fmt == "json":
+        doc = _blank_report(presentation, ctx.frame.report)
+        doc["timings"]["compute"] = round(elapsed, 6)
+        doc["cohomology"] = {
+            f"{p},{q}": {"dim": cell.dim, "representatives": texts}
+            for ((p, q), cell), texts in zip(cells, reps)}
+        return doc, None, None, 0
+    rows = [[p, q, cell.dim, ", ".join(texts)]
+            for ((p, q), cell), texts in zip(cells, reps)]
     text = (f"algebra: {presentation.name}\n"
             + _render_rows(["p", "q", "dim", "representatives"], rows))
-    return doc, text, csv_rows, 0
+    return None, text, None, 0
 
 
 def cmd_poisson(args):
@@ -260,6 +266,7 @@ def _spectral_common(args):
     if args.pages is not None and args.pages < 1:
         raise UsageError("--pages must be at least 1")
     presentation = _load_presentation(args)
+    _check_size(presentation.dim // 2)
     timings = {}
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
@@ -329,6 +336,7 @@ def cmd_degeneration(args):
 
 def cmd_crosscheck(args):
     presentation = _load_presentation(args)
+    _check_size(presentation.dim // 2)
     t0 = time.perf_counter()
     ctx = CalculusContext(presentation)
     ell = args.coef if args.coef is not None else 1

@@ -3,9 +3,13 @@
 A vector is a dict {index: GaussRational} that stores only nonzero entries,
 and it is the only vector format: every function here takes and returns
 such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
-`Subspace` holds its canonical basis as sparse rows.  Every elimination runs
-through `eliminate` (forward reduction, wrapped by `rref` into the reduced
-row echelon form) and every linear combination through `_axpy`, here and
+`Subspace` holds its canonical basis as sparse rows.  Row spaces and ranks
+come from `eliminate` (forward reduction; `rref` adds `back_substitute`).
+Every kernel comes from `reduce_columns`, one reduction of the columns that
+tracks their combinations: it yields the RREF kernel with no back
+substitution, and the image as echelon columns, so one reduction of a
+differential gives both the cocycles of its source and the boundaries of
+its target.  Every linear combination goes through `_axpy`, here and
 in the rest of the package (brackets, J, the Jacobi sum, exterior sums and
 products, the bivector parser); only the derivation walk
 `calculus._leibniz` keeps its own accumulate.  Real and
@@ -81,17 +85,12 @@ def eliminate(rows: list[dict]) -> tuple[dict, list]:
     return kept, leads
 
 
-def rref(rows: list[dict]):
-    """Reduced row echelon form of the rows.
-
-    Returns (reduced nonzero rows, pivot column list).  Pivots are monic with
-    zeros above and below, so the output is the canonical basis of the row
-    space.  The reduction reads only the stored entries.
-    """
-    kept, _ = eliminate(rows)
+def back_substitute(kept: dict) -> tuple[list[dict], list]:
+    """The reduced rows, and their pivots, of monic echelon rows keyed by
+    leading index: each row is cleared in place at the other pivots."""
     pivots = sorted(kept)
-    # back substitution, last pivot first: the rows used are already reduced,
-    # so they have no entry at any other pivot column
+    # last pivot first: the rows used are already reduced, so they have no
+    # entry at any other pivot column
     for c in reversed(pivots):
         row = kept[c]
         for j in [j for j in row if j != c and j in kept]:
@@ -99,27 +98,63 @@ def rref(rows: list[dict]):
     return [kept[c] for c in pivots], pivots
 
 
+def rref(rows: list[dict]):
+    """Reduced row echelon form of the rows.
+
+    Returns (reduced nonzero rows, pivot column list).  Pivots are monic with
+    zeros above and below, so the output is the canonical basis of the row
+    space.  The reduction reads only the stored entries.
+    """
+    return back_substitute(eliminate(rows)[0])
+
+
 def rank(rows: list[dict]) -> int:
     """The number of rows forward elimination keeps."""
     return len(eliminate(rows)[0])
 
 
+def reduce_columns(cols: list[dict]) -> tuple[list[dict], dict]:
+    """The canonical (RREF) kernel basis of the matrix with these columns,
+    and {leading row: kept column}, monic and echelon, for `back_substitute`
+    to turn into the image's RREF, from one reduction.
+
+    The columns are taken last first, each reduced at its leading row by the
+    kept columns after it while its combination of the input columns is
+    tracked.  A column j that vanishes leaves a kernel vector that is 1 at j
+    and otherwise nonzero only at kept columns, so at no other vanishing
+    column: these vectors, by j ascending, are already the RREF basis."""
+    kept: dict[int, dict] = {}
+    combos: dict[int, dict] = {}
+    kernel = []
+    for j in range(len(cols) - 1, -1, -1):
+        v, combo = dict(cols[j]), {j: GR_ONE}
+        while v:
+            lead = min(v)
+            row = kept.get(lead)
+            if row is None:
+                break
+            f = -v[lead]
+            _axpy(v, f, row)
+            _axpy(combo, f, combos[lead])
+        if not v:
+            kernel.append(combo)
+            continue
+        f = v[lead]
+        if f != 1:
+            v = {i: x / f for i, x in v.items()}
+            combo = {i: x / f for i, x in combo.items()}
+        kept[lead], combos[lead] = v, combo
+    kernel.reverse()
+    return kernel, kept
+
+
 def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
-    """Canonical (RREF) basis of {x : M x = 0} for M given by rows, from one
-    elimination with the columns taken in reverse order: the kernel vector
-    of a free column then has its leading entry there and its others at
-    pivot columns only, so the vectors sorted by free column are already the
-    reduced row echelon basis."""
-    last = ncols - 1
-    red, pivots = rref([{last - j: x for j, x in r.items()} for r in rows])
-    pivot_set = set(pivots)
-    vecs = {last - c: {last - c: GR_ONE}
-            for c in range(ncols) if c not in pivot_set}
-    for row, pc in zip(red, pivots):
-        for c, x in row.items():
-            if c != pc:
-                vecs[last - c][last - pc] = -x
-    return [vecs[f] for f in sorted(vecs)]
+    """Canonical (RREF) basis of {x : M x = 0} for M given by rows."""
+    cols: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return reduce_columns(cols)[0]
 
 
 def mat_mul(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
@@ -155,11 +190,7 @@ class ExactMatrix:
         return rank(self.cols)
 
     def kernel(self) -> list[dict]:
-        rows: dict[int, dict] = {}
-        for j, col in enumerate(self.cols):
-            for i, x in col.items():
-                rows.setdefault(i, {})[j] = x
-        return kernel_basis(list(rows.values()), self.ncols)
+        return reduce_columns(self.cols)[0]
 
     def apply(self, vec: dict) -> dict:
         return combine(vec, self.cols)

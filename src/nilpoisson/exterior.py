@@ -155,11 +155,6 @@ class MixedElement:
     def __neg__(self) -> "MixedElement":
         return MixedElement({m: -c for m, c in self.terms.items()})
 
-    def scale(self, z: GaussRational) -> "MixedElement":
-        if not z:
-            return MixedElement()
-        return MixedElement({m: c * z for m, c in self.terms.items()})
-
     def wedge(self, other: "MixedElement") -> "MixedElement":
         out: dict = {}
         for ma, ca in self.terms.items():

@@ -23,8 +23,9 @@ from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, Subspace, _axpy, combine, eliminate,
-                           mat_mul, quotient_map)
+from .exact_linalg import (ExactMatrix, LinalgError, Subspace, _axpy,
+                           back_substitute, combine, eliminate, mat_mul,
+                           quotient_map, reduce_columns)
 from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
                        element_from_coords, mono_str, terms_str)
 from .lie_structure import AlgebraPresentation, complex_frame
@@ -129,7 +130,12 @@ class CohomologyCell:
     boundaries: Subspace
     dim: int
     reps: list
-    proj: ExactMatrix  # dim x len(basis): a cocycle to its class coordinates
+
+    @cached_property
+    def proj(self) -> ExactMatrix:
+        """dim x len(basis): a cocycle to its class coordinates."""
+        # containment is the verified square-zero identity
+        return quotient_map(self.boundaries, self.cocycles, check=False)[2]
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
@@ -147,33 +153,44 @@ class CohomologyCell:
         return self.proj.apply(coords)
 
 
-def _cohomology(basis: list, d_out: ExactMatrix | None,
-                d_in: ExactMatrix | None) -> CohomologyCell:
-    """ker d_out / im d_in on the cochains with this basis; a missing map is
-    zero."""
-    dim_cell = len(basis)
-    if d_out is None:
-        cocycles = Subspace.full(dim_cell)
-    else:
-        cocycles = Subspace(dim_cell, d_out.kernel())
-    if d_in is None:
-        boundaries = Subspace.zero(dim_cell)
-    else:
-        boundaries = Subspace.from_rows(dim_cell, d_in.cols)
-    # containment is the verified square-zero identity
-    dim, reps, proj = quotient_map(boundaries, cocycles, check=False)
-    return CohomologyCell(basis, cocycles, boundaries, dim, reps, proj)
+def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
+    """The cohomology of each degree of a cochain complex given as the
+    (basis, map out of it, None for zero) of each degree.  One reduction of
+    a map gives the cocycles of its source and the boundaries of its target;
+    the representatives are the cocycle rows at no boundary pivot."""
+    out, image = [], None
+    for basis, d in cells:
+        boundaries = image if image is not None else Subspace.zero(len(basis))
+        if d is None:
+            cocycles, image = Subspace.full(len(basis)), None
+        else:
+            kernel, kept = reduce_columns(d.cols)
+            cocycles = Subspace(len(basis), kernel)
+            image = Subspace(d.nrows, *back_substitute(kept))
+        if not boundaries._at.keys() <= cocycles._at.keys():
+            raise LinalgError("boundary pivots escape the cocycles")
+        reps = [row for row, pc in zip(cocycles.rows, cocycles.pivots)
+                if pc not in boundaries._at]
+        out.append(CohomologyCell(basis, cocycles, boundaries, len(reps), reps))
+    return out
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
-    return _cohomology(bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)),
-                       bc.dbar_mat.get((p, q - 1)))
+    return _cohomology(
+        [(bc.basis.get((p, q - 1), []), bc.dbar_mat.get((p, q - 1))),
+         (bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)))])[1]
 
 
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
-    return {(p, q): dolbeault_cohomology(bc, p, q)
-            for p in range(bc.n + 1) for q in range(bc.n + 1)}
+    """Every cell, column by column, one reduction of each dbar matrix."""
+    n, table = bc.n, {}
+    for p in range(n + 1):
+        column = [(bc.basis[(p, q)], bc.dbar_mat.get((p, q)))
+                  for q in range(n + 1)]
+        table.update(((p, q), cell)
+                     for q, cell in enumerate(_cohomology(column)))
+    return table
 
 
 def _dbar_column(table: list[tuple], n: int, ell: int) -> list[tuple]:
@@ -190,9 +207,8 @@ def dolbeault_column(ctx: CalculusContext,
                      ell: int) -> dict[tuple[int, int], CohomologyCell]:
     """The cells (ell, q) of `dolbeault_table`, from column ell alone."""
     _check_size(ctx.n)
-    column = _dbar_column(ctx.dbar_table, ctx.n, ell)
-    return {(ell, q): _cohomology(basis, d, column[q - 1][1] if q else None)
-            for q, (basis, d) in enumerate(column)}
+    column = _cohomology(_dbar_column(ctx.dbar_table, ctx.n, ell))
+    return {(ell, q): cell for q, cell in enumerate(column)}
 
 
 def _column_dims(bc: BigradedComplex, ranks: dict) -> dict[tuple[int, int], int]:
@@ -263,7 +279,9 @@ class TotalComplex:
 
 def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
     """H^k of (K, dbar + ad_lam); zero outside 0..2n."""
-    return _cohomology(tc.bases.get(k, []), tc.dmat.get(k), tc.dmat.get(k - 1))
+    return _cohomology(
+        [(tc.bases.get(k - 1, []), tc.dmat.get(k - 1)),
+         (tc.bases.get(k, []), tc.dmat.get(k))])[1]
 
 
 def poisson_betti(tc: TotalComplex) -> dict[int, int]:

@@ -26,6 +26,7 @@ from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.lie_structure import AlgebraPresentation, validate
 from nilpoisson.poisson import holomorphic_bivector_space
 from nilpoisson.scalars import GR_ONE, GR_ZERO, GaussRational, Rational, gauss
+from test_exterior import scaled
 from test_lie_structure import conjugated
 
 
@@ -169,7 +170,7 @@ def test_dbar_odd_leibniz_random():
             b = rand_mixed(rng, ctx.n)
             lhs = dbar(ctx, wedge(a, b))
             sign = gauss((-1) ** ka)
-            rhs = wedge(dbar(ctx, a), b) + wedge(a, dbar(ctx, b)).scale(sign)
+            rhs = wedge(dbar(ctx, a), b) + scaled(wedge(a, dbar(ctx, b)), sign)
             assert lhs == rhs
 
 
@@ -216,7 +217,8 @@ def test_schouten_graded_antisymmetry_random():
             a = rand_homogeneous(rng, ctx.n, ka)
             b = rand_homogeneous(rng, ctx.n, kb)
             lhs = schouten(ctx, a, b)
-            rhs = schouten(ctx, b, a).scale(gauss(-((-1) ** ((ka - 1) * (kb - 1)))))
+            rhs = scaled(schouten(ctx, b, a),
+                         gauss(-((-1) ** ((ka - 1) * (kb - 1)))))
             assert lhs == rhs
 
 
@@ -229,8 +231,8 @@ def test_ad_is_odd_derivation():
         a = rand_homogeneous(rng, 4, ka)
         b = rand_mixed(rng, 4)
         lhs = schouten(ctx, pi, wedge(a, b))
-        rhs = wedge(schouten(ctx, pi, a), b) + wedge(
-            a, schouten(ctx, pi, b)).scale(gauss((-1) ** ka))
+        rhs = wedge(schouten(ctx, pi, a), b) + scaled(
+            wedge(a, schouten(ctx, pi, b)), gauss((-1) ** ka))
         assert lhs == rhs
 
 
@@ -265,7 +267,7 @@ def schouten_reference(ctx, a, b):
                 for j, y in enumerate(mb):
                     rest_b = MixedElement.term(mb[:j] + mb[j + 1:], GR_ONE)
                     c = ca * cb if (i + j) % 2 == 0 else -(ca * cb)
-                    out = out + generator_bracket(ctx, x, y).scale(c).wedge(
+                    out = out + scaled(generator_bracket(ctx, x, y), c).wedge(
                         rest_a).wedge(rest_b)
     return out
 

@@ -382,6 +382,52 @@ def test_cli_refuses_oversized_algebra(capsys, monkeypatch, argv):
                    "16777216 monomials\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "tower:128"),
+    ("spectral", "--algebra", "tower:128", "--theorem2"),
+    ("degeneration", "--algebra", "tower:128"),
+    ("crosscheck", "--algebra", "tower:128"),
+], ids=["cohomology", "spectral", "degeneration", "crosscheck"])
+def test_cli_refuses_oversized_algebra_before_its_context(capsys, monkeypatch,
+                                                          argv):
+    import nilpoisson.cli as cli
+
+    def no_context(*args):
+        raise AssertionError("a calculus context was built")
+
+    monkeypatch.setattr(cli, "CalculusContext", no_context)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: complex dimension n = 128 is above the "
+                          "supported maximum 8")
+
+
+def test_cli_invalid_and_oversized_presentation_exits_2(capsys, tmp_path):
+    # the size is read off the presentation before it is validated
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 20, "brackets": [], "J": [
+        ["0"] * 20 for _ in range(20)]}))
+    rc, _, err = run(capsys, "cohomology", "--file", str(path))
+    assert rc == 2 and "n = 10" in err
+    rc, _, err = run(capsys, "validate", "--file", str(path))
+    assert rc == 1
+
+
+def test_cli_cohomology_csv_renders_no_representatives(capsys, monkeypatch):
+    import nilpoisson.homology as homology
+
+    def no_texts(self):
+        raise AssertionError("representatives were rendered")
+
+    monkeypatch.setattr(homology.CohomologyCell, "representative_texts",
+                        no_texts)
+    rc, out, _ = run(capsys, "cohomology", "--algebra", "tower:3",
+                     "--format", "csv")
+    assert rc == 0
+    assert out.splitlines()[0] == "p,q,dim" and len(out.splitlines()) == 17
+
+
 def test_cli_refuses_oversized_preset_before_building_it(capsys, monkeypatch):
     # a preset above n = 128 is refused before its dense 2n x 2n J exists
     import nilpoisson.catalog as catalog

@@ -9,11 +9,13 @@ from nilpoisson.exact_linalg import (
     ExactMatrix,
     LinalgError,
     Subspace,
+    back_substitute,
     invert,
     kernel_basis,
     mat_mul,
     quotient_map,
     rank,
+    reduce_columns,
     rref,
 )
 from nilpoisson.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Rational
@@ -305,3 +307,77 @@ def test_zero_dimensional_edges():
     assert f.dim == 3
     qdim, reps, proj = quotient_map(s, f)
     assert qdim == 3
+
+
+# -- the column reduction behind every kernel and Dolbeault image -----------
+
+_GAUSS = st.builds(lambda a, b, d: GaussRational(Rational(a, d), Rational(b, d)),
+                   st.integers(-3, 3), st.sampled_from([0, 0, 1, -2]),
+                   st.integers(1, 3)).filter(bool)
+
+
+@st.composite
+def _sparse_columns(draw):
+    """(nrows, sparse Q(i) columns), with zero, repeated and scaled columns."""
+    nrows = draw(st.integers(0, 6))
+    cols = draw(st.lists(st.dictionaries(st.integers(0, max(nrows - 1, 0)),
+                                         _GAUSS, max_size=nrows)
+                         if nrows else st.just({}), max_size=7))
+    for _ in range(draw(st.integers(0, 2))):
+        if cols:
+            src = draw(st.sampled_from(cols))
+            f = draw(st.sampled_from([GR_ONE, GR_I, -GR_ONE]))
+            cols.insert(draw(st.integers(0, len(cols))),
+                        {i: f * x for i, x in src.items()})
+    if cols and draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), {})
+    return nrows, cols
+
+
+def reversed_rref_kernel(cols):
+    """The kernel as computed before the column reduction: the RREF of the
+    rows with the column order reversed, whose free columns lead."""
+    ncols, last = len(cols), len(cols) - 1
+    rows: dict[int, dict] = {}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows.setdefault(i, {})[last - j] = x
+    red, pivots = rref(list(rows.values()))
+    vecs = {last - c: {last - c: GR_ONE}
+            for c in range(ncols) if c not in set(pivots)}
+    for row, pc in zip(red, pivots):
+        for c, x in row.items():
+            if c != pc:
+                vecs[last - c][last - pc] = -x
+    return [vecs[f] for f in sorted(vecs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_columns())
+def test_reduce_columns_kernel_and_image(case):
+    nrows, cols = case
+    kernel, kept = reduce_columns(cols)
+    m = ExactMatrix(cols, nrows)
+    pivots = [min(k) for k in kernel]
+    # RREF: pivots ascending, monic, and zero at every other pivot
+    assert pivots == sorted(set(pivots))
+    for k, pc in zip(kernel, pivots):
+        assert k[pc] == GR_ONE
+        assert all(o not in k for o in pivots if o != pc)
+        assert m.apply(k) == {}
+    assert len(kernel) == len(cols) - rank(cols)
+    assert back_substitute(kept) == rref(cols)
+    rows = [{j: col[i] for j, col in enumerate(cols) if i in col}
+            for i in range(nrows)]
+    assert len(cols) - len(kernel) == float_rank(rows, len(cols))
+    assert kernel == reversed_rref_kernel(cols)
+    assert m.kernel() == kernel_basis(rows, len(cols)) == kernel
+
+
+def test_reduce_columns_pinned():
+    # columns c0 = e0, c1 = i e0, c2 = 0, c3 = e0 + e1: the kernel is
+    # spanned by c0 + i c1 and by c2, and the image is everything
+    cols = [{0: GR_ONE}, {0: GR_I}, {}, {0: GR_ONE, 1: GR_ONE}]
+    kernel, kept = reduce_columns(cols)
+    assert kernel == [{0: GR_ONE, 1: GR_I}, {2: GR_ONE}]
+    assert back_substitute(kept) == ([{0: GR_ONE}, {1: GR_ONE}], [0, 1])

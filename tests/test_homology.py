@@ -36,6 +36,7 @@ from nilpoisson.homology import (
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import holomorphic_bivector_space, theorem2_lambda
 from nilpoisson.scalars import GR_ONE, gauss
+from test_exterior import scaled
 from test_lie_structure import conjugated
 
 TOWER4_E2 = {
@@ -177,7 +178,7 @@ def test_e2_ranks_match_cell_reference_in_random_frames(n, seed, coeffs):
     ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
     lam = MixedElement()
     for cand, c in zip(holomorphic_bivector_space(ctx).candidates, coeffs):
-        lam = lam + cand.bivector.scale(c)
+        lam = lam + scaled(cand.bivector, c)
     bc = BigradedComplex(ctx, lam)
     assert e2_dims_via_induced_map(bc, dbar_ranks(bc)) == \
         induced_map_e2_reference(bc)
@@ -604,3 +605,45 @@ def test_verdict_builds_no_cohomology_cell(monkeypatch, algebra, lam, verdict):
     built = _count_cells(monkeypatch)
     assert degeneration_verdict(bc).verdict == verdict
     assert built == []
+
+
+# -- one reduction per dbar matrix ------------------------------------------
+
+def _assert_table_matches_rank_count(bc):
+    # |cell| - rk dbar(p,q) - rk dbar(p,q-1), from ranks alone
+    want = homology._column_dims(bc, dbar_ranks(bc))
+    table = dolbeault_table(bc)
+    assert {pq: cell.dim for pq, cell in table.items()} == want
+    for pq, cell in table.items():
+        assert cell.dim == cell.cocycles.dim - cell.boundaries.dim == len(cell.reps)
+
+
+@pytest.mark.parametrize("name", ["kodaira", "tower:3", "tower:4", "tower:5",
+                                  "tower:6", "torus:3", "torus:4", "torus:5"])
+def test_dolbeault_table_dims_match_rank_count(name):
+    _assert_table_matches_rank_count(
+        BigradedComplex(CalculusContext(catalog_load(name))))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32))
+def test_dolbeault_table_dims_match_rank_count_in_random_frames(n, seed):
+    _assert_table_matches_rank_count(BigradedComplex(
+        CalculusContext(conjugated(tower(n), random.Random(seed)))))
+
+
+def test_dolbeault_table_builds_projections_on_request(tower4_bc, monkeypatch):
+    calls = []
+    real = homology.quotient_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "quotient_map", counted)
+    table = dolbeault_table(tower4_bc)
+    assert calls == []
+    cell = table[(1, 1)]
+    proj = cell.proj
+    assert len(calls) == 1 and cell.proj is proj
+    assert (proj.nrows, proj.ncols) == (cell.dim, len(cell.basis))

@@ -13,6 +13,7 @@ from nilpoisson.poisson import (
 from nilpoisson.scalars import GR_I, GR_ONE, Rational, gauss
 
 from test_calculus import iwasawa
+from test_exterior import scaled
 
 
 def test_pi_flags(tower4_ctx, tower4_pi):
@@ -68,7 +69,7 @@ def test_bivector_space_tower4(tower4_ctx, tower4_pi):
     assert sp.contains(parse_lambda("v3^v4").bind(4))
     assert not sp.contains(parse_lambda("v1^v2").bind(4))
     # scaling and sums stay inside
-    assert sp.contains(tower4_pi.scale(gauss(Rational(3, 7), 1)))
+    assert sp.contains(scaled(tower4_pi, gauss(Rational(3, 7), 1)))
 
 
 def test_bivector_space_kodaira(kodaira_ctx):
@@ -118,7 +119,7 @@ def test_theorem2_kodaira_exact_real_form(kodaira_ctx):
     a = MixedElement.vector(cu)
     b = MixedElement.vector(cw)
     quarter = gauss(Rational(1, 4))
-    built = wedge(a, b).scale(quarter)
+    built = scaled(wedge(a, b), quarter)
     cand = theorem2_lambda(kodaira_ctx)
     assert cand.bivector == built
 
