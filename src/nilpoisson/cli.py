@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .calculus import CalculusContext
 from .catalog import catalog_load, load_file
@@ -25,9 +26,6 @@ from .lie_structure import validate
 from .poisson import (holomorphic_bivector_space, is_holomorphic_poisson,
                       theorem2_lambda)
 
-COMMANDS = ("validate", "info", "cohomology", "poisson", "spectral",
-            "degeneration", "crosscheck")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -36,30 +34,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "sequences of nilpotent Lie algebras with complex "
                     "structure.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("validate", "check a presentation and report each property"),
-        ("info", "dimensions, frame, and grading of an algebra"),
-        ("cohomology", "column cohomology dimensions and representatives"),
-        ("poisson", "holomorphic Poisson bivectors and their flags"),
-        ("spectral", "page dimensions and differentials"),
-        ("degeneration", "page-two degeneration verdict"),
-        ("crosscheck", "two-path total-cohomology comparison"),
-    ):
-        cmd = sub.add_parser(name, help=text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--algebra", metavar="NAME[:PARAM]",
                          help="catalog entry, e.g. tower:4, torus:2, kodaira")
         cmd.add_argument("--file", metavar="PATH",
                          help="JSON presentation file instead of --algebra")
         # each command takes only the options it reads
-        if name in ("poisson", "spectral", "degeneration"):
+        if "lambda" in command.options:
             cmd.add_argument("--lambda", dest="lambda_expr", metavar="EXPR",
                              help="bivector expression, e.g. '2 v1^v4 - v2^v3'")
             cmd.add_argument("--theorem2", action="store_true",
                              help="use the constructed central-wedge bivector")
-        if name in ("cohomology", "crosscheck"):
+        if "coef" in command.options:
             cmd.add_argument("--coef", type=int, metavar="L",
                              help="vector-coefficient degree")
-        if name in ("spectral", "degeneration"):
+        if "pages" in command.options:
             cmd.add_argument("--pages", type=int, metavar="R",
                              help="number of pages to report")
         cmd.add_argument("--format", dest="fmt", default="table",
@@ -367,14 +357,28 @@ def cmd_crosscheck(args):
     return doc, text, None, 0
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "info": cmd_info,
-    "cohomology": cmd_cohomology,
-    "poisson": cmd_poisson,
-    "spectral": cmd_spectral,
-    "degeneration": cmd_degeneration,
-    "crosscheck": cmd_crosscheck,
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple  # beyond the common ones: "lambda", "coef", "pages"
+    csv: bool  # whether the report has a CSV form
+
+
+COMMANDS = {
+    "validate": Command("check a presentation and report each property",
+                        cmd_validate, (), False),
+    "info": Command("dimensions, frame, and grading of an algebra",
+                    cmd_info, (), False),
+    "cohomology": Command("column cohomology dimensions and representatives",
+                          cmd_cohomology, ("coef",), True),
+    "poisson": Command("holomorphic Poisson bivectors and their flags",
+                       cmd_poisson, ("lambda",), False),
+    "spectral": Command("page dimensions and differentials",
+                        cmd_spectral, ("lambda", "pages"), True),
+    "degeneration": Command("page-two degeneration verdict",
+                            cmd_degeneration, ("lambda", "pages"), True),
+    "crosscheck": Command("two-path total-cohomology comparison",
+                          cmd_crosscheck, ("coef",), False),
 }
 
 
@@ -382,8 +386,6 @@ def _emit(args, doc, text, csv_rows) -> None:
     if args.fmt == "json":
         payload = json.dumps(doc, indent=2, sort_keys=True)
     elif args.fmt == "csv":
-        if csv_rows is None:
-            raise UsageError(f"csv output is not defined for {args.command}")
         payload = "\n".join(",".join(str(c) for c in row) for row in csv_rows)
     else:
         payload = text
@@ -405,7 +407,11 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        doc, text, csv_rows, code = _HANDLERS[args.command](args)
+        command = COMMANDS[args.command]
+        # refused before any input is read
+        if args.fmt == "csv" and not command.csv:
+            raise UsageError(f"csv output is not defined for {args.command}")
+        doc, text, csv_rows, code = command.handler(args)
         _emit(args, doc, text, csv_rows)
         return code
     except BrokenPipeError:

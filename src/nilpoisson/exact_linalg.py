@@ -5,9 +5,9 @@ and it is the only vector format: every function here takes and returns
 such dicts.  `ExactMatrix(cols, nrows)` holds a matrix as sparse columns and
 `Subspace` holds its canonical basis as sparse rows.  Row spaces and ranks
 come from `eliminate` (forward reduction; `rref` adds `back_substitute`).
-Every kernel comes from `reduce_columns`, one reduction of the columns that
-tracks their combinations: it yields the RREF kernel with no back
-substitution, and the image as echelon columns, so one reduction of a
+Every kernel comes from `reduce_columns`, one reduction of columns the
+caller builds that tracks their combinations: it yields the RREF kernel with
+no back substitution, and the image as echelon columns, so one reduction of a
 differential gives both the cocycles of its source and the boundaries of
 its target.  Every linear combination goes through `_axpy`, here and
 in the rest of the package (brackets, J, the Jacobi sum, exterior sums and
@@ -18,9 +18,13 @@ over a common denominator, so no entry needs a cheaper field of its own.
 
 Every subspace is stored by its reduced row echelon basis under the ambient
 coordinate order, so two equal subspaces always carry identical bases and
-representatives picked from them are deterministic.
+representatives picked from them are deterministic.  `Quotient` is the one
+place that picks them, and every cohomology space (Dolbeault, Poisson, and
+each spectral page cell) is one, its class projection built only when read.
 """
 from __future__ import annotations
+
+from functools import cached_property
 
 from .scalars import GR_ONE
 
@@ -148,15 +152,6 @@ def reduce_columns(cols: list[dict]) -> tuple[list[dict], dict]:
     return kernel, kept
 
 
-def kernel_basis(rows: list[dict], ncols: int) -> list[dict]:
-    """Canonical (RREF) basis of {x : M x = 0} for M given by rows."""
-    cols: list[dict] = [{} for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            cols[j][i] = x
-    return reduce_columns(cols)[0]
-
-
 def mat_mul(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
     return ExactMatrix([combine(col, a.cols) for col in b.cols], a.nrows)
 
@@ -257,38 +252,37 @@ class Subspace:
         return all(self.contains(row) for row in other.rows)
 
 
-def quotient_map(sub: Subspace, total: Subspace, check: bool = True):
-    """Canonical data for total/sub where sub is contained in total.
+class Quotient:
+    """total/sub for subspaces sub <= total, in the coordinates of both.
 
-    Returns (dim, reps, proj) with reps the rows of total's basis whose pivot
-    is not a pivot of sub (canonical coset representatives) and proj the
-    dim x ambient ExactMatrix sending any x in total to the coordinates of
-    its class in the reps basis (and sub exactly to zero).
+    `reps`, the rows of total's basis at the pivots sub lacks (in pivot
+    order), are the canonical coset representatives, and `dim` counts them.
+    Only the pivots are checked: sub's must be pivots of total.  Containment
+    itself is the caller's to know or to check (`contains_subspace`)."""
 
-    check=False skips the full membership verification; callers may do that
-    only when containment is already guaranteed (for instance by a verified
-    square-zero identity).  The cheap pivot-compatibility test always runs.
-    """
-    if check and not total.contains_subspace(sub):
-        raise LinalgError("quotient_map: sub is not contained in total")
-    if not sub._at.keys() <= total._at.keys():
-        raise LinalgError("quotient_map: sub pivots escape total")
-    # class j is read off at the pivot of reps[j], less what each sub row
-    # puts there, which sub's own pivot entry records
-    cols: dict[int, dict] = {}
-    reps = []
-    slot: dict[int, int] = {}
-    for row, pc in zip(total.rows, total.pivots):
-        if pc not in sub._at:
-            slot[pc] = len(reps)
-            cols[pc] = {len(reps): GR_ONE}
-            reps.append(row)
-    for srow, spc in zip(sub.rows, sub.pivots):
-        for c, e in srow.items():
-            j = slot.get(c)
-            if j is not None:
-                cols.setdefault(spc, {})[j] = -e
-    # the columns off every pivot share one empty dict; proj is read only
-    empty: dict = {}
-    return len(reps), reps, ExactMatrix(
-        [cols.get(c, empty) for c in range(total.ambient)], len(reps))
+    def __init__(self, sub: Subspace, total: Subspace):
+        if not sub._at.keys() <= total._at.keys():
+            raise LinalgError("quotient: sub pivots escape total")
+        self.sub = sub
+        self.total = total
+        self.reps = [row for row, pc in zip(total.rows, total.pivots)
+                     if pc not in sub._at]
+        self.dim = len(self.reps)
+
+    @cached_property
+    def proj(self) -> ExactMatrix:
+        """dim x ambient: any x in total to the coordinates of its class in
+        the reps basis, and sub exactly to zero."""
+        # class j is read off at the pivot of reps[j], less what each sub row
+        # puts there, which sub's own pivot entry records
+        slot = {min(rep): j for j, rep in enumerate(self.reps)}
+        cols: dict[int, dict] = {pc: {j: GR_ONE} for pc, j in slot.items()}
+        for srow, spc in zip(self.sub.rows, self.sub.pivots):
+            for c, e in srow.items():
+                j = slot.get(c)
+                if j is not None:
+                    cols.setdefault(spc, {})[j] = -e
+        # the columns off every pivot share one empty dict; proj is read only
+        empty: dict = {}
+        return ExactMatrix([cols.get(c, empty)
+                            for c in range(self.total.ambient)], self.dim)

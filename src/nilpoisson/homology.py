@@ -23,9 +23,9 @@ from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, LinalgError, Subspace, _axpy,
+from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy,
                            back_substitute, combine, eliminate, mat_mul,
-                           quotient_map, reduce_columns)
+                           reduce_columns)
 from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
                        element_from_coords, mono_str, terms_str)
 from .lie_structure import AlgebraPresentation, complex_frame
@@ -121,21 +121,13 @@ class BigradedComplex:
                             am.get((p, q)), am.get((p, q + 1)), dm.get((p, q)))
 
 
-@dataclass
-class CohomologyCell:
-    """One cohomology space with canonical representatives."""
+class CohomologyCell(Quotient):
+    """One cohomology space: the cocycles (`total`) over the boundaries
+    (`sub`), in the coordinates of `basis`."""
 
-    basis: list
-    cocycles: Subspace
-    boundaries: Subspace
-    dim: int
-    reps: list
-
-    @cached_property
-    def proj(self) -> ExactMatrix:
-        """dim x len(basis): a cocycle to its class coordinates."""
-        # containment is the verified square-zero identity
-        return quotient_map(self.boundaries, self.cocycles, check=False)[2]
+    def __init__(self, basis: list, boundaries: Subspace, cocycles: Subspace):
+        super().__init__(boundaries, cocycles)
+        self.basis = basis
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
@@ -148,7 +140,7 @@ class CohomologyCell:
                 for r in self.reps]
 
     def class_coords(self, coords: dict) -> dict:
-        if not self.cocycles.contains(coords):
+        if not self.total.contains(coords):
             raise InternalInvariantError("vector is not a cocycle")
         return self.proj.apply(coords)
 
@@ -156,8 +148,7 @@ class CohomologyCell:
 def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
     """The cohomology of each degree of a cochain complex given as the
     (basis, map out of it, None for zero) of each degree.  One reduction of
-    a map gives the cocycles of its source and the boundaries of its target;
-    the representatives are the cocycle rows at no boundary pivot."""
+    a map gives the cocycles of its source and the boundaries of its target."""
     out, image = [], None
     for basis, d in cells:
         boundaries = image if image is not None else Subspace.zero(len(basis))
@@ -167,19 +158,26 @@ def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
             kernel, kept = reduce_columns(d.cols)
             cocycles = Subspace(len(basis), kernel)
             image = Subspace(d.nrows, *back_substitute(kept))
-        if not boundaries._at.keys() <= cocycles._at.keys():
-            raise LinalgError("boundary pivots escape the cocycles")
-        reps = [row for row, pc in zip(cocycles.rows, cocycles.pivots)
-                if pc not in boundaries._at]
-        out.append(CohomologyCell(basis, cocycles, boundaries, len(reps), reps))
+        out.append(CohomologyCell(basis, boundaries, cocycles))
     return out
+
+
+def _cell(basis: list, d_in: ExactMatrix | None,
+          d_out: ExactMatrix | None) -> CohomologyCell:
+    """The cohomology of one degree, from the maps into and out of it (None
+    for zero): the image of d_in over the kernel of d_out."""
+    size = len(basis)
+    boundaries = (Subspace.from_rows(size, d_in.cols) if d_in is not None
+                  else Subspace.zero(size))
+    cocycles = (Subspace(size, d_out.kernel()) if d_out is not None
+                else Subspace.full(size))
+    return CohomologyCell(basis, boundaries, cocycles)
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
-    return _cohomology(
-        [(bc.basis.get((p, q - 1), []), bc.dbar_mat.get((p, q - 1))),
-         (bc.basis.get((p, q), []), bc.dbar_mat.get((p, q)))])[1]
+    return _cell(bc.basis.get((p, q), []), bc.dbar_mat.get((p, q - 1)),
+                 bc.dbar_mat.get((p, q)))
 
 
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
@@ -279,9 +277,7 @@ class TotalComplex:
 
 def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
     """H^k of (K, dbar + ad_lam); zero outside 0..2n."""
-    return _cohomology(
-        [(tc.bases.get(k - 1, []), tc.dmat.get(k - 1)),
-         (tc.bases.get(k, []), tc.dmat.get(k))])[1]
+    return _cell(tc.bases.get(k, []), tc.dmat.get(k - 1), tc.dmat.get(k))
 
 
 def poisson_betti(tc: TotalComplex) -> dict[int, int]:
@@ -358,8 +354,8 @@ class SpectralPage:
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
 
-    def cell(self, p: int, q: int):
-        """(Z_r, reps, proj) of E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1})."""
+    def cell(self, p: int, q: int) -> Quotient:
+        """E_r^{p,q} = Z_r^p / (Z_{r-1}^{p+1} + D Z_{r-1}^{p-r+1})."""
         hit = self._cells.get((p, q))
         if hit is None:
             r, k, tc = self.r, p + q, self.tc
@@ -369,12 +365,12 @@ class SpectralPage:
                 + [tc.apply_d(k - 1, b)
                    for b in _z_space(tc, r - 1, p - r + 1, k - 1).rows])
             # containment follows from D F^a <= F^a and D^2 = 0
-            dim, reps, proj = quotient_map(den, num, check=False)
-            if dim != self.dim(p, q):
+            hit = Quotient(den, num)
+            if hit.dim != self.dim(p, q):
                 raise InternalInvariantError(
                     f"E_{r} dim at {(p, q)} is {self.dim(p, q)} from the pairing, "
-                    f"{dim} from Z_{r}")
-            hit = self._cells[(p, q)] = (num, reps, proj)
+                    f"{hit.dim} from Z_{r}")
+            self._cells[(p, q)] = hit
         return hit
 
     def differential(self, p: int, q: int) -> ExactMatrix | None:
@@ -384,25 +380,25 @@ class SpectralPage:
         dim, tdim = self.dim(p, q), self.dim(tp, tq)
         if not dim or not tdim:
             return None
-        tnum, _, tproj = self.cell(tp, tq)
+        target = self.cell(tp, tq)
         cols = []
-        for rep in self.cell(p, q)[1]:
+        for rep in self.cell(p, q).reps:
             y = self.tc.apply_d(p + q, rep)
-            if not tnum.contains(y):
+            if not target.total.contains(y):
                 raise InternalInvariantError(
                     f"d_{r} image of a class at {(p, q)} leaves Z_{r} at {(tp, tq)}")
-            cols.append(tproj.apply(y))
+            cols.append(target.proj.apply(y))
         return ExactMatrix(cols, tdim)
 
     @cached_property
     def reps(self) -> dict:
         """Canonical representatives of every cell, as sparse vectors."""
-        return {pq: self.cell(*pq)[1] for pq in self.dims}
+        return {pq: self.cell(*pq).reps for pq in self.dims}
 
     @cached_property
     def projs(self) -> dict:
         """The class projection (an ExactMatrix) of every cell."""
-        return {pq: self.cell(*pq)[2] for pq in self.dims}
+        return {pq: self.cell(*pq).proj for pq in self.dims}
 
     @cached_property
     def d(self) -> dict:
@@ -510,9 +506,10 @@ def degeneration_verdict(bc: BigradedComplex) -> DegenerationVerdict:
                 f"d_{r} at {(p, q)} has rank {got}, but {want} pairs of length "
                 f"{r} start there")
         j = next(j for j, col in enumerate(mat.cols) if col)
-        witness_src = element_from_coords(page.cell(p, q)[1][j], tc.bases[p + q])
+        witness_src = element_from_coords(page.cell(p, q).reps[j],
+                                          tc.bases[p + q])
         witness_img = element_from_coords(
-            combine(mat.cols[j], page.cell(p + r, q - r + 1)[1]),
+            combine(mat.cols[j], page.cell(p + r, q - r + 1).reps),
             tc.bases[p + q + 1])
     hk = poisson_betti(tc)
     einf = {}
@@ -597,8 +594,8 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
     _check_size(n)
     c10 = ctx.grading.c10
     a = c10.dim
-    _, t_reps, _ = quotient_map(c10, Subspace.full(n))
-    frame_rows = [ctx.frame.vector_from_coords(row) for row in c10.rows + t_reps]
+    frame_rows = [ctx.frame.vector_from_coords(row) for row in
+                  c10.rows + Quotient(c10, Subspace.full(n)).reps]
     adapted = AlgebraPresentation(
         ctx.presentation.dim, ctx.presentation.brackets, ctx.presentation.jmat,
         frame_rows=frame_rows, name=ctx.presentation.name + "#center-adapted")

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
-from .exact_linalg import (Subspace, _axpy, combine, invert, kernel_basis,
-                           quotient_map)
-from .scalars import (GR_I, GR_ONE, GaussRational, RAT_ZERO, Rational,
-                      rational_from_string, rational_to_string)
+from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
+                           invert)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
+                      Rational, rational_from_string, rational_to_string)
 
 Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 
@@ -217,13 +217,13 @@ def central_series(p: AlgebraPresentation) -> list[Subspace]:
 
 
 def center_subspace(p: AlgebraPresentation) -> Subspace:
-    """The kernel of x -> ([x, e_j])_j, one row per coordinate k of [x, e_j]."""
-    rows: dict = {}
-    for i in range(p.dim):
-        for j in range(p.dim):
-            for k, x in p.structure.get((i, j), {}).items():
-                rows.setdefault((j, k), {})[i] = x
-    return Subspace(p.dim, kernel_basis(list(rows.values()), p.dim))
+    """The kernel of x -> ([x, e_j])_j, whose column i holds each
+    coordinate k of [e_i, e_j] at row j * dim + k."""
+    dim = p.dim
+    cols: list[dict] = [{} for _ in range(dim)]
+    for (i, j), vec in p.structure.items():
+        cols[i].update({j * dim + k: x for k, x in vec.items()})
+    return Subspace(dim, ExactMatrix(cols, dim * dim).kernel())
 
 
 class ComplexFrame:
@@ -288,12 +288,10 @@ def complex_frame(p: AlgebraPresentation,
             if p.j_apply(r) != {k: GR_I * c for k, c in r.items()}:
                 raise ValidationError("preferred frame row is not a (1,0) vector")
     else:
-        # the rows of J - i
-        shifted = [{j: GaussRational(c) for j, c in enumerate(row) if c}
-                   for row in p.jmat]
-        for k in range(n2):
-            _axpy(shifted[k], -GR_I, {k: GR_ONE})
-        v_rows = kernel_basis(shifted, n2)
+        # the columns of J - i; J is real, so no diagonal entry cancels
+        shifted = [{**col, k: col.get(k, GR_ZERO) - GR_I}
+                   for k, col in enumerate(p.jcols)]
+        v_rows = ExactMatrix(shifted, n2).kernel()
         if len(v_rows) != n:
             raise ValidationError("the +i eigenspace of J has wrong dimension")
 
@@ -374,8 +372,9 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
     t10 = {}
     for k in range(1, step + 1):
         upper, lower = gj10[k - 1], gj10[k]
-        _, reps, _ = quotient_map(lower, upper)
-        t10[k] = Subspace(n, reps)
+        if not upper.contains_subspace(lower):
+            raise InternalInvariantError(f"g_J^{k} is not contained in g_J^{k - 1}")
+        t10[k] = Subspace(n, Quotient(lower, upper).reps)
     c10 = _part10(p, frame, center)
 
     s = step - 1

@@ -771,3 +771,20 @@ def test_cli_closed_stdout_exits_1_without_traceback(argv):
     assert done.returncode == 1
     assert b"Traceback" not in done.stderr
     assert b"Exception ignored" not in done.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "poisson",
+                                     "crosscheck"])
+def test_cli_refuses_csv_before_loading_the_algebra(capsys, monkeypatch,
+                                                    command):
+    import nilpoisson.cli as cli
+
+    def no_load(name):
+        raise AssertionError("the algebra was loaded")
+
+    monkeypatch.setattr(cli, "catalog_load", no_load)
+    rc, out, err = run(capsys, command, "--algebra", "tower:128",
+                       "--format", "csv")
+    assert (rc, out) == (2, "")
+    assert err == f"error: csv output is not defined for {command}\n"
+

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from nilpoisson.exact_linalg import (
     ExactMatrix,
     LinalgError,
+    Quotient,
     Subspace,
     back_substitute,
     invert,
-    kernel_basis,
     mat_mul,
-    quotient_map,
     rank,
     reduce_columns,
     rref,
@@ -132,7 +131,7 @@ def test_real_and_gaussian_elimination_agree(case):
     one_row = rows[:k] + [times_i[k]] + rows[k + 1:]
 
     def results(m):
-        return (rref(m), rank(m), kernel_basis(m, ncols),
+        return (rref(m), rank(m), from_rows(m, ncols).kernel(),
                 Subspace.from_rows(ncols, m))
 
     want = results(rows)
@@ -152,24 +151,27 @@ def test_rank_matches_float_svd():
         assert rank(rows) == float_rank(rows, n)
 
 
-def test_kernel_basis_is_exact_kernel():
+def test_kernel_is_exact_kernel():
     rng = random.Random(246)
     for _ in range(50):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = rand_rows(rng, m, n)
-        ker = kernel_basis(rows, n)
-        assert len(ker) == n - rank(rows)
+        # n columns of height m
+        cols = rand_rows(rng, n, m)
+        ker = ExactMatrix(cols, m).kernel()
+        assert len(ker) == n - rank(cols)
+        rows = [{j: col[i] for j, col in enumerate(cols) if i in col}
+                for i in range(m)]
         for kv in ker:
             assert all(not dot(row, kv) for row in rows)
         # kernel rows themselves independent
         assert rank(ker) == len(ker)
 
 
-def test_kernel_basis_canonical():
+def test_kernel_canonical():
     rng = random.Random(808)
-    rows = rand_rows(rng, 3, 5)
-    doubled = [{j: e + e for j, e in r.items()} for r in rows]
-    assert kernel_basis(rows, 5) == kernel_basis(doubled, 5)
+    cols = rand_rows(rng, 5, 3)
+    doubled = [{i: e + e for i, e in c.items()} for c in cols]
+    assert ExactMatrix(cols, 3).kernel() == ExactMatrix(doubled, 3).kernel()
 
 
 def test_mat_mul_apply_agree():
@@ -244,8 +246,8 @@ def test_dimension_formula_sum_intersection():
         a = Subspace.from_rows(n, rand_rows(rng, rng.randint(1, n), n))
         b = Subspace.from_rows(n, rand_rows(rng, rng.randint(1, n), n))
         # the intersection is the common kernel of both annihilators
-        stacked = kernel_basis(a.rows, n) + kernel_basis(b.rows, n)
-        both = Subspace(n, kernel_basis(stacked, n))
+        stacked = from_rows(a.rows, n).kernel() + from_rows(b.rows, n).kernel()
+        both = Subspace(n, from_rows(stacked, n).kernel())
         total = Subspace.from_rows(n, a.rows + b.rows)
         assert a.dim + b.dim == total.dim + both.dim
         for r in both.rows:
@@ -253,7 +255,7 @@ def test_dimension_formula_sum_intersection():
         assert total.contains_subspace(a) and total.contains_subspace(b)
 
 
-def test_quotient_map_round_trip():
+def test_quotient_round_trip():
     rng = random.Random(515)
     for _ in range(30):
         n = rng.randint(2, 7)
@@ -261,7 +263,8 @@ def test_quotient_map_round_trip():
         if total.dim < 2:
             continue
         sub = Subspace.from_rows(n, total.rows[: rng.randint(1, total.dim - 1)])
-        qdim, reps, proj = quotient_map(sub, total)
+        q = Quotient(sub, total)
+        qdim, reps, proj = q.dim, q.reps, q.proj
         assert qdim == total.dim - sub.dim
         assert len(reps) == qdim
         assert (proj.nrows, proj.ncols) == (qdim, n)
@@ -273,15 +276,12 @@ def test_quotient_map_round_trip():
             assert proj.apply(r) == {}
 
 
-def test_quotient_map_rejects_non_subspace():
+def test_quotient_rejects_escaping_pivots():
     n = 3
     total = Subspace.from_rows(n, [{0: GR_ONE}])
     sub = Subspace.from_rows(n, [{1: GR_ONE}])
     with pytest.raises(LinalgError):
-        quotient_map(sub, total)
-    # the cheap pivot test catches this even with check=False
-    with pytest.raises(LinalgError):
-        quotient_map(sub, total, check=False)
+        Quotient(sub, total)
 
 
 def test_exact_matrix_wrappers():
@@ -299,14 +299,15 @@ def test_exact_matrix_wrappers():
 
 def test_zero_dimensional_edges():
     assert rref([]) == ([], [])
-    assert kernel_basis([], 3) == [{j: GR_ONE} for j in range(3)]
+    assert ExactMatrix.zeros(0, 3).kernel() == [{j: GR_ONE} for j in range(3)]
     assert rank([]) == 0
     s = Subspace.zero(4)
     assert s.dim == 0
     f = Subspace.full(3)
     assert f.dim == 3
-    qdim, reps, proj = quotient_map(s, f)
-    assert qdim == 3
+    q = Quotient(s, f)
+    assert q.dim == 3 and q.reps == f.rows
+    assert q.proj == identity(3)
 
 
 # -- the column reduction behind every kernel and Dolbeault image -----------
@@ -332,6 +333,19 @@ def _sparse_columns(draw):
     if cols and draw(st.booleans()):
         cols.insert(draw(st.integers(0, len(cols))), {})
     return nrows, cols
+
+
+def row_kernel(rows, ncols):
+    """The canonical kernel of the matrix with these rows, as the row
+    formulation computes it: one vector per free column of the rows' RREF,
+    brought to RREF.  It shares no step with the column reduction."""
+    red, pivots = rref(rows)
+    vecs = []
+    for f in range(ncols):
+        if f not in pivots:
+            vecs.append({f: GR_ONE, **{pc: -row[f] for row, pc in
+                                       zip(red, pivots) if f in row}})
+    return rref(vecs)[0]
 
 
 def reversed_rref_kernel(cols):
@@ -371,7 +385,7 @@ def test_reduce_columns_kernel_and_image(case):
             for i in range(nrows)]
     assert len(cols) - len(kernel) == float_rank(rows, len(cols))
     assert kernel == reversed_rref_kernel(cols)
-    assert m.kernel() == kernel_basis(rows, len(cols)) == kernel
+    assert m.kernel() == kernel == row_kernel(rows, len(cols))
 
 
 def test_reduce_columns_pinned():
@@ -381,3 +395,71 @@ def test_reduce_columns_pinned():
     kernel, kept = reduce_columns(cols)
     assert kernel == [{0: GR_ONE, 1: GR_I}, {2: GR_ONE}]
     assert back_substitute(kept) == ([{0: GR_ONE}, {1: GR_ONE}], [0, 1])
+
+
+# -- the quotient behind every cohomology space ------------------------------
+
+@st.composite
+def _nested_pair(draw):
+    """(sub, total, the rows that span total) with sub <= total: total
+    spanned by sparse Q(i) rows, sub by random combinations of them."""
+    n = draw(st.integers(1, 6))
+    row = st.dictionaries(st.integers(0, n - 1), _GAUSS, max_size=n)
+    spanning = draw(st.lists(row, min_size=1, max_size=5))
+    combos = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                                    min_size=len(spanning),
+                                    max_size=len(spanning)), max_size=4))
+    sub_rows = [add_all(spanning, c) for c in combos]
+    return (Subspace.from_rows(n, sub_rows), Subspace.from_rows(n, spanning),
+            spanning)
+
+
+def add_all(rows, coeffs):
+    """sum_i coeffs[i] * rows[i] with integer coeffs."""
+    out = {}
+    for c, r in zip(coeffs, rows):
+        if c:
+            out = add(out, r, GaussRational(Rational(c)))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_pair(), st.data())
+def test_quotient_reps_and_proj(case, data):
+    sub, total, spanning = case
+    q = Quotient(sub, total)
+    assert "proj" not in vars(q)
+    # reps: total's own rows, at the pivots of total that sub lacks, in order
+    free = [pc for pc in total.pivots if pc not in set(sub.pivots)]
+    assert q.reps == [total.rows[total.pivots.index(pc)] for pc in free]
+    assert q.dim == len(free) == total.dim - sub.dim
+    proj = q.proj
+    assert q.proj is proj
+    assert (proj.nrows, proj.ncols) == (q.dim, total.ambient)
+    for j, rep in enumerate(q.reps):
+        assert proj.apply(rep) == {j: GR_ONE}
+    for r in sub.rows:
+        assert proj.apply(r) == {}
+    # linear on total, and x less its class's combination of reps is in sub
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(spanning),
+                                max_size=len(spanning)))
+    x = add_all(spanning, coeffs)
+    assert proj.apply(x) == add_all([proj.apply(r) for r in spanning], coeffs)
+    rest = x
+    for j, c in proj.apply(x).items():
+        rest = add(rest, q.reps[j], -c)
+    assert sub.contains(rest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nested_pair())
+def test_quotient_rejects_every_escaping_pivot(case):
+    sub, total, _ = case
+    n = total.ambient
+    outside = [c for c in range(n) if c not in set(total.pivots)]
+    for c in outside:
+        escaped = Subspace.from_rows(n, sub.rows + [{c: GR_ONE}])
+        with pytest.raises(LinalgError):
+            Quotient(escaped, total)
+    # every pivot of a sub inside total is a pivot of total
+    Quotient(sub, total)

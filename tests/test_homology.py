@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 
@@ -10,7 +11,7 @@ import nilpoisson.homology as homology
 from nilpoisson.calculus import CalculusContext, dbar_lambda
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, ValidationError
-from nilpoisson.exact_linalg import ExactMatrix, kernel_basis, rank
+from nilpoisson.exact_linalg import ExactMatrix, rank
 from nilpoisson.exterior import (
     MixedElement,
     element_entries,
@@ -36,6 +37,7 @@ from nilpoisson.homology import (
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import holomorphic_bivector_space, theorem2_lambda
 from nilpoisson.scalars import GR_ONE, gauss
+from test_exact_linalg import row_kernel
 from test_exterior import scaled
 from test_lie_structure import conjugated
 
@@ -103,8 +105,8 @@ def test_dbar_matrix_cell_1_0_pinned():
     assert m.rank() == 3
     rows = [{j: col[i] for j, col in enumerate(m.cols) if i in col}
             for i in range(m.nrows)]
-    ker = kernel_basis(rows, m.ncols)
-    assert ker == m.kernel()
+    ker = m.kernel()
+    assert ker == row_kernel(rows, m.ncols)
     assert len(ker) == 1
     basis = bc.basis[(1, 0)]
     nz = [(basis[i], c) for i, c in sorted(ker[0].items()) if c]
@@ -114,7 +116,7 @@ def test_dbar_matrix_cell_1_0_pinned():
 def test_cell_cocycle_boundary_structure():
     bc = BigradedComplex(CalculusContext(tower(4)))
     cell = dolbeault_cohomology(bc, 1, 1)
-    assert cell.dim == cell.cocycles.dim - cell.boundaries.dim
+    assert cell.dim == cell.total.dim - cell.sub.dim
     for rep in cell.representatives():
         assert not rep.is_zero()
 
@@ -472,7 +474,7 @@ def test_class_coords_on_every_dolbeault_cell(tower4_bc):
         incoming = tower4_bc.dbar_mat.get((p, q - 1))
         for col in (incoming.cols if incoming is not None else []):
             assert cell.class_coords(col) == {}, (p, q)
-        for row in cell.boundaries.rows:
+        for row in cell.sub.rows:
             assert cell.class_coords(row) == {}, (p, q)
         cells += cell.dim > 0
     assert cells == 25
@@ -531,13 +533,13 @@ def test_identity_check_rejects_ad_image_that_is_not_closed():
 
 def _count_cells(monkeypatch) -> list:
     built = []
-    real = homology._cohomology
+    real = homology.CohomologyCell.__init__
 
-    def counted(label, *args):
-        built.append(label)
-        return real(label, *args)
+    def counted(self, basis, *args):
+        built.append(len(basis))
+        real(self, basis, *args)
 
-    monkeypatch.setattr(homology, "_cohomology", counted)
+    monkeypatch.setattr(homology.CohomologyCell, "__init__", counted)
     return built
 
 
@@ -615,7 +617,7 @@ def _assert_table_matches_rank_count(bc):
     table = dolbeault_table(bc)
     assert {pq: cell.dim for pq, cell in table.items()} == want
     for pq, cell in table.items():
-        assert cell.dim == cell.cocycles.dim - cell.boundaries.dim == len(cell.reps)
+        assert cell.dim == cell.total.dim - cell.sub.dim == len(cell.reps)
 
 
 @pytest.mark.parametrize("name", ["kodaira", "tower:3", "tower:4", "tower:5",
@@ -632,18 +634,68 @@ def test_dolbeault_table_dims_match_rank_count_in_random_frames(n, seed):
         CalculusContext(conjugated(tower(n), random.Random(seed)))))
 
 
-def test_dolbeault_table_builds_projections_on_request(tower4_bc, monkeypatch):
-    calls = []
-    real = homology.quotient_map
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(homology, "quotient_map", counted)
+def test_dolbeault_table_builds_projections_on_request(tower4_bc):
     table = dolbeault_table(tower4_bc)
-    assert calls == []
+    assert not any("proj" in vars(cell) for cell in table.values())
     cell = table[(1, 1)]
     proj = cell.proj
-    assert len(calls) == 1 and cell.proj is proj
+    assert cell.proj is proj
+    assert [pq for pq, c in table.items() if "proj" in vars(c)] == [(1, 1)]
     assert (proj.nrows, proj.ncols) == (cell.dim, len(cell.basis))
+
+
+# -- a single cell is the matching cell of the whole complex ----------------
+
+@contextlib.contextmanager
+def _counting_reductions():
+    calls = []
+    real = exact_linalg.reduce_columns
+
+    def counted(cols):
+        calls.append(len(cols))
+        return real(cols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "reduce_columns", counted)
+        mp.setattr(homology, "reduce_columns", counted)
+        yield calls
+
+
+def _assert_single_cells_match_complex(bc):
+    """poisson_cohomology and dolbeault_cohomology against `_cohomology` of
+    the whole complex: the same dim, reps and proj, from one column
+    reduction (of the map out of the cell; none when that map is zero)."""
+    tc = TotalComplex(bc)
+    whole = homology._cohomology(list(zip(tc.bases.values(), tc.dmat.values())))
+    cells = [((k,), poisson_cohomology, tc, tc.dmat.get(k), cell)
+             for k, cell in enumerate(whole)]
+    cells += [((p, q), dolbeault_cohomology, bc, bc.dbar_mat.get((p, q)), cell)
+              for (p, q), cell in dolbeault_table(bc).items()]
+    for where, single, cx, d_out, want in cells:
+        with _counting_reductions() as calls:
+            got = single(cx, *where)
+        assert len(calls) == (d_out is not None), where
+        assert got.dim == want.dim and got.reps == want.reps, where
+        assert got.sub == want.sub and got.total == want.total, where
+        assert got.proj == want.proj, where
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("kodaira", "i v1^v2"), ("kodaira", None),
+    ("tower:3", ""), ("tower:3", None),
+    ("tower:4", "2 v1^v4 - v2^v3"), ("tower:4", None),
+    ("tower:5", ""), ("tower:5", None),
+])
+def test_single_cells_match_whole_complex(name, lam):
+    ctx = CalculusContext(catalog_load(name))
+    bivector = (theorem2_lambda(ctx).bivector if lam is None
+                else parse_lambda(lam).bind(ctx.n) if lam else None)
+    _assert_single_cells_match_complex(BigradedComplex(ctx, bivector))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32))
+def test_single_cells_match_whole_complex_in_random_frames(n, seed):
+    ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
+    _assert_single_cells_match_complex(
+        BigradedComplex(ctx, theorem2_lambda(ctx).bivector))

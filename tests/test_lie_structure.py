@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
-from nilpoisson.errors import UsageError, ValidationError
-from nilpoisson.exact_linalg import (ExactMatrix, Subspace, combine, kernel_basis,
-                                    mat_mul)
+import nilpoisson.lie_structure as lie_structure
+from nilpoisson.errors import InternalInvariantError, UsageError, ValidationError
+from nilpoisson.exact_linalg import ExactMatrix, Subspace, combine, mat_mul
 from nilpoisson.lie_structure import (
     AlgebraPresentation,
     center_subspace,
@@ -20,6 +20,7 @@ from nilpoisson.lie_structure import (
     validate,
 )
 from nilpoisson.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Rational
+from test_exact_linalg import row_kernel
 
 
 def conjugated(p, rng, span=2):
@@ -350,7 +351,7 @@ def _dense_center(p):
     rows = [{i: x for i, ei in enumerate(e)
              if (x := p.bracket_vectors(ei, ej).get(k))}
             for ej in e for k in range(p.dim)]
-    return Subspace.from_rows(p.dim, kernel_basis(rows, p.dim))
+    return Subspace.from_rows(p.dim, row_kernel(rows, p.dim))
 
 
 @st.composite
@@ -388,6 +389,64 @@ def test_grading_dims_tower4():
     assert g.c10.dim == 1
     assert sorted(g.t10) == [1, 2, 3, 4]
     assert {k: v.dim for k, v in g.t10.items()} == {1: 1, 2: 1, 3: 1, 4: 1}
+
+
+def _row_center(p):
+    """The center as rows {(j, k): {i: x}} of x -> ([x, e_j])_j, one per
+    coordinate k of [e_i, e_j], and their kernel."""
+    rows: dict = {}
+    for i in range(p.dim):
+        for j in range(p.dim):
+            for k, x in p.structure.get((i, j), {}).items():
+                rows.setdefault((j, k), {})[i] = x
+    return Subspace(p.dim, row_kernel(list(rows.values()), p.dim))
+
+
+def _row_frame(p):
+    """The +i eigenvectors of J as the kernel of the rows of J - i."""
+    shifted = [{j: GaussRational(c) for j, c in enumerate(row) if c}
+               for row in p.jmat]
+    for k, row in enumerate(shifted):
+        row[k] = row.get(k, GR_ZERO) - GR_I
+    return row_kernel(shifted, p.dim)
+
+
+def _assert_center_and_frame_match_rows(p):
+    assert center_subspace(p) == _row_center(p)
+    # without preferred rows the frame is the kernel of J - i
+    bare = AlgebraPresentation(p.dim, p.brackets, p.jmat, name=p.name)
+    assert complex_frame(bare).v_rows == _row_frame(p)
+
+
+@pytest.mark.parametrize("name", ["kodaira"] + [f"tower:{n}" for n in range(2, 7)]
+                         + [f"torus:{n}" for n in range(1, 4)])
+def test_center_and_frame_match_row_formulation_on_catalog(name):
+    _assert_center_and_frame_match_rows(catalog_load(name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([kodaira(), tower(3), tower(4), tower(5), torus(2)]),
+       st.integers(0, 2 ** 32))
+def test_center_and_frame_match_row_formulation_in_random_frames(p, seed):
+    _assert_center_and_frame_match_rows(conjugated(p, random.Random(seed)))
+
+
+def test_grading_refuses_a_pair_that_is_not_nested(monkeypatch):
+    # (1,0) parts of g_J^1 and g_J^2 replaced by span{e0, e2, e3} and
+    # span{e0 + e1, e3}: every pivot of the second is a pivot of the first,
+    # so only the containment check can see that e0 + e1 escapes
+    one = GR_ONE
+    swap = {1: Subspace.from_rows(4, [{0: one}, {2: one}, {3: one}]),
+            2: Subspace.from_rows(4, [{0: one, 1: one}, {3: one}])}
+    real, calls = lie_structure._part10, []
+
+    def patched(p, frame, sub):
+        calls.append(sub)
+        return swap.get(len(calls) - 1) or real(p, frame, sub)
+
+    monkeypatch.setattr(lie_structure, "_part10", patched)
+    with pytest.raises(InternalInvariantError, match="not contained"):
+        grading(tower(4))
 
 
 def test_grading_dims_torus_kodaira():
