@@ -9,18 +9,24 @@ Every kernel comes from `reduce_columns`, one reduction of columns the
 caller builds that tracks their combinations: it yields the RREF kernel with
 no back substitution, and the image as echelon columns, so one reduction of a
 differential gives both the cocycles of its source and the boundaries of
-its target.  Every linear combination goes through `_axpy`, here and
-in the rest of the package (brackets, J, the Jacobi sum, exterior sums and
-products, the bivector parser); only the derivation walk
-`calculus._leibniz` keeps its own accumulate.  Real and
-non-real input take the same path: a real GaussRational is an integer pair
-over a common denominator, so no entry needs a cheaper field of its own.
+its target.  Both reductions are pivot-only: a vector is reduced by
+v -= (v[lead] / kept[lead]) * kept and kept as it stands, neither made monic
+nor copied when it needed no reduction, so kept vectors may be the caller's
+own dicts and nothing here writes an input.  Only `back_substitute` makes
+monic copies, when an RREF is read.  Every linear combination goes through
+`_axpy`, here and in the rest of the package (brackets, J, the Jacobi sum,
+exterior sums and products, the bivector parser); only the derivation walk
+`calculus._leibniz` keeps its own accumulate.  Real and non-real input take
+the same path: a real GaussRational is an integer pair over a common
+denominator, so no entry needs a cheaper field of its own.
 
 Every subspace is stored by its reduced row echelon basis under the ambient
 coordinate order, so two equal subspaces always carry identical bases and
-representatives picked from them are deterministic.  `Quotient` is the one
-place that picks them, and every cohomology space (Dolbeault, Poisson, and
-each spectral page cell) is one, its class projection built only when read.
+representatives picked from them are deterministic.  A subspace spanned by
+echelon rows knows its pivots at once and back-substitutes only when its
+rows are read.  `Quotient` is the one place that picks representatives, from
+pivots alone, and every cohomology space (Dolbeault, Poisson, and each
+spectral page cell) is one, its class projection built only when read.
 """
 from __future__ import annotations
 
@@ -63,43 +69,46 @@ def eliminate(rows: list[dict]) -> tuple[dict, list]:
     """Forward elimination of sparse rows, taken in order.
 
     Each row is reduced at its leading (smallest) index by the rows kept
-    before it until that index is new; the row is then made monic and kept.
-    Returns ({leading index: kept sparse row}, the leading index of each
-    input row, None for a row that reduced to zero).
+    before it, v -= (v[lead] / kept[lead]) * kept, until that index is new,
+    and then kept as it stands: not made monic, and not copied when it
+    needed no reduction, so a kept row may be the caller's own dict.  No
+    input row is written.  Returns ({leading index: kept sparse row}, the
+    leading index of each input row, None for a row that reduced to zero).
     """
     kept: dict[int, dict] = {}
     leads: list = []
     for row in rows:
-        v = dict(row)
-        lead = None
+        v, lead = row, None
         while v:
             lead = min(v)
             pivot_row = kept.get(lead)
             if pivot_row is None:
                 break
-            _axpy(v, -v[lead], pivot_row)
-        if not v:
-            leads.append(None)
-            continue
-        f = v[lead]
-        if f != 1:
-            v = {j: x / f for j, x in v.items()}
-        kept[lead] = v
-        leads.append(lead)
+            if v is row:
+                v = dict(row)
+            _axpy(v, -v[lead] / pivot_row[lead], pivot_row)
+        if v:
+            kept[lead] = v
+        leads.append(lead if v else None)
     return kept, leads
 
 
 def back_substitute(kept: dict) -> tuple[list[dict], list]:
-    """The reduced rows, and their pivots, of monic echelon rows keyed by
-    leading index: each row is cleared in place at the other pivots."""
+    """The reduced rows, and their pivots, of echelon rows keyed by leading
+    index: each row is copied monic and cleared at the other pivots, and no
+    row of `kept` is written."""
     pivots = sorted(kept)
+    red: dict[int, dict] = {}
     # last pivot first: the rows used are already reduced, so they have no
     # entry at any other pivot column
     for c in reversed(pivots):
         row = kept[c]
-        for j in [j for j in row if j != c and j in kept]:
-            _axpy(row, -row[j], kept[j])
-    return [kept[c] for c in pivots], pivots
+        f = row[c]
+        row = {j: x / f for j, x in row.items()} if f != 1 else dict(row)
+        for j in [j for j in row if j in red]:
+            _axpy(row, -row[j], red[j])
+        red[c] = row
+    return [red[c] for c in pivots], pivots
 
 
 def rref(rows: list[dict]):
@@ -119,35 +128,35 @@ def rank(rows: list[dict]) -> int:
 
 def reduce_columns(cols: list[dict]) -> tuple[list[dict], dict]:
     """The canonical (RREF) kernel basis of the matrix with these columns,
-    and {leading row: kept column}, monic and echelon, for `back_substitute`
-    to turn into the image's RREF, from one reduction.
+    and {leading row: kept column}, echelon, for `back_substitute` to turn
+    into the image's RREF, from one reduction.
 
     The columns are taken last first, each reduced at its leading row by the
-    kept columns after it while its combination of the input columns is
-    tracked.  A column j that vanishes leaves a kernel vector that is 1 at j
+    kept columns after it, v -= (v[lead] / kept[lead]) * kept, while its
+    combination of the input columns is tracked.  A column that needs no
+    reduction is kept as the caller's own dict, and none is made monic or
+    written.  A column j that vanishes leaves a kernel vector that is 1 at j
     and otherwise nonzero only at kept columns, so at no other vanishing
     column: these vectors, by j ascending, are already the RREF basis."""
     kept: dict[int, dict] = {}
     combos: dict[int, dict] = {}
     kernel = []
     for j in range(len(cols) - 1, -1, -1):
-        v, combo = dict(cols[j]), {j: GR_ONE}
+        v, combo = cols[j], {j: GR_ONE}
         while v:
             lead = min(v)
             row = kept.get(lead)
             if row is None:
                 break
-            f = -v[lead]
+            if v is cols[j]:
+                v = dict(v)
+            f = -v[lead] / row[lead]
             _axpy(v, f, row)
             _axpy(combo, f, combos[lead])
-        if not v:
+        if v:
+            kept[lead], combos[lead] = v, combo
+        else:
             kernel.append(combo)
-            continue
-        f = v[lead]
-        if f != 1:
-            v = {i: x / f for i, x in v.items()}
-            combo = {i: x / f for i, x in combo.items()}
-        kept[lead], combos[lead] = v, combo
     kernel.reverse()
     return kernel, kept
 
@@ -199,10 +208,10 @@ class ExactMatrix:
 
 
 class Subspace:
-    """Subspace of Q(i)^ambient held by its canonical RREF basis, as sparse
-    rows with the pivot (leading index) of each, and the row at each pivot."""
-
-    __slots__ = ("ambient", "rows", "pivots", "_at")
+    """Subspace of Q(i)^ambient held by its pivots (leading indices) and its
+    canonical RREF basis, as sparse rows, with the row at each pivot.  A
+    subspace spanned by echelon rows knows its pivots at once and builds its
+    RREF rows when `rows`, `contains` or `==` first reads them."""
 
     def __init__(self, ambient: int, rows: list[dict],
                  pivots: list[int] | None = None):
@@ -211,12 +220,26 @@ class Subspace:
         self.ambient = ambient
         self.rows = rows
         self.pivots = [min(r) for r in rows] if pivots is None else pivots
-        self._at = dict(zip(self.pivots, rows))
+
+    @classmethod
+    def from_echelon(cls, ambient: int, kept: dict) -> "Subspace":
+        """The span of echelon rows keyed by leading index (`eliminate`,
+        `reduce_columns`), back-substituted on first read."""
+        sub = cls.__new__(cls)
+        sub.ambient, sub.pivots, sub._kept = ambient, sorted(kept), kept
+        return sub
+
+    @cached_property
+    def rows(self) -> list[dict]:
+        return back_substitute(self._kept)[0]
+
+    @cached_property
+    def _at(self) -> dict:
+        return dict(zip(self.pivots, self.rows))
 
     @classmethod
     def from_rows(cls, ambient: int, rows: list[dict]) -> "Subspace":
-        basis, pivots = rref(rows)
-        return cls(ambient, basis, pivots)
+        return cls.from_echelon(ambient, eliminate(rows)[0])
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -229,7 +252,7 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,12 +284,13 @@ class Quotient:
     itself is the caller's to know or to check (`contains_subspace`)."""
 
     def __init__(self, sub: Subspace, total: Subspace):
-        if not sub._at.keys() <= total._at.keys():
+        subp = set(sub.pivots)
+        if not subp <= set(total.pivots):
             raise LinalgError("quotient: sub pivots escape total")
         self.sub = sub
         self.total = total
         self.reps = [row for row, pc in zip(total.rows, total.pivots)
-                     if pc not in sub._at]
+                     if pc not in subp]
         self.dim = len(self.reps)
 
     @cached_property

@@ -23,9 +23,8 @@ from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy,
-                           back_substitute, combine, eliminate, mat_mul,
-                           reduce_columns)
+from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
+                           eliminate, mat_mul, reduce_columns)
 from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
                        element_from_coords, mono_str, terms_str)
 from .lie_structure import AlgebraPresentation, complex_frame
@@ -157,7 +156,7 @@ def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
         else:
             kernel, kept = reduce_columns(d.cols)
             cocycles = Subspace(len(basis), kernel)
-            image = Subspace(d.nrows, *back_substitute(kept))
+            image = Subspace.from_echelon(d.nrows, kept)
         out.append(CohomologyCell(basis, boundaries, cocycles))
     return out
 
@@ -299,16 +298,19 @@ def _pairing(tc: TotalComplex):
     Columns are reduced left to right, each only by earlier columns, so a
     reduced column stays in its filtration step; as K^k is ordered by p
     descending, its pivot (last nonzero row) is where its image leaves the
-    filtration.  Returns the pairs as (length, source cell, target cell),
-    sorted, and the number of unpaired basis elements of each cell.
+    filtration.  A column of D^k at a pivot row of D^{k-1} would reduce to
+    zero, so it enters as an empty row (clearing, Chen-Kerber 2011).
+    Returns the pairs as (length, source cell, target cell), sorted, and the
+    number of unpaired basis elements of each cell.
     """
     pairs = []
     paired: dict[int, set] = {0: set()}
     for k in range(tc.nmax + 1):
         # number rows from the end, so that the last row leads
         top = len(tc.bases.get(k + 1, ())) - 1
-        _, leads = eliminate([{top - i: c for i, c in col.items()}
-                              for col in tc.dmat[k].cols])
+        _, leads = eliminate([{} if j in paired[k] else
+                              {top - i: c for i, c in col.items()}
+                              for j, col in enumerate(tc.dmat[k].cols)])
         paired[k + 1] = set()
         for j, lead in enumerate(leads):
             if lead is not None:

@@ -20,6 +20,7 @@ from nilpoisson.calculus import (
     schouten,
 )
 from nilpoisson.catalog import kodaira, torus, tower
+from nilpoisson.exact_linalg import combine
 from nilpoisson.exterior import (
     MixedElement,
     element_entries,
@@ -276,3 +277,57 @@ def test_float_rank_agrees_with_exact_tower5():
         assert m.rank() == int((s > 1e-8).sum()), k
         checked += 1
     assert checked == 10
+
+
+# The first d_3 on the n = 8 counterexample, pinned from the reduction with
+# monic kept rows, eager image RREF and no clearing: its source is (2, 4),
+# its target (5, 2), and it is the one length-3 pair there.  Its classes
+# come from lazily built projections over non-monic kept columns.
+TOWER8_D3_SOURCE = (
+    '(1) v1^v3^v7^v8^ow5^ow6', '(3) v1^v4^v6^v8^ow5^ow6',
+    '(-2/3) v1^v4^v7^ow1^ow4^ow8', '(4/3) v1^v4^v7^ow1^ow5^ow7',
+    '(4/3) v1^v4^v7^ow2^ow3^ow8', '(-4/3) v1^v4^v7^ow2^ow4^ow7',
+    '(4/3) v1^v4^v7^ow2^ow5^ow6', '(2/3) v1^v4^ow1^ow2^ow4^ow8',
+    '(-1/3) v1^v4^ow1^ow2^ow5^ow7', '(-1) v1^v4^ow1^ow3^ow4^ow7',
+    '(1) v1^v4^ow1^ow3^ow5^ow6', '(-7) v1^v5^v6^v7^ow5^ow6',
+    '(2/3) v1^v5^v6^ow1^ow4^ow8', '(-4/3) v1^v5^v6^ow1^ow5^ow7',
+    '(-4/3) v1^v5^v6^ow2^ow3^ow8', '(4/3) v1^v5^v6^ow2^ow4^ow7',
+    '(-4/3) v1^v5^v6^ow2^ow5^ow6', '(-9/2) v2^v3^v6^v8^ow5^ow6',
+    '(2/3) v2^v3^v7^ow1^ow4^ow8', '(-4/3) v2^v3^v7^ow1^ow5^ow7',
+    '(-4/3) v2^v3^v7^ow2^ow3^ow8', '(4/3) v2^v3^v7^ow2^ow4^ow7',
+    '(-4/3) v2^v3^v7^ow2^ow5^ow6', '(-2/3) v2^v3^ow1^ow2^ow4^ow8',
+    '(1/3) v2^v3^ow1^ow2^ow5^ow7', '(1) v2^v3^ow1^ow3^ow4^ow7',
+    '(-1) v2^v3^ow1^ow3^ow5^ow6', '(3/2) v2^v4^v5^v8^ow5^ow6',
+    '(7/2) v2^v4^v6^v7^ow5^ow6', '(-1/3) v2^v4^v6^ow1^ow4^ow8',
+    '(2/3) v2^v4^v6^ow1^ow5^ow7', '(2/3) v2^v4^v6^ow2^ow3^ow8',
+    '(-2/3) v2^v4^v6^ow2^ow4^ow7', '(2/3) v2^v4^v6^ow2^ow5^ow6',
+    '(-7/2) v3^v4^v5^v7^ow5^ow6', '(1/3) v3^v4^v5^ow1^ow4^ow8',
+    '(-2/3) v3^v4^v5^ow1^ow5^ow7', '(-2/3) v3^v4^v5^ow2^ow3^ow8',
+    '(2/3) v3^v4^v5^ow2^ow4^ow7', '(-2/3) v3^v4^v5^ow2^ow5^ow6',
+)
+TOWER8_D3_IMAGE = ("(-14) v1^v5^v6^v7^v8^ow4^ow6 + (7) v2^v4^v6^v7^v8^ow4^ow6"
+                   " + (-7) v3^v4^v5^v7^v8^ow4^ow6")
+
+
+def test_tower8_first_d3_pinned():
+    ctx = CalculusContext(tower(8))
+    lam = parse_lambda("2 v1^v8 - v2^v7 + v3^v6 - v4^v5").bind(8)
+    t0 = time.perf_counter()
+    verdict = degeneration_verdict(BigradedComplex(ctx, lam))
+    assert verdict.verdict == "fails-at-(2,0,2)"
+    assert str(verdict.witness_source) == "(1) v7^ow3 + (1) ow2^ow3"
+    assert str(verdict.witness_image) == "(-2) v7^v8^ow2"
+    result, tc = verdict.pages, verdict.pages.tc
+    assert max(length for length, _, _ in result.pairs) == 3
+    assert [pair for pair in result.pairs if pair[0] == 3 and pair[1] == (2, 4)] \
+        == [(3, (2, 4), (5, 2))]
+    page = result.page(3)
+    mat = page.differential(2, 4)
+    assert (mat.nrows, mat.ncols, mat.rank()) == (30, 51, 1)
+    assert mat.cols[0] == {15: gauss(-14)}
+    src = element_from_coords(page.cell(2, 4).reps[0], tc.bases[6])
+    img = element_from_coords(combine(mat.cols[0], page.cell(5, 2).reps),
+                              tc.bases[7])
+    assert str(src) == " + ".join(TOWER8_D3_SOURCE)
+    assert str(img) == TOWER8_D3_IMAGE
+    assert time.perf_counter() - t0 < 60.0

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from nilpoisson.exact_linalg import (
     Quotient,
     Subspace,
     back_substitute,
+    eliminate,
     invert,
     mat_mul,
     rank,
@@ -386,6 +388,43 @@ def test_reduce_columns_kernel_and_image(case):
     assert len(cols) - len(kernel) == float_rank(rows, len(cols))
     assert kernel == reversed_rref_kernel(cols)
     assert m.kernel() == kernel == row_kernel(rows, len(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_columns())
+def test_no_reduction_writes_its_input(case):
+    # kept rows and columns alias the caller's dicts, so each reduction, and
+    # the back substitution of what it kept, must leave its input as it was
+    nrows, cols = case
+    before = copy.deepcopy(cols)
+    kept, _ = eliminate(cols)
+    kept_before = copy.deepcopy(kept)
+    back_substitute(kept)
+    assert kept == kept_before
+    rref(cols)
+    rank(cols)
+    _, ckept = reduce_columns(cols)
+    ckept_before = copy.deepcopy(ckept)
+    back_substitute(ckept)
+    assert ckept == ckept_before
+    sub = Subspace.from_rows(nrows, cols)
+    assert all(sub.contains(col) for col in cols)
+    assert cols == before
+
+
+def test_kept_rows_are_not_monic_and_rows_build_on_read():
+    # the second row is reduced by the first with factor -(1/2) / 2 and kept
+    # as it stands, 7/4 at its lead; the first row is kept as the input dict
+    two, half = GaussRational(Rational(2)), GaussRational(Rational(1, 2))
+    rows = [{0: two, 1: GR_ONE}, {0: half, 1: two}]
+    kept, leads = eliminate(rows)
+    assert leads == [0, 1] and kept[0] is rows[0]
+    assert kept[1] == {1: GaussRational(Rational(7, 4))}
+    sub = Subspace.from_rows(2, rows)
+    assert sub.pivots == [0, 1] and sub.dim == 2 and "rows" not in vars(sub)
+    assert Quotient(sub, Subspace.full(2)).dim == 0
+    assert "rows" not in vars(sub)
+    assert sub.rows == [{0: GR_ONE}, {1: GR_ONE}]
 
 
 def test_reduce_columns_pinned():

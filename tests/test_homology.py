@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 import random
 
@@ -699,3 +700,134 @@ def test_single_cells_match_whole_complex_in_random_frames(n, seed):
     ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
     _assert_single_cells_match_complex(
         BigradedComplex(ctx, theorem2_lambda(ctx).bivector))
+
+
+# -- clearing in the pairing, and reductions that leave D as it was ----------
+
+def uncleared_pairing(tc):
+    """The pairing as computed before clearing: every column of every D^k
+    reduced, rows numbered from the end so that the last row leads.  Also
+    returns, by k, the pivot rows of D^(k-1): the columns of D^k to clear."""
+    pairs, paired = [], {k: set() for k in range(tc.nmax + 2)}
+    lows = {k: set() for k in range(tc.nmax + 2)}
+    for k in range(tc.nmax + 1):
+        top = len(tc.bases.get(k + 1, ())) - 1
+        _, leads = exact_linalg.eliminate(
+            [{top - i: c for i, c in col.items()} for col in tc.dmat[k].cols])
+        for j, lead in enumerate(leads):
+            if lead is not None:
+                pj, pi = tc.pdeg[k][j], tc.pdeg[k + 1][top - lead]
+                pairs.append((pi - pj, (pj, k - pj), (pi, k + 1 - pi)))
+                paired[k].add(j)
+                paired[k + 1].add(top - lead)
+                lows[k + 1].add(top - lead)
+    unpaired = {}
+    for k in range(tc.nmax + 1):
+        for j, p in enumerate(tc.pdeg[k]):
+            if j not in paired[k]:
+                unpaired[(p, k - p)] = unpaired.get((p, k - p), 0) + 1
+    return (sorted(pairs), unpaired), lows
+
+
+def _gaussian_poisson_complex(n, seed, coeffs):
+    """tower:n in a random rational basis, with lam a Gaussian combination
+    of its holomorphic Poisson candidates."""
+    ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
+    lam = MixedElement()
+    for cand, c in zip(holomorphic_bivector_space(ctx).candidates, coeffs):
+        lam = lam + scaled(cand.bivector, c)
+    return BigradedComplex(ctx, lam)
+
+
+def _assert_clearing_keeps_pairs(bc):
+    tc = TotalComplex(bc)
+    seen = []
+    real = homology.eliminate
+
+    def recording(rows):
+        seen.append(rows)
+        return real(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology, "eliminate", recording)
+        got = homology._pairing(tc)
+    want, lows = uncleared_pairing(tc)
+    assert got == want
+    # and clearing is in effect: every pivot row of D^(k-1) enters the
+    # reduction of D^k as an empty row
+    assert len(seen) == tc.nmax + 1
+    for k, rows in enumerate(seen):
+        assert all(rows[j] == {} for j in lows[k]), k
+
+
+@pytest.mark.parametrize("algebra, lam", [
+    ("kodaira", "i v1^v2"),
+    ("tower:3", None), ("tower:4", None), ("tower:5", None),
+    ("tower:4", "2 v1^v4 - v2^v3"),
+    ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
+    ("torus:4", None),
+])
+def test_clearing_changes_no_pair(algebra, lam):
+    ctx = CalculusContext(catalog_load(algebra))
+    bivector = (theorem2_lambda(ctx).bivector if lam is None
+                else parse_lambda(lam).bind(ctx.n))
+    _assert_clearing_keeps_pairs(BigradedComplex(ctx, bivector))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32),
+       st.lists(st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2, max_size=2))
+def test_clearing_changes_no_pair_in_random_frames(n, seed, coeffs):
+    _assert_clearing_keeps_pairs(_gaussian_poisson_complex(n, seed, coeffs))
+
+
+def test_betti_ranks_read_every_column(monkeypatch):
+    # poisson_betti is the E_infinity oracle of the pairing, so it ranks
+    # each whole D^k: no column cleared, and nothing read from _pairing
+    tc = TotalComplex(BigradedComplex(CalculusContext(tower(4)),
+                                      parse_lambda("2 v1^v4 - v2^v3").bind(4)))
+    seen = []
+    real = exact_linalg.eliminate
+
+    def recording(rows):
+        seen.append(list(rows))
+        return real(rows)
+
+    def no_pairing(tc):
+        raise AssertionError("poisson_betti read the pairing")
+
+    monkeypatch.setattr(exact_linalg, "eliminate", recording)
+    monkeypatch.setattr(homology, "eliminate", recording)
+    monkeypatch.setattr(homology, "_pairing", no_pairing)
+    betti = poisson_betti(tc)
+    assert [betti[k] for k in range(9)] == [1, 3, 7, 10, 10, 10, 7, 3, 1]
+    assert seen == [d.cols for d in tc.dmat.values()]
+
+
+def _snapshot(bc, tc):
+    return copy.deepcopy(([m.cols for m in bc.dbar_mat.values()],
+                          [m.cols for m in bc.ad_mat.values()],
+                          [m.cols for m in tc.dmat.values()]))
+
+
+@pytest.mark.parametrize("case", ["tower:4 pinned", "conjugated tower:3"])
+def test_no_reduction_writes_a_matrix_of_the_complex(case):
+    # kept columns alias the columns of dbar, ad_lam and D: reading every
+    # class projection, the verdict with its witness, and the Betti ranks
+    # must leave each column as it was assembled
+    if case == "tower:4 pinned":
+        bc = BigradedComplex(CalculusContext(tower(4)),
+                             parse_lambda("2 v1^v4 - v2^v3").bind(4))
+    else:
+        bc = _gaussian_poisson_complex(3, 1, [gauss(1, 2), gauss(-2, 1)])
+    verdict = degeneration_verdict(bc)
+    tc = verdict.pages.tc
+    before = _snapshot(bc, tc)
+    assert all(cell.proj.nrows == cell.dim
+               for cell in dolbeault_table(bc).values())
+    degeneration_verdict(bc)
+    poisson_betti(tc)
+    for page in verdict.pages.pages:
+        assert page.projs.keys() == page.dims.keys()
+    assert _snapshot(bc, tc) == before
