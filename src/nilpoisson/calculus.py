@@ -1,11 +1,12 @@
 """The Lie-algebroid differential and the Schouten bracket on the mixed
 exterior algebra.
 
-Every operator is a graded derivation pinned by its generator values, and
-one term walk, `_leibniz`, applies every such derivation.  It works on
-bitmask monomials (v_i is bit i-1, ow_j is bit n+j-1, see `exterior`) and
-signs each term by one popcount, with no wedge product.  A generator image
-term I acts with degree |I| - 1:
+Every operator is a graded derivation pinned by its generator values.  The
+term walk `_leibniz` applies one to an element, and `derivation_matrix`
+builds its matrix between two cells from the vector and form halves of each
+term.  Both work on bitmask monomials (v_i is bit i-1, ow_j is bit n+j-1,
+see `exterior`) and sign by popcounts, with no wedge product.  A generator
+image term I acts with degree |I| - 1:
 
     D(g_1 ... g_k) = sum_t (-1)^((|I|-1)(t-1)) g_1 ... g_(t-1) I g_(t+1) ... g_k
 
@@ -21,17 +22,19 @@ derivation [h, .] to a.
 """
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
-from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
-                       mask_mono, mono_mask, mono_str)
+from .exterior import (FORM_BASE, MixedElement, cell_monomials, mask_mono,
+                       mono_mask, mono_str, subset_masks, subset_ranks)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
                             grading)
 
 
 class CalculusContext:
     """Frame, grading, and the generator values of dbar and of every
-    [h, .] for one algebra, compiled once for `_leibniz`."""
+    [h, .] for one algebra, each compiled once into a derivation table."""
 
     __slots__ = (
         "presentation", "frame", "grading", "n", "abelian",
@@ -97,9 +100,11 @@ def dbar_images(fr: ComplexFrame) -> tuple[dict, dict]:
 
 
 def derivation_table(images: dict[int, MixedElement], n: int) -> list[tuple]:
-    """The generator images compiled for `_leibniz`: (bit g, terms), g
-    ascending, each term (image mask I, sign mask B, c, -c) with B the XOR
-    of g - 1 and of b - 1 over the bits b of I."""
+    """The generator images compiled for `_leibniz` and `derivation_matrix`:
+    (bit g, terms), g ascending, each term (image mask I, sign mask B, c,
+    -c, vector half, form half) with B the XOR of g - 1 and of b - 1 over
+    the bits b of I, a half being (g, I, B, |I| - |g|) on its n bits."""
+    low = (1 << n) - 1
     table = []
     for code, img in images.items():
         bit = mono_mask((code,), n)
@@ -109,49 +114,42 @@ def derivation_table(images: dict[int, MixedElement], n: int) -> list[tuple]:
             signs = bit - 1
             for g in mono:
                 signs ^= mono_mask((g,), n) - 1
-            terms.append((mask, signs, c, -c))
+            halves = ((bit & low, mask & low, signs & low),
+                      (bit >> n, mask >> n, signs >> n))
+            terms.append((mask, signs, c, -c, *[
+                (g, i, b, i.bit_count() - (g != 0)) for g, i, b in halves]))
         if terms:
             table.append((bit, terms))
     table.sort(key=lambda entry: entry[0])
     return table
 
 
-def _leibniz(table: list[tuple], src: int, coeff, out: dict,
-             index: dict | None = None) -> None:
-    """Add coeff * D(src) into the sparse terms out, D the derivation with
-    this compiled table, keyed by mask, or by index[mask] when an index is
-    given (a mask outside it raises its KeyError).
+def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:
+    """Add coeff * D(src) into the sparse terms out, keyed by mask, D the
+    derivation with this compiled table.
 
     With R = src without g_t, moving I to the front turns the graded term of
     an image monomial I into (-1)^(t-1) I ^ R, and I ^ R is canonical up to
     the parity of the pairs x in I, y in R with y < x.  The factors of R below g_t number t - 1, so
     the whole sign is the parity of the popcount of R & B.
-    coeff None stands for 1 and multiplies nothing.
     """
     for g, terms in table:
         if not src & g:
             continue
         rest = src ^ g
-        for mask, signs, c, neg in terms:
+        for mask, signs, c, neg, _, _ in terms:
             if mask & rest:
                 continue
-            if (rest & signs).bit_count() & 1:
-                c = neg
-            if coeff is not None:
-                c = coeff * c
+            c = coeff * (neg if (rest & signs).bit_count() & 1 else c)
             m = mask | rest
-            if index is not None:
-                m = index[m]
-            # inline, not `_axpy`: this is the hot loop of matrix assembly
+            # inline, not `_axpy`: one call per term would cost more
             s = out.get(m)
             if s is None:
                 out[m] = c
+            elif s := s + c:
+                out[m] = s
             else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+                del out[m]
 
 
 def apply_table(table: list[tuple], n: int, e: MixedElement) -> MixedElement:
@@ -172,33 +170,66 @@ def apply_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedE
     return apply_table(derivation_table(images, n), n, e)
 
 
-def derivation_matrix(table: list[tuple], n: int, source_masks,
-                      target_masks, where: str) -> ExactMatrix:
-    """The derivation with this compiled table, one sparse column per
-    source mask and one row per target mask."""
-    target_index = {m: i for i, m in enumerate(target_masks)}
-    cols = []
-    for src in source_masks:
-        col: dict = {}
-        try:
-            _leibniz(table, src, None, col, target_index)
-        except KeyError as exc:
-            raise InternalInvariantError(
-                f"{where}: monomial {mono_str(mask_mono(exc.args[0], n))} "
-                "outside basis") from None
-        cols.append(col)
-    return ExactMatrix(cols, len(target_index))
+def _half_map(n: int, half: tuple, k: int, scale: int, tscale: int) -> list:
+    """A term's half on its n bits, over the k-subsets S that hold its g (0
+    when g is in the other half) and meet I only there: (rank of S * scale,
+    rank of I | R * tscale, parity of R & B) with R = S without g."""
+    g, image, signs, change = half
+    ranks = subset_ranks(n, k + change)
+    return [(c * scale, ranks[r | image] * tscale, (r & signs).bit_count() & 1)
+            for c, s in enumerate(subset_masks(n, k))
+            if s & g == g and not (r := s ^ g) & image]
+
+
+def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
+                      target: tuple[int, int], where: str) -> ExactMatrix:
+    """The derivation with this compiled table from cell source = (p, q) to
+    cell target = (p', q'), in `cell_monomials` order.  A term moves the two
+    halves of a monomial on their own, with the sum of their sign parities,
+    so its entries pair the entries of two half maps, each built once per
+    call: column c_v C(n, q) + c_f, row r_v C(n, q') + r_f, sign s_v + s_f.
+    Terms go in `_leibniz` order, and so do the entries of each column."""
+    (p, q), (tp, tq) = source, target
+    cq, ctq = len(subset_masks(n, q)), len(subset_masks(n, tq))
+    cols = [{} for _ in range(len(subset_masks(n, p)) * cq)]
+    vmap_of = cache(lambda half: _half_map(n, half, p, cq, ctq))
+    fmap_of = cache(lambda half: _half_map(n, half, q, 1, 1))
+    strays = []
+    for g, terms in table:
+        for mask, _, c, neg, vhalf, fhalf in terms:
+            vmap, fmap = vmap_of(vhalf), fmap_of(fhalf)
+            if not (vmap and fmap):
+                continue
+            if vhalf[3] != tp - p or fhalf[3] != tq - q:
+                # name what `_leibniz` meets first: first column, first term
+                strays.append((vmap[0][0] + fmap[0][0], len(strays), g, mask))
+                continue
+            for cv, rv, sv in vmap:
+                a, b = (neg, c) if sv else (c, neg)
+                for cf, rf, sf in fmap:
+                    col, row, x = cols[cv + cf], rv + rf, b if sf else a
+                    # inline, not `_axpy`: this is the hot loop of assembly
+                    s = col.get(row)
+                    if s is None:
+                        col[row] = x
+                    elif s := s + x:
+                        col[row] = s
+                    else:
+                        del col[row]
+    if strays:
+        j, _, g, mask = min(strays)
+        src = subset_masks(n, p)[j // cq] | subset_masks(n, q)[j % cq] << n
+        mono = mono_str(mask_mono(mask | src ^ g, n))
+        raise InternalInvariantError(f"{where}: monomial {mono} outside basis")
+    return ExactMatrix(cols, len(subset_masks(n, tp)) * ctq)
 
 
 def dbar_cell(table: list[tuple], n: int, p: int,
               q: int) -> tuple[list, ExactMatrix | None]:
     """The basis of cell (p, q) and the matrix of dbar with this compiled
     table out of it, None at q = n."""
-    basis = cell_monomials(n, p, q)
-    if q == n:
-        return basis, None
-    return basis, derivation_matrix(table, n, cell_masks(n, p, q),
-                                    cell_masks(n, p, q + 1), "dbar")
+    mat = derivation_matrix(table, n, (p, q), (p, q + 1), "dbar") if q < n else None
+    return cell_monomials(n, p, q), mat
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:

@@ -15,8 +15,9 @@ nor copied when it needed no reduction, so kept vectors may be the caller's
 own dicts and nothing here writes an input.  Only `back_substitute` makes
 monic copies, when an RREF is read.  Every linear combination goes through
 `_axpy`, here and in the rest of the package (brackets, J, the Jacobi sum,
-exterior sums and products, the bivector parser); only the derivation walk
-`calculus._leibniz` keeps its own accumulate.  Real and non-real input take
+exterior sums and products, the bivector parser); only the two derivation
+loops, `calculus._leibniz` on elements and `calculus.derivation_matrix` on
+cells, keep their own accumulate.  Real and non-real input take
 the same path: a real GaussRational is an integer pair over a common
 denominator, so no entry needs a cheaper field of its own.
 

@@ -8,10 +8,12 @@ forms with indices ascending, which the code order realizes directly.
 The derivation kernel in `calculus` reads a monomial of the n-dimensional
 complex as a bitmask instead: v_i is bit i-1 and ow_j is bit n+j-1, so
 ascending bit order is again the canonical factor order.  `mono_mask` and
-`mask_mono` convert, and `cell_masks` lists a cell in `cell_monomials` order.
+`mask_mono` convert.  In cell (p, q) the monomial of vector half rank a and
+form half rank b (`subset_masks`) sits at a * C(n, q) + b.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .errors import InternalInvariantError
@@ -84,30 +86,17 @@ def mask_mono(mask: int, n: int) -> Monomial:
     return tuple(out)
 
 
-class _GeneratorNames(dict):
-    """Generator code -> its name in text output, each formatted once."""
-
-    def __missing__(self, g: int) -> str:
-        name = self[g] = f"v{g}" if g < FORM_BASE else f"ow{g - FORM_BASE}"
-        return name
-
-
-_NAMES = _GeneratorNames()
-
-
 def mono_str(mono: Monomial) -> str:
-    if not mono:
-        return "1"
-    return "^".join([_NAMES[g] for g in mono])
+    return "^".join([f"v{g}" if g < FORM_BASE else f"ow{g - FORM_BASE}"
+                     for g in mono]) or "1"
 
 
-def terms_str(terms) -> str:
-    """The text of an element from its (monomial, coefficient) pairs, taken
-    in the order given, which must be monomial order; "0" when there are
-    none."""
-    text = " + ".join([f"({gauss_to_string(c)}) {mono_str(m)}"
-                       for m, c in terms])
-    return text or "0"
+def terms_texts(rows, words: list[str]) -> list[str]:
+    """The text of each sparse row {index: coefficient} over a basis whose
+    monomials read as words, terms in index order, which must be monomial
+    order: "(c) word + ...", or "0" for an empty row."""
+    return [" + ".join([f"({gauss_to_string(r[j])}) {words[j]}"
+                        for j in sorted(r)]) or "0" for r in rows]
 
 
 class MixedElement:
@@ -179,8 +168,9 @@ class MixedElement:
         return pq
 
     def __str__(self) -> str:
-        # monomials are distinct, so the pairs sort by monomial alone
-        return terms_str(sorted(self.terms.items()))
+        monos = sorted(self.terms)
+        return terms_texts([{j: self.terms[m] for j, m in enumerate(monos)}],
+                           [mono_str(m) for m in monos])[0]
 
     __repr__ = __str__
 
@@ -194,14 +184,28 @@ def cell_monomials(n: int, p: int, q: int) -> list[Monomial]:
     return [vecs + f for vecs in combinations(range(1, n + 1), p) for f in forms]
 
 
-def cell_masks(n: int, p: int, q: int) -> list[int]:
-    """The bitmasks of `cell_monomials(n, p, q)`, in the same order."""
-    if p < 0 or q < 0 or p > n or q > n:
+@cache
+def subset_masks(n: int, k: int) -> tuple[int, ...]:
+    """The k-subsets of n bits as masks, in `combinations` order: the vector
+    (or, shifted by n, the form) halves of a cell's monomials, in order."""
+    return (tuple(sum(1 << i for i in c) for c in combinations(range(n), k))
+            if k >= 0 else ())
+
+
+@cache
+def subset_ranks(n: int, k: int) -> dict[int, int]:
+    """The position of each k-subset mask in `subset_masks(n, k)`; shared."""
+    return {m: r for r, m in enumerate(subset_masks(n, k))}
+
+
+def cell_words(n: int, p: int, q: int) -> list[str]:
+    """`mono_str` of each monomial of `cell_monomials(n, p, q)`, joined from
+    the texts of its vector half and its form half."""
+    if p < 0 or q < 0:
         return []
-    bits = [1 << i for i in range(n)]
-    vecs = [sum(c) for c in combinations(bits, p)]
-    forms = [sum(c) << n for c in combinations(bits, q)]
-    return [a | b for a in vecs for b in forms]
+    vecs = ["^".join(c) for c in combinations([f"v{i}" for i in range(1, n + 1)], p)]
+    forms = ["^".join(c) for c in combinations([f"ow{j}" for j in range(1, n + 1)], q)]
+    return [f"{a}^{b}" if a and b else a or b or "1" for a in vecs for b in forms]
 
 
 def graded_monomials(n: int, k: int) -> list[Monomial]:

@@ -25,8 +25,9 @@ from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
                            eliminate, mat_mul, reduce_columns)
-from .exterior import (FORM_BASE, MixedElement, cell_masks, cell_monomials,
-                       element_from_coords, mono_str, terms_str)
+from .exterior import (MixedElement, cell_monomials, cell_words,
+                       element_from_coords, mono_str, subset_masks,
+                       terms_texts)
 from .lie_structure import AlgebraPresentation, complex_frame
 from .scalars import GR_ONE
 
@@ -100,8 +101,7 @@ class BigradedComplex:
                     self.basis[(p, q)] = cell_monomials(n, p, q)
                 if ad_table and p < n:
                     self.ad_mat[(p, q)] = derivation_matrix(
-                        ad_table, n, cell_masks(n, p, q),
-                        cell_masks(n, p + 1, q), "ad_lam")
+                        ad_table, n, (p, q), (p + 1, q), "ad_lam")
         self._check_identities()
 
     def _check_identities(self):
@@ -122,11 +122,13 @@ class BigradedComplex:
 
 class CohomologyCell(Quotient):
     """One cohomology space: the cocycles (`total`) over the boundaries
-    (`sub`), in the coordinates of `basis`."""
+    (`sub`), in the coordinates of `basis`, written with `words` if given."""
 
-    def __init__(self, basis: list, boundaries: Subspace, cocycles: Subspace):
+    def __init__(self, basis: list, boundaries: Subspace, cocycles: Subspace,
+                 words: list[str] | None = None):
         super().__init__(boundaries, cocycles)
         self.basis = basis
+        self.words = words
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
@@ -134,9 +136,8 @@ class CohomologyCell(Quotient):
     def representative_texts(self) -> list[str]:
         """`str` of each representative, written from its coordinates: the
         basis of a cell is in monomial order, so index order is term order."""
-        basis = self.basis
-        return [terms_str([(basis[j], r[j]) for j in sorted(r)])
-                for r in self.reps]
+        return terms_texts(self.reps, self.words
+                           or [mono_str(m) for m in self.basis])
 
     def class_coords(self, coords: dict) -> dict:
         if not self.total.contains(coords):
@@ -146,10 +147,11 @@ class CohomologyCell(Quotient):
 
 def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
     """The cohomology of each degree of a cochain complex given as the
-    (basis, map out of it, None for zero) of each degree.  One reduction of
-    a map gives the cocycles of its source and the boundaries of its target."""
+    (basis, map out of it, None for zero[, words of the basis]) of each
+    degree.  One reduction of a map gives the cocycles of its source and
+    the boundaries of its target."""
     out, image = [], None
-    for basis, d in cells:
+    for basis, d, *words in cells:
         boundaries = image if image is not None else Subspace.zero(len(basis))
         if d is None:
             cocycles, image = Subspace.full(len(basis)), None
@@ -157,12 +159,12 @@ def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
             kernel, kept = reduce_columns(d.cols)
             cocycles = Subspace(len(basis), kernel)
             image = Subspace.from_echelon(d.nrows, kept)
-        out.append(CohomologyCell(basis, boundaries, cocycles))
+        out.append(CohomologyCell(basis, boundaries, cocycles, *words))
     return out
 
 
-def _cell(basis: list, d_in: ExactMatrix | None,
-          d_out: ExactMatrix | None) -> CohomologyCell:
+def _cell(basis: list, d_in: ExactMatrix | None, d_out: ExactMatrix | None,
+          words: list[str] | None = None) -> CohomologyCell:
     """The cohomology of one degree, from the maps into and out of it (None
     for zero): the image of d_in over the kernel of d_out."""
     size = len(basis)
@@ -170,21 +172,21 @@ def _cell(basis: list, d_in: ExactMatrix | None,
                   else Subspace.zero(size))
     cocycles = (Subspace(size, d_out.kernel()) if d_out is not None
                 else Subspace.full(size))
-    return CohomologyCell(basis, boundaries, cocycles)
+    return CohomologyCell(basis, boundaries, cocycles, words)
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
     return _cell(bc.basis.get((p, q), []), bc.dbar_mat.get((p, q - 1)),
-                 bc.dbar_mat.get((p, q)))
+                 bc.dbar_mat.get((p, q)), cell_words(bc.n, p, q))
 
 
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
     """Every cell, column by column, one reduction of each dbar matrix."""
     n, table = bc.n, {}
     for p in range(n + 1):
-        column = [(bc.basis[(p, q)], bc.dbar_mat.get((p, q)))
-                  for q in range(n + 1)]
+        column = [(bc.basis[(p, q)], bc.dbar_mat.get((p, q)),
+                   cell_words(n, p, q)) for q in range(n + 1)]
         table.update(((p, q), cell)
                      for q, cell in enumerate(_cohomology(column)))
     return table
@@ -204,7 +206,8 @@ def dolbeault_column(ctx: CalculusContext,
                      ell: int) -> dict[tuple[int, int], CohomologyCell]:
     """The cells (ell, q) of `dolbeault_table`, from column ell alone."""
     _check_size(ctx.n)
-    column = _cohomology(_dbar_column(ctx.dbar_table, ctx.n, ell))
+    column = _cohomology([(*cell, cell_words(ctx.n, ell, q)) for q, cell in
+                          enumerate(_dbar_column(ctx.dbar_table, ctx.n, ell))])
     return {(ell, q): cell for q, cell in enumerate(column)}
 
 
@@ -545,31 +548,32 @@ class DBicomplexReport:
         return all(self.total_dims[m] == self.direct_dims[m] for m in self.total_dims)
 
 
-def _center_degree(mono, a: int) -> int:
-    """The number of vector factors among the first a generators."""
-    return sum(1 for g in mono if g < FORM_BASE and g <= a)
-
-
 def _center_split(column: list[tuple], a: int) -> dict[int, tuple]:
     """dbar on a column, from the (basis, dbar) of its cells, split into its
-    part dbar_c raising the center-degree and dbar_t fixing it: {m: (c, t)}."""
+    part dbar_c raising the center-degree and dbar_t fixing it: {m: (c, t)}.
+    The center-degree of index j of cell (ell, m), its vector factors among
+    the first a generators, is that of vector subset j // C(n, m)."""
+    n, ell = len(column) - 1, len(column[0][0][0])  # (ell, 0) opens v1..v_ell
+    center = (1 << a) - 1
+    degree = [(v & center).bit_count() for v in subset_masks(n, ell)]
     split = {}
     for m, (src, mat) in enumerate(column[:-1]):
         tgt = column[m + 1][0]
-        tdeg = [_center_degree(mono, a) for mono in tgt]
+        cm, ctm = len(subset_masks(n, m)), len(subset_masks(n, m + 1))
         c_cols, t_cols = [], []
-        for mono, col in zip(src, mat.cols):
-            pj = _center_degree(mono, a)
+        for j, col in enumerate(mat.cols):
+            pj = degree[j // cm]
             c_col, t_col = {}, {}
             for i, c in col.items():
-                if tdeg[i] == pj + 1:
+                shift = degree[i // ctm] - pj
+                if shift == 1:
                     c_col[i] = c
-                elif tdeg[i] == pj:
+                elif shift == 0:
                     t_col[i] = c
                 else:
                     raise InternalInvariantError(
                         "bicomplex differential moves center-degree by "
-                        f"{tdeg[i] - pj}")
+                        f"{shift}")
             c_cols.append(c_col)
             t_cols.append(t_col)
         split[m] = (ExactMatrix(c_cols, len(tgt)), ExactMatrix(t_cols, len(tgt)))

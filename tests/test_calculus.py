@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 import nilpoisson.homology as homology
 from nilpoisson.calculus import (
     CalculusContext,
+    _leibniz,
     ad_images,
     apply_derivation,
+    apply_table,
     dbar,
     dbar_lambda,
     derivation_matrix,
@@ -17,10 +19,10 @@ from nilpoisson.calculus import (
 )
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, NotAbelianError
-from nilpoisson.exterior import (FORM_BASE, MixedElement, cell_masks,
-                                 cell_monomials, element_entries, form_gen,
-                                 graded_monomials, mask_mono, mono_mask,
-                                 vec_gen, wedge, wedge_mono)
+from nilpoisson.exterior import (FORM_BASE, MixedElement, cell_monomials,
+                                 element_entries, form_gen, mask_mono,
+                                 mono_bidegree, mono_mask, mono_str,
+                                 subset_masks, vec_gen, wedge, wedge_mono)
 from nilpoisson.homology import BigradedComplex
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.lie_structure import AlgebraPresentation, validate
@@ -393,6 +395,52 @@ def _derivation_cases(draw):
     return n, images, draw(elements(2 * n))
 
 
+def cell_masks(n, p, q):
+    """The masks of `cell_monomials(n, p, q)`, built from the half tables:
+    vector half outer, form half inner."""
+    if p < 0 or q < 0:
+        return []
+    return [v | f << n for v in subset_masks(n, p) for f in subset_masks(n, q)]
+
+
+class _CellColumn(dict):
+    """A column of the walk: a monomial outside the target cell raises its
+    KeyError when it is first met, before anything cancels it."""
+
+    def __init__(self, index):
+        super().__init__()
+        self.index = index
+
+    def __setitem__(self, mask, c):
+        if mask not in self.index:
+            raise KeyError(mask)
+        super().__setitem__(mask, c)
+
+
+def walk_matrix(table, n, source, target, where="test"):
+    """The cell matrix as the per-source walk built it: `_leibniz` once per
+    source mask, each row looked up in the target cell's index, a stray
+    monomial named from the index's KeyError."""
+    index = {m: i for i, m in enumerate(cell_masks(n, *target))}
+    cols = []
+    for src in cell_masks(n, *source):
+        col = _CellColumn(index)
+        try:
+            _leibniz(table, src, GR_ONE, col)
+        except KeyError as exc:
+            raise InternalInvariantError(
+                f"{where}: monomial {mono_str(mask_mono(exc.args[0], n))} "
+                "outside basis") from None
+        cols.append({index[m]: c for m, c in col.items()})
+    return cols, len(index)
+
+
+def _term_shift(g, image):
+    """The bidegree shift of a generator image term."""
+    p, q = mono_bidegree(image)
+    return (p - 1, q) if g < FORM_BASE else (p, q - 1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_derivation_cases())
 # two terms of D(v1^v2) land on v1^v2^ow1 and cancel
@@ -401,16 +449,52 @@ def _derivation_cases(draw):
 def test_derivation_kernel_matches_graded_leibniz(case):
     n, images, e = case
     assert apply_derivation(images, e) == leibniz_reference(images, e)
-    everything = [m for k in range(2 * n + 1) for m in graded_monomials(n, k)]
-    index = {m: i for i, m in enumerate(everything)}
-    source = sorted(e.terms)
-    mat = derivation_matrix(derivation_table(images, n), n,
-                            [mono_mask(m, n) for m in source],
-                            [mono_mask(m, n) for m in everything], "test")
-    assert mat.nrows == len(everything)
-    for mono, col in zip(source, mat.cols):
-        want = leibniz_reference(images, MixedElement.term(mono, GR_ONE))
-        assert col == element_entries(want, index)
+    # D is linear in its images, and the terms of one bidegree shift map
+    # every cell into one cell
+    shifts = {}
+    for g, img in images.items():
+        for mono, c in img.terms.items():
+            part = shifts.setdefault(_term_shift(g, mono), {})
+            part[g] = part.get(g, MixedElement()) + MixedElement.term(mono, c)
+    cells = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    ref = {m: leibniz_reference(images, MixedElement.term(m, GR_ONE))
+           for p, q in cells for m in cell_monomials(n, p, q)}
+    for (dp, dq), part in shifts.items():
+        table = derivation_table(part, n)
+        for p, q in cells:
+            target = cell_monomials(n, p + dp, q + dq)
+            index = {m: i for i, m in enumerate(target)}
+            mat = derivation_matrix(table, n, (p, q), (p + dp, q + dq), "test")
+            assert mat.nrows == len(target)
+            assert mat.ncols == len(cell_monomials(n, p, q))
+            for mono, col in zip(cell_monomials(n, p, q), mat.cols):
+                one = MixedElement.term(mono, GR_ONE)
+                want = MixedElement({m: c for m, c in ref[mono].terms.items()
+                                     if m in index})
+                assert col == element_entries(want, index)
+                assert col == element_entries(apply_table(table, n, one), index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_derivation_cases())
+def test_derivation_matrix_names_the_walks_stray_monomial(case):
+    # from any cell into any other, the half assembly meets a stray
+    # monomial exactly when the walk does, and names the same one
+    n, images, _ = case
+    table = derivation_table(images, n)
+    cells = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for source in cells:
+        for target in cells:
+            try:
+                want = walk_matrix(table, n, source, target)
+            except InternalInvariantError as exc:
+                with pytest.raises(InternalInvariantError) as got:
+                    derivation_matrix(table, n, source, target, "test")
+                assert str(got.value) == str(exc)
+                continue
+            mat = derivation_matrix(table, n, source, target, "test")
+            assert ([list(c.items()) for c in mat.cols], mat.nrows) == \
+                ([list(c.items()) for c in want[0]], want[1])
 
 
 def test_derivation_matrix_names_stray_monomial():
@@ -418,7 +502,65 @@ def test_derivation_matrix_names_stray_monomial():
     with pytest.raises(InternalInvariantError,
                        match=r"^dbar: monomial v2\^ow1 outside basis$"):
         derivation_matrix(derivation_table(ctx.dbar_images, 4), 4,
-                          [mono_mask((vec_gen(1),), 4)], [], "dbar")
+                          (1, 0), (2, 0), "dbar")
+
+
+def _assert_cells_match_walk(ctx, lam, bc=None):
+    """Every dbar and ad_lam cell matrix, entries in insertion order,
+    against the per-source walk; and those of bc, where given, against the
+    same (a matrix bc does not store is zero)."""
+    n = ctx.n
+    tables = [("dbar", ctx.dbar_table, (0, 1), bc and bc.dbar_mat),
+              ("ad_lam", derivation_table(ad_images(ctx, lam), n), (1, 0),
+               bc and bc.ad_mat)]
+    for where, table, (dp, dq), stored in tables:
+        for p in range(n + 1):
+            for q in range(n + 1):
+                target = (p + dp, q + dq)
+                cols, nrows = walk_matrix(table, n, (p, q), target, where)
+                want = [list(col.items()) for col in cols]
+                mat = derivation_matrix(table, n, (p, q), target, where)
+                assert mat.nrows == nrows
+                assert [list(col.items()) for col in mat.cols] == want
+                if stored is None or (p, q) not in stored:
+                    assert stored is None or not any(want)
+                    continue
+                assert stored[(p, q)].nrows == nrows
+                assert [list(col.items()) for col in stored[(p, q)].cols] == want
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("kodaira", "i v1^v2"),
+    ("tower:4", "2 v1^v4 - v2^v3"),
+    ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
+    ("torus:4", None),
+])
+def test_half_assembly_matches_walk(name, lam):
+    ctx = CalculusContext(catalog_load(name))
+    lam = parse_lambda(lam).bind(ctx.n) if lam else MixedElement()
+    _assert_cells_match_walk(ctx, lam, BigradedComplex(ctx, lam))
+
+
+def test_half_assembly_matches_walk_on_iwasawa():
+    # dbar has an image on a form generator; v1^v2 is closed but not
+    # Poisson, which the walk comparison does not need
+    ctx = CalculusContext(iwasawa())
+    assert any(g >= FORM_BASE for g in ctx.dbar_images)
+    _assert_cells_match_walk(ctx, vterm(1, 2))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32),
+       st.lists(st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2, max_size=2))
+def test_half_assembly_matches_walk_in_random_frames(n, seed, coeffs):
+    # tower:n in a random rational basis, lam a random Gaussian combination
+    # of its Poisson candidates
+    ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
+    lam = MixedElement()
+    for cand, c in zip(holomorphic_bivector_space(ctx).candidates, coeffs):
+        lam = lam + scaled(cand.bivector, c)
+    _assert_cells_match_walk(ctx, lam, BigradedComplex(ctx, lam))
 
 
 def _cell_matrix_reference(images, bc, src_cell, tgt_cell):
@@ -488,10 +630,14 @@ def test_popcount_sign_matches_wedge_mono(case):
     images = {g: MixedElement.term(image, GR_ONE)}
     got = apply_derivation(images, MixedElement.term(pre + (g,) + post, GR_ONE))
     assert got == MixedElement.term(m, gauss(sign))
-    mat = derivation_matrix(derivation_table(images, n), n,
-                            [mono_mask(pre + (g,) + post, n)],
-                            [mono_mask(m, n)], "test")
-    assert mat.cols == [{0: gauss(sign)}]
+    # the same sign in the one-term table's matrix of the cell of g ^ R
+    src = pre + (g,) + post
+    source, target = mono_bidegree(src), mono_bidegree(m)
+    mat = derivation_matrix(derivation_table(images, n), n, source, target,
+                            "test")
+    assert mat.nrows == len(cell_monomials(n, *target))
+    j = cell_monomials(n, *source).index(src)
+    assert mat.cols[j] == {cell_monomials(n, *target).index(m): gauss(sign)}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -788,3 +789,22 @@ def test_cli_refuses_csv_before_loading_the_algebra(capsys, monkeypatch,
     assert (rc, out) == (2, "")
     assert err == f"error: csv output is not defined for {command}\n"
 
+
+
+@pytest.mark.parametrize("algebra, digest", [
+    # 65,536 one-term representatives
+    ("torus:8",
+     "f6277f34e33eebaaf543b1c50b1d6117cd251f7cc21ab8318336e08bdd0117aa"),
+    ("tower:8",
+     "16ebce9059e140657e930dc16c250b6c04eca19d82a0ac3609f5fa9590761a36"),
+], ids=["torus:8", "tower:8"])
+def test_cli_cohomology_json_pinned_at_n8(capsys, algebra, digest):
+    # the whole document but its timings, keys sorted, as the benchmark
+    # digests it: dimensions and every representative at n = 8
+    rc, out, err = run(capsys, "cohomology", "--algebra", algebra,
+                       "--format", "json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    doc.pop("timings")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -8,13 +8,14 @@ from nilpoisson.exterior import (
     FORM_BASE,
     MixedElement,
     cell_monomials,
+    cell_words,
     element_entries,
     element_from_coords,
     form_gen,
     graded_monomials,
     mono_bidegree,
     mono_str,
-    terms_str,
+    terms_texts,
     vec_gen,
     wedge,
     wedge_mono,
@@ -116,7 +117,7 @@ def test_element_str_pinned():
     e = e + MixedElement.term((vec_gen(1), form_gen(3)), gauss(-2))
     assert str(e) == "(-2) v1^ow3 + ((1/4+1/2i)) v2^ow1"
     assert str(MixedElement.zero()) == "0"
-    assert terms_str([]) == "0"
+    assert terms_texts([{}], []) == ["0"]
 
 
 def test_bidegree_split_pinned():
@@ -170,6 +171,15 @@ def test_element_coords_rejects_foreign_monomial():
     stray = MixedElement.term((vec_gen(1), vec_gen(2)), GR_ONE)
     with pytest.raises(InternalInvariantError):
         element_entries(stray, index)
+
+
+def test_cell_words_are_mono_str_of_cell_monomials():
+    # every cell up to n = 8, and the empty ones just outside the range
+    for n in range(9):
+        for p in range(-1, n + 2):
+            for q in range(-1, n + 2):
+                assert cell_words(n, p, q) == [
+                    mono_str(m) for m in cell_monomials(n, p, q)]
 
 
 def test_cell_monomials_sorted():
