@@ -28,29 +28,37 @@ from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
 from .exterior import (FORM_BASE, MixedElement, cell_monomials, mask_mono,
                        mono_mask, mono_str, subset_masks, subset_ranks)
-from .lie_structure import (AlgebraPresentation, ComplexFrame, complex_frame,
-                            grading)
+from .lie_structure import (AlgebraPresentation, ComplexFrame, Grading,
+                            complex_frame, grading)
 
 
 class CalculusContext:
-    """Frame, grading, and the generator values of dbar and of every
-    [h, .] for one algebra, each compiled once into a derivation table."""
+    """Frame and the generator values of dbar and of every [h, .] for one
+    algebra, each compiled once into a derivation table, and the grading,
+    built when first read."""
 
     __slots__ = (
-        "presentation", "frame", "grading", "n", "abelian",
+        "presentation", "frame", "_grading", "n", "abelian",
         "dbar_images", "bracket_table", "dbar_table", "bracket_tables",
     )
 
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
         self.frame = complex_frame(presentation)
-        self.grading = grading(presentation, self.frame)
+        self._grading = None
         self.n = self.frame.n
         self.abelian = self.frame.abelian
         self.dbar_images, self.bracket_table = dbar_images(self.frame)
         self.dbar_table = derivation_table(self.dbar_images, self.n)
         self.bracket_tables = {h: derivation_table(row, self.n)
                                for h, row in self.bracket_table.items()}
+
+    @property
+    def grading(self) -> Grading:
+        # only info, the theorem-2 bivector and the crosscheck read it
+        if self._grading is None:
+            self._grading = grading(self.presentation, self.frame)
+        return self._grading
 
 
 def dbar_images(fr: ComplexFrame) -> tuple[dict, dict]:
@@ -65,37 +73,38 @@ def dbar_images(fr: ComplexFrame) -> tuple[dict, dict]:
     images = {}
     brackets = {g: {} for g in [*range(1, n + 1),
                                 *range(FORM_BASE + 1, FORM_BASE + n + 1)]}
+    # each nonzero frame coordinate is scattered once: d_forms[m] collects
+    # the (0,2) part of d ow_m, and contractions[(k, m)] the contraction of
+    # v_k into d ow_m, term by term in the order the images list them
+    d_forms, contractions = {}, {}
     for i in range(1, n + 1):
         terms = {}
         for j in range(1, n + 1):
-            c10 = fr.bracket_vvbar[(i, j)][0]
+            c10, c01 = fr.bracket_vvbar[(i, j)]
             for a in sorted(c10):
                 # the monomial (v_a, ow_j) is already canonical
                 terms[(a + 1, FORM_BASE + j)] = c10[a]
+            for a, c in c01.items():
+                key = (i, FORM_BASE + a + 1)
+                contractions.setdefault(key, {})[(FORM_BASE + j,)] = -c
         if terms:
             images[i] = MixedElement(terms)
     for (i, j), c10 in fr.bracket_vv.items():
         if c10:
             brackets[i][j] = MixedElement.vector(c10)
             brackets[j][i] = -brackets[i][j]
-    for m in range(1, n + 1):
-        image = {(FORM_BASE + i, FORM_BASE + j): -c10[m - 1].conjugate()
-                 for (i, j), c10 in fr.bracket_vv.items() if m - 1 in c10}
-        if image:
-            if fr.abelian:
-                raise InternalInvariantError(
-                    "abelian structure produced a (0,2) part in d ow"
-                )
-            images[FORM_BASE + m] = MixedElement(image)
+        for a, c in c10.items():
+            key = (FORM_BASE + i, FORM_BASE + j)
+            d_forms.setdefault(FORM_BASE + a + 1, {})[key] = -c.conjugate()
+    if d_forms and fr.abelian:
+        raise InternalInvariantError("abelian structure produced a (0,2) part in d ow")
+    for m in range(FORM_BASE + 1, FORM_BASE + n + 1):
+        if m in d_forms:
+            images[m] = MixedElement(d_forms[m])
         for k in range(1, n + 1):
-            terms = {}
-            for j in range(1, n + 1):
-                c = fr.bracket_vvbar[(k, j)][1].get(m - 1)
-                if c:
-                    terms[(FORM_BASE + j,)] = -c
-            if terms:
-                brackets[k][FORM_BASE + m] = MixedElement(terms)
-                brackets[FORM_BASE + m][k] = -brackets[k][FORM_BASE + m]
+            if (k, m) in contractions:
+                brackets[k][m] = MixedElement(contractions[(k, m)])
+                brackets[m][k] = -brackets[k][m]
     return images, brackets
 
 

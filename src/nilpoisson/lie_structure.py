@@ -10,9 +10,10 @@ in the package.  A presentation compiles its rational input once into such
 vectors: the columns of J and a table of every nonzero bracket of basis
 vectors in both orders.  Brackets, J, the Jacobi check, the central series
 and the center all read that table, and every sum goes through
-`exact_linalg._axpy`.
-`validate` keeps the central series on its report and the grading reuses
-it, so one algebra's series is computed once.
+`exact_linalg._axpy`.  Integrability and abelianity are read off the
+brackets of the (1,0) eigenvectors of J.  `validate` keeps the central
+series on its report and the grading reuses it, so one algebra's series is
+computed once; a `CalculusContext` builds the grading only when it is read.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
-                           invert)
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational, RAT_ZERO,
-                      Rational, rational_from_string, rational_to_string)
+                           eliminate, invert, rank)
+from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational,
+                      rational_from_string, rational_to_string)
 
 Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 
@@ -146,11 +147,10 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
             rep.errors.append(f"jacobi identity fails on ({i},{j},{k})")
             break
 
-    basis = [p.basis_vector(i) for i in range(1, n2 + 1)]
-    for j in range(1, n2 + 1):
-        if p.j_apply(p.j_apply(basis[j - 1])) != {j - 1: -GR_ONE}:
+    for j, col in enumerate(p.jcols):
+        if p.j_apply(col) != {j: -GR_ONE}:
             rep.j_square_ok = False
-            rep.errors.append(f"J^2 != -1 on basis vector {j}")
+            rep.errors.append(f"J^2 != -1 on basis vector {j + 1}")
             break
 
     rep.series = central_series(p)
@@ -161,32 +161,27 @@ def validate(p: AlgebraPresentation) -> ValidationReport:
         rep.step = len(rep.series) - 1  # series = [g^0, ..., g^{s+1} = 0]
 
     if rep.j_square_ok:
-        jb = [p.j_apply(b) for b in basis]
-        integrable = True
-        abelian = True
-        for i in range(1, n2 + 1):
-            for j in range(i + 1, n2 + 1):
-                # N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j]
-                #               - J([Je_i, e_j] + [e_i, Je_j])
-                lhs = p.bracket_vectors(jb[i - 1], jb[j - 1])
-                base = structure.get((i - 1, j - 1), {})
-                if lhs != base:
-                    abelian = False
-                mixed = combine(_PLUS, [p.bracket_vectors(jb[i - 1], basis[j - 1]),
-                                        p.bracket_vectors(basis[i - 1], jb[j - 1])])
-                if combine(_MINUS, [lhs, base]) != p.j_apply(mixed):
-                    integrable = False
-        rep.integrable = integrable
-        rep.abelian = abelian
-        if abelian and not integrable:
-            raise InternalInvariantError("abelian complex structure failed integrability")
-        if not integrable:
-            rep.errors.append("complex structure is not integrable (Nijenhuis tensor != 0)")
+        # N = 0 iff [g^(1,0), g^(1,0)] lies in g^(1,0), and J is abelian iff
+        # g^(1,0) is abelian, so one bracket per pair of (1,0) rows decides both
+        rep.integrable = rep.abelian = True
+        for v, w in combinations(_eigen_rows(p), 2):
+            u = p.bracket_vectors(v, w)
+            if u:
+                rep.abelian = False
+                if p.j_apply(u) != {k: GR_I * c for k, c in u.items()}:
+                    rep.integrable = False
+                    rep.errors.append("complex structure is not integrable"
+                                      " (Nijenhuis tensor != 0)")
+                    break
     return rep
 
 
-_PLUS = {0: GR_ONE, 1: GR_ONE}
-_MINUS = {0: GR_ONE, 1: -GR_ONE}
+def _eigen_rows(p: AlgebraPresentation) -> list[Vector]:
+    """The +i eigenvectors of J, as the RREF kernel of J - i."""
+    # J is real, so no diagonal entry cancels
+    shifted = [{**col, k: col.get(k, GR_ZERO) - GR_I}
+               for k, col in enumerate(p.jcols)]
+    return ExactMatrix(shifted, p.dim).kernel()
 
 
 def central_series(p: AlgebraPresentation) -> list[Subspace]:
@@ -199,20 +194,23 @@ def central_series(p: AlgebraPresentation) -> list[Subspace]:
     for (i, j), vec in p.structure.items():
         right.setdefault(i, []).append((j, vec))
     series = [Subspace.full(n2)]
+    # each level is spanned by the rows its elimination keeps, so the next
+    # one brackets those and no level back-substitutes
+    span = series[0].rows
     while True:
-        prev = series[-1]
         rows = []
-        for b in prev.rows:
+        for b in span:
             # [b, e_(j+1)] = sum_i b_i [e_(i+1), e_(j+1)], for each j in turn
             images: dict[int, dict] = {}
             for i, x in b.items():
                 for j, vec in right.get(i, ()):
                     _axpy(images.setdefault(j, {}), x, vec)
             rows.extend(w for _, w in sorted(images.items()) if w)
-        nxt = Subspace.from_rows(n2, rows)
-        series.append(nxt)
-        if nxt.dim == 0 or nxt.dim == prev.dim:
+        kept = eliminate(rows)[0]
+        series.append(Subspace.from_echelon(n2, kept))
+        if not kept or len(kept) == len(span):
             break
+        span = list(kept.values())
     return series
 
 
@@ -288,10 +286,7 @@ def complex_frame(p: AlgebraPresentation,
             if p.j_apply(r) != {k: GR_I * c for k, c in r.items()}:
                 raise ValidationError("preferred frame row is not a (1,0) vector")
     else:
-        # the columns of J - i; J is real, so no diagonal entry cancels
-        shifted = [{**col, k: col.get(k, GR_ZERO) - GR_I}
-                   for k, col in enumerate(p.jcols)]
-        v_rows = ExactMatrix(shifted, n2).kernel()
+        v_rows = _eigen_rows(p)
         if len(v_rows) != n:
             raise ValidationError("the +i eigenspace of J has wrong dimension")
 
@@ -301,24 +296,26 @@ def complex_frame(p: AlgebraPresentation,
     except Exception as exc:
         raise ValidationError("frame rows do not span the complexification") from exc
 
-    bracket_vv = {}
+    bracket_vv, bracket_vvbar = {}, {}
     abelian = True
     for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
-            c10, c01 = _coframe_coords(binv, n, u)
-            if c01:
-                raise InternalInvariantError(
-                    "integrable structure produced a (0,1) part in [v_i, v_j]"
-                )
-            if c10:
-                abelian = False
-            bracket_vv[(i, j)] = c10
-    bracket_vvbar = {}
-    for i in range(1, n + 1):
         for j in range(1, n + 1):
-            u = p.bracket_vectors(v_rows[i - 1], vbar_rows[j - 1])
-            bracket_vvbar[(i, j)] = _coframe_coords(binv, n, u)
+            if j > i:
+                u = p.bracket_vectors(v_rows[i - 1], v_rows[j - 1])
+                c10, c01 = _coframe_coords(binv, n, u)
+                if c01:
+                    raise InternalInvariantError(
+                        "integrable structure produced a (0,1) part in [v_i, v_j]")
+                abelian = abelian and not c10
+                bracket_vv[(i, j)] = c10
+            if j < i:
+                # the brackets are real, so [v_i, vbar_j] = -conj([v_j, vbar_i])
+                c10, c01 = bracket_vvbar[(j, i)]
+                bracket_vvbar[(i, j)] = ({k: -c.conjugate() for k, c in c01.items()},
+                                         {k: -c.conjugate() for k, c in c10.items()})
+            else:
+                u = p.bracket_vectors(v_rows[i - 1], vbar_rows[j - 1])
+                bracket_vvbar[(i, j)] = _coframe_coords(binv, n, u)
     if abelian != rep.abelian:
         raise InternalInvariantError("frame abelian flag disagrees with validation")
     return ComplexFrame(p, n, v_rows, vbar_rows, binv, bracket_vv,
@@ -339,17 +336,12 @@ class Grading:
         return self.step - 1
 
 
-# u -> (u - i J u) / 2, the projection onto the (1,0) part
-_HALF_TO_10 = {0: GaussRational(Rational(1, 2), RAT_ZERO),
-               1: GaussRational(RAT_ZERO, Rational(-1, 2))}
-
-
-def _part10(p: AlgebraPresentation, frame: ComplexFrame, sub: Subspace) -> Subspace:
-    """(1,0) part of a J-invariant real subspace, in frame coordinates."""
-    rows = [frame.coords_10(combine(_HALF_TO_10, [u, p.j_apply(u)]))
-            for u in sub.rows]
-    out = Subspace.from_rows(frame.n, rows)
-    if 2 * out.dim != sub.dim:
+def _level10(frame: ComplexFrame, rows: list[Vector], dim: int) -> Subspace:
+    """The (1,0) part, in frame coordinates, of the J-invariant real subspace
+    of dimension dim that is spanned by rows and J rows.  omega(J u) =
+    i omega(u), so the (1,0) coordinates of rows alone span it."""
+    out = Subspace.from_rows(frame.n, [frame.coords_10(u) for u in rows])
+    if 2 * out.dim != dim:
         raise InternalInvariantError("J-invariant subspace has odd splitting")
     return out
 
@@ -357,17 +349,15 @@ def _part10(p: AlgebraPresentation, frame: ComplexFrame, sub: Subspace) -> Subsp
 def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Grading:
     if frame is None:
         frame = complex_frame(p)
-    n2, n = p.dim, frame.n
+    n = frame.n
     # the frame exists only for a valid report, whose series ends at g^{s+1} = 0
     series = frame.report.series
     step = len(series) - 1
     center = center_subspace(p)
 
-    gj = []  # g_J^k = g^k + J g^k, real ambient
-    for sub in series:
-        jrows = [p.j_apply(u) for u in sub.rows]
-        gj.append(Subspace.from_rows(n2, sub.rows + jrows))
-    gj10 = [_part10(p, frame, sub) for sub in gj]
+    # the (1,0) part of each g_J^k = g^k + J g^k, checked against its rank
+    gj10 = [_level10(frame, sub.rows, rank(sub.rows + [p.j_apply(u) for u in sub.rows]))
+            for sub in series]
 
     t10 = {}
     for k in range(1, step + 1):
@@ -375,11 +365,12 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
         if not upper.contains_subspace(lower):
             raise InternalInvariantError(f"g_J^{k} is not contained in g_J^{k - 1}")
         t10[k] = Subspace(n, Quotient(lower, upper).reps)
-    c10 = _part10(p, frame, center)
+    c10 = _level10(frame, center.rows, center.dim)
 
     s = step - 1
     # holds for abelian structures; flag loudly if data claims otherwise
-    if s >= 1 and frame.report.abelian and not center.contains_subspace(gj[s]):
+    if s >= 1 and frame.report.abelian and not all(
+            center.contains(w) for u in series[s].rows for w in (u, p.j_apply(u))):
         raise InternalInvariantError("g_J^s is not contained in the center")
     total = sum(t10[k].dim for k in t10)
     if total != n:

@@ -518,6 +518,45 @@ def test_cli_crosscheck_checks_dbar_square_in_original_frame(capsys,
                    "(p,q)=(2, 0): entry 1 from v1^v2 to v1^v2^ow1^ow2\n")
 
 
+@pytest.mark.parametrize("argv, code, builds", [
+    (("cohomology", "--algebra", "tower:4"), 0, 0),
+    (("cohomology", "--algebra", "tower:4", "--coef", "2", "--format", "csv"), 0, 0),
+    (("spectral", "--algebra", "kodaira", "--lambda", "v1^v2"), 0, 0),
+    (("degeneration", "--algebra", "tower:4", "--lambda", "2 v1^v4 - v2^v3"), 0, 0),
+    (("poisson", "--algebra", "tower:5"), 0, 0),
+    (("poisson", "--algebra", "kodaira", "--lambda", "v1^v2"), 0, 0),
+    # the benchmark's expected rejections
+    (("degeneration", "--algebra", "tower:5", "--lambda", "2 v1^v4 - v2^v3",
+      "--format", "json"), 1, 0),
+    (("spectral", "--algebra", "tower:4", "--lambda", "2 v1^^v4"), 2, 0),
+    (("cohomology", "--algebra", "torus:3", "--coef", "5"), 2, 0),
+    (("info", "--algebra", "tower:5"), 0, 1),
+    (("info", "--algebra", "torus:3", "--format", "json"), 0, 1),
+    (("poisson", "--algebra", "tower:5", "--theorem2", "--format", "json"), 0, 1),
+    (("spectral", "--algebra", "tower:3", "--theorem2", "--pages", "2"), 0, 1),
+    (("degeneration", "--algebra", "kodaira", "--theorem2"), 0, 1),
+    (("crosscheck", "--algebra", "tower:4", "--coef", "2"), 0, 1),
+    (("crosscheck", "--algebra", "torus:4"), 0, 1),
+])
+def test_cli_builds_the_grading_only_where_read(capsys, monkeypatch, argv,
+                                                code, builds):
+    # the context builds its grading on first read, and only info, the
+    # theorem-2 bivector and the crosscheck read it
+    import nilpoisson.calculus as calculus
+    import nilpoisson.lie_structure as lie_structure
+
+    real, calls = lie_structure.grading, []
+
+    def counted(*args):
+        calls.append(args[0].name)
+        return real(*args)
+
+    for module in (lie_structure, calculus):
+        monkeypatch.setattr(module, "grading", counted)
+    rc, _, _ = run(capsys, *argv)
+    assert (rc, len(calls)) == (code, builds)
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "--algebra", "tower:4"),
     ("info", "--algebra", "tower:4"),
@@ -789,6 +828,28 @@ def test_cli_refuses_csv_before_loading_the_algebra(capsys, monkeypatch,
     assert (rc, out) == (2, "")
     assert err == f"error: csv output is not defined for {command}\n"
 
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("info --algebra tower:64",
+     "8609d2c3d0054efa0e84eeff01d381a6c8d84a3390261fd96e59b6325bb9c329"),
+    ("validate --algebra tower:64",
+     "b5774161c7d053631c6c2ae7349211bd2e737c670c5a7fe0b8e97176f2bb96a0"),
+    ("poisson --algebra tower:30 --theorem2",
+     "e4b9788aaac7b1f0d283db8e68fb83a71f30b223c02cac6dc162fe47fb7ad10b"),
+    ("info --algebra torus:128",
+     "d2dd3fb1b0aca73d9223df4926161a63b5775d86e3f11965f08139afe383e75e"),
+], ids=["info-tower:64", "validate-tower:64", "poisson-tower:30",
+        "info-torus:128"])
+def test_cli_context_json_pinned_at_large_n(capsys, argv, digest):
+    # frame, grading and validation far past the catalog tests' sizes,
+    # digested as the benchmark digests JSON
+    rc, out, err = run(capsys, *argv.split(), "--format", "json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    doc.pop("timings")
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("algebra, digest", [

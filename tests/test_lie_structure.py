@@ -1,14 +1,16 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpoisson.catalog import catalog_load, kodaira, torus, tower
+from nilpoisson.catalog import (catalog_load, kodaira, load_file, save_file,
+                                torus, tower)
 import nilpoisson.lie_structure as lie_structure
 from nilpoisson.errors import InternalInvariantError, UsageError, ValidationError
-from nilpoisson.exact_linalg import ExactMatrix, Subspace, combine, mat_mul
+from nilpoisson.exact_linalg import ExactMatrix, Quotient, Subspace, combine, mat_mul
 from nilpoisson.lie_structure import (
     AlgebraPresentation,
     center_subspace,
@@ -438,14 +440,15 @@ def test_grading_refuses_a_pair_that_is_not_nested(monkeypatch):
     one = GR_ONE
     swap = {1: Subspace.from_rows(4, [{0: one}, {2: one}, {3: one}]),
             2: Subspace.from_rows(4, [{0: one, 1: one}, {3: one}])}
-    real, calls = lie_structure._part10, []
+    real, calls = lie_structure._level10, []
 
-    def patched(p, frame, sub):
-        calls.append(sub)
-        return swap.get(len(calls) - 1) or real(p, frame, sub)
+    def patched(frame, rows, dim):
+        calls.append(rows)
+        return swap.get(len(calls) - 1) or real(frame, rows, dim)
 
-    monkeypatch.setattr(lie_structure, "_part10", patched)
-    with pytest.raises(InternalInvariantError, match="not contained"):
+    monkeypatch.setattr(lie_structure, "_level10", patched)
+    with pytest.raises(InternalInvariantError,
+                       match=r"^g_J\^2 is not contained in g_J\^1$"):
         grading(tower(4))
 
 
@@ -515,3 +518,227 @@ def _paired_j_rows(n):
 
 def _j_strings(n):
     return [[str(e) for e in row] for row in _paired_j_rows(n)]
+
+
+# References for the context's own checks: validation decided integrability
+# and abelianity over every pair of real basis vectors, and the grading
+# closed each level under J and projected it by u -> (u - i J u) / 2.
+
+_NIJENHUIS = "complex structure is not integrable (Nijenhuis tensor != 0)"
+
+
+def _nijenhuis_reference(p):
+    """(integrable, abelian) from N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j]
+    - J([Je_i, e_j] + [e_i, Je_j]) and [Je_i, Je_j] = [e_i, e_j] on every
+    pair i < j of real basis vectors."""
+    basis = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    jb = [p.j_apply(b) for b in basis]
+    integrable = abelian = True
+    for i, j in combinations(range(p.dim), 2):
+        lhs = p.bracket_vectors(jb[i], jb[j])
+        base = p.bracket_vectors(basis[i], basis[j])
+        if lhs != base:
+            abelian = False
+        mixed = combine({0: GR_ONE, 1: GR_ONE},
+                        [p.bracket_vectors(jb[i], basis[j]),
+                         p.bracket_vectors(basis[i], jb[j])])
+        if combine({0: GR_ONE, 1: -GR_ONE}, [lhs, base]) != p.j_apply(mixed):
+            integrable = False
+    return integrable, abelian
+
+
+_HALF_TO_10 = {0: GaussRational(Rational(1, 2)),
+               1: GaussRational(Rational(0), Rational(-1, 2))}
+
+
+def _grading_reference(p, frame):
+    """(t10 rows by k, c10 rows) from the (1,0) part of each J-closed level
+    g_J^k = g^k + J g^k, and of the center, in frame coordinates; None when
+    the center is not J-invariant, which the grading refuses."""
+    def part10(sub):
+        rows = [frame.coords_10(combine(_HALF_TO_10, [u, p.j_apply(u)]))
+                for u in sub.rows]
+        out = Subspace.from_rows(frame.n, rows)
+        return out if 2 * out.dim == sub.dim else None
+
+    gj10 = [part10(Subspace.from_rows(p.dim, sub.rows + [p.j_apply(u) for u in sub.rows]))
+            for sub in _dense_central_series(p)]
+    c10 = part10(center_subspace(p))
+    if c10 is None:
+        return None
+    t10 = {k: Quotient(gj10[k], gj10[k - 1]).reps for k in range(1, len(gj10))}
+    return t10, c10.rows
+
+
+def _assert_context_matches_references(p):
+    rep = validate(p)
+    if rep.j_square_ok:
+        assert (rep.integrable, rep.abelian) == _nijenhuis_reference(p)
+    # every other check appends its error first, and this one at most once
+    others = [e for e in rep.errors if e != _NIJENHUIS]
+    assert rep.errors == others + ([_NIJENHUIS] if rep.j_square_ok
+                                   and not rep.integrable else [])
+    series = _dense_central_series(p)
+    assert rep.step == (len(series) - 1 if series[-1].dim == 0 else None)
+    if not rep.ok:
+        return
+    frame = complex_frame(p)
+    want = _grading_reference(p, frame)
+    if want is None:
+        assert not rep.abelian
+        with pytest.raises(InternalInvariantError,
+                           match="^J-invariant subspace has odd splitting$"):
+            grading(p, frame)
+        return
+    g = grading(p, frame)
+    assert g.step == rep.step
+    assert ({k: sub.rows for k, sub in g.t10.items()}, g.c10.rows) == want
+
+
+@pytest.mark.parametrize("name", ["kodaira"] + [f"tower:{n}" for n in range(2, 9)]
+                         + [f"torus:{n}" for n in range(1, 9)])
+def test_context_matches_references_on_catalog(name):
+    _assert_context_matches_references(catalog_load(name))
+
+
+def _jacobi_failures_and_non_nilpotent():
+    return [AlgebraPresentation(4, {(1, 2): {3: Rational(1)}, (1, 3): {1: Rational(1)}},
+                                _paired_j_rows(2)),
+            AlgebraPresentation(6, {(2, 3): {4: Rational(1)}, (2, 4): {2: Rational(1)}},
+                                _paired_j_rows(3)),
+            AlgebraPresentation(2, {(1, 2): {1: Rational(1)}}, _paired_j_rows(1))]
+
+
+def _tower3_with_moved_j():
+    """tower(3)'s brackets with J in another basis: not integrable."""
+    return AlgebraPresentation(6, tower(3).brackets,
+                               conjugated(tower(3), random.Random(5)).jmat)
+
+
+def test_context_matches_references_on_fixed_presentations():
+    from test_calculus import iwasawa
+
+    p = iwasawa()
+    assert _nijenhuis_reference(p) == (True, False)
+    # integrable, not abelian, and the center span{e2, e5, e6} is odd
+    odd = AlgebraPresentation(6, {(1, 3): {5: Rational(1)}, (1, 4): {6: Rational(1)}},
+                              _paired_j_rows(3))
+    moved = _tower3_with_moved_j()
+    assert _nijenhuis_reference(moved) == (False, False)
+    # a dense frame: no level's (1,0) span is its own conjugate
+    dense = conjugated(tower(4), random.Random(1))
+    for q in [p, odd, moved, dense, *_jacobi_failures_and_non_nilpotent()]:
+        _assert_context_matches_references(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structure_constants())
+def test_integrability_matches_reference_on_drawn_brackets(p):
+    _assert_context_matches_references(p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([tower(3), tower(4), tower(5)]), st.integers(0, 2 ** 32))
+def test_context_matches_references_in_random_frames(p, seed):
+    _assert_context_matches_references(conjugated(p, random.Random(seed)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([kodaira(), tower(2), tower(3), tower(4)]),
+       st.integers(0, 2 ** 32))
+def test_context_matches_references_with_only_j_conjugated(p, seed):
+    # the brackets stay and J moves to a random basis: mostly not integrable
+    q = conjugated(p, random.Random(seed))
+    _assert_context_matches_references(
+        AlgebraPresentation(p.dim, p.brackets, q.jmat))
+
+
+# Each invariant check of the context, tripped by a patched helper: the
+# library raises the exact message, and the CLI exits 3 with it.
+
+def _assert_context_check_trips(capsys, message, *argv):
+    from nilpoisson.calculus import CalculusContext
+    from nilpoisson.cli import main
+
+    source, name = argv[1:3]
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
+        CalculusContext(catalog_load(name) if source == "--algebra"
+                        else load_file(name)).grading
+    assert main(list(argv)) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"internal invariant violated: {message}\n")
+
+
+def test_grading_odd_splitting_check_trips(capsys, monkeypatch):
+    # one more than the rank of g^k + J g^k
+    real = lie_structure.rank
+    monkeypatch.setattr(lie_structure, "rank", lambda rows: real(rows) + 1)
+    _assert_context_check_trips(
+        capsys, "J-invariant subspace has odd splitting",
+        "info", "--algebra", "tower:3")
+
+
+def test_grading_odd_splitting_check_trips_on_the_center(capsys, monkeypatch):
+    # span{e3} in place of kodaira's center span{e3, e4}: not J-invariant
+    monkeypatch.setattr(lie_structure, "center_subspace",
+                        lambda p: Subspace.from_rows(p.dim, [{2: GR_ONE}]))
+    _assert_context_check_trips(
+        capsys, "J-invariant subspace has odd splitting",
+        "info", "--algebra", "kodaira")
+
+
+def test_grading_center_check_trips(capsys, monkeypatch):
+    # span{e1, e2} = span{x1, J x1} in place of tower(3)'s center
+    # span{x3, y3}, which holds g_J^2
+    monkeypatch.setattr(lie_structure, "center_subspace",
+                        lambda p: Subspace.from_rows(p.dim, [{0: GR_ONE}, {1: GR_ONE}]))
+    _assert_context_check_trips(
+        capsys, "g_J^s is not contained in the center",
+        "poisson", "--algebra", "tower:3", "--theorem2")
+
+
+def test_grading_fill_check_trips(capsys, monkeypatch):
+    # the zero level g_J^(s+1) read as g_J^s: t_(s+1) = 0, one short of n
+    real, levels = lie_structure._level10, []
+
+    def patched(frame, rows, dim):
+        levels.append(real(frame, rows, dim) if rows else levels[-1])
+        return levels[-1]
+
+    monkeypatch.setattr(lie_structure, "_level10", patched)
+    _assert_context_check_trips(
+        capsys, "t-splitting does not fill g^(1,0)",
+        "crosscheck", "--algebra", "tower:3")
+
+
+def test_frame_01_part_check_trips(capsys, monkeypatch, tmp_path):
+    p = _tower3_with_moved_j()
+    assert validate(p).errors == [_NIJENHUIS]
+    path = tmp_path / "moved.json"
+    save_file(p, str(path))
+    real = lie_structure.validate
+
+    def claimed_integrable(p):
+        rep = real(p)
+        rep.integrable, rep.errors = True, []
+        return rep
+
+    monkeypatch.setattr(lie_structure, "validate", claimed_integrable)
+    _assert_context_check_trips(
+        capsys, "integrable structure produced a (0,1) part in [v_i, v_j]",
+        "info", "--file", str(path))
+
+
+def test_frame_abelian_check_trips(capsys, monkeypatch):
+    real = lie_structure.validate
+
+    def flipped(p):
+        rep = real(p)
+        rep.abelian = not rep.abelian
+        return rep
+
+    monkeypatch.setattr(lie_structure, "validate", flipped)
+    _assert_context_check_trips(
+        capsys, "frame abelian flag disagrees with validation",
+        "cohomology", "--algebra", "tower:3")
