@@ -26,7 +26,7 @@ from functools import cache
 
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
-from .exterior import (FORM_BASE, MixedElement, cell_monomials, mask_mono,
+from .exterior import (FORM_BASE, CellBasis, MixedElement, mask_mono,
                        mono_mask, mono_str, subset_masks, subset_ranks)
 from .lie_structure import (AlgebraPresentation, ComplexFrame, Grading,
                             complex_frame, grading)
@@ -197,7 +197,9 @@ def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
     halves of a monomial on their own, with the sum of their sign parities,
     so its entries pair the entries of two half maps, each built once per
     call: column c_v C(n, q) + c_f, row r_v C(n, q') + r_f, sign s_v + s_f.
-    Terms go in `_leibniz` order, and so do the entries of each column."""
+    Terms go in `_leibniz` order, and so do the entries of each column; a
+    generator that no source monomial holds (a vector one at p = 0, a form
+    one at q = 0) is skipped before its half maps are built."""
     (p, q), (tp, tq) = source, target
     cq, ctq = len(subset_masks(n, q)), len(subset_masks(n, tq))
     cols = [{} for _ in range(len(subset_masks(n, p)) * cq)]
@@ -205,6 +207,8 @@ def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
     fmap_of = cache(lambda half: _half_map(n, half, q, 1, 1))
     strays = []
     for g, terms in table:
+        if not (q if g >> n else p):
+            continue
         for mask, _, c, neg, vhalf, fhalf in terms:
             vmap, fmap = vmap_of(vhalf), fmap_of(fhalf)
             if not (vmap and fmap):
@@ -234,11 +238,11 @@ def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
 
 
 def dbar_cell(table: list[tuple], n: int, p: int,
-              q: int) -> tuple[list, ExactMatrix | None]:
-    """The basis of cell (p, q) and the matrix of dbar with this compiled
-    table out of it, None at q = n."""
+              q: int) -> tuple[CellBasis, ExactMatrix | None]:
+    """The basis of cell (p, q), decoded only where read, and the matrix of
+    dbar with this compiled table out of it, None at q = n."""
     mat = derivation_matrix(table, n, (p, q), (p, q + 1), "dbar") if q < n else None
-    return cell_monomials(n, p, q), mat
+    return CellBasis(n, [(p, q)]), mat
 
 
 def dbar(ctx: CalculusContext, e: MixedElement) -> MixedElement:

@@ -17,8 +17,9 @@ HALF = Rational(1, 2)
 MINUS_HALF = Rational(-1, 2)
 
 # Largest n of a preset family: at tower(128), `validate`, `info` and
-# `poisson` take 4-8 s.  The bound is checked before the dense 2n x 2n J
-# is allocated, which at n = 10^5 would hold 4 * 10^10 entries.
+# `poisson` take about 0.5, 1 and 1.4 s.  The bound is checked before the
+# dense 2n x 2n J is allocated, which at n = 10^5 would hold 4 * 10^10
+# entries.
 MAX_PRESET_N = 128
 
 

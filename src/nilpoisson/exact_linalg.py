@@ -32,6 +32,7 @@ spectral page cell) is one, its class projection built only when read.
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 
 from .scalars import GR_ONE
 
@@ -162,8 +163,27 @@ def reduce_columns(cols: list[dict]) -> tuple[list[dict], dict]:
     return kernel, kept
 
 
-def mat_mul(a: "ExactMatrix", b: "ExactMatrix") -> "ExactMatrix":
-    return ExactMatrix([combine(col, a.cols) for col in b.cols], a.nrows)
+_NO_ENTRIES = MappingProxyType({})
+
+
+def mat_mul(a: "ExactMatrix", b: "ExactMatrix",
+            *more: "ExactMatrix") -> "ExactMatrix":
+    """a b, plus c d for each further pair c, d of factors.  A column of a
+    right factor is read only at the nonzero columns of its left factor, so
+    a product column that no such entry reaches is never visited: it is zero
+    with no entry to test, and it is `_NO_ENTRIES`, one empty mapping that
+    every such column shares and no caller can write."""
+    cols = [_NO_ENTRIES] * b.ncols
+    for left, right in zip((a, *more[::2]), (b, *more[1::2])):
+        lcols = left.cols
+        for j, col in enumerate(right.cols):
+            acc = cols[j]
+            for k, f in col.items():
+                if lk := lcols[k]:
+                    if acc is _NO_ENTRIES:
+                        acc = cols[j] = {}
+                    _axpy(acc, f, lk)
+    return ExactMatrix(cols, a.nrows)
 
 
 def invert(rows: list[dict]) -> list[dict]:

@@ -13,6 +13,7 @@ form half rank b (`subset_masks`) sits at a * C(n, q) + b.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
 
@@ -198,14 +199,57 @@ def subset_ranks(n: int, k: int) -> dict[int, int]:
     return {m: r for r, m in enumerate(subset_masks(n, k))}
 
 
-def cell_words(n: int, p: int, q: int) -> list[str]:
-    """`mono_str` of each monomial of `cell_monomials(n, p, q)`, joined from
-    the texts of its vector half and its form half."""
-    if p < 0 or q < 0:
-        return []
-    vecs = ["^".join(c) for c in combinations([f"v{i}" for i in range(1, n + 1)], p)]
-    forms = ["^".join(c) for c in combinations([f"ow{j}" for j in range(1, n + 1)], q)]
-    return [f"{a}^{b}" if a and b else a or b or "1" for a in vecs for b in forms]
+@cache
+def subset_words(n: int, k: int, name: str) -> tuple[str, ...]:
+    """The text of each k-subset of `subset_masks(n, k)`, its generators
+    written name1, name2, ...: the text of a vector or a form half."""
+    return tuple("^".join(f"{name}{i + 1}" for i in c)
+                 for c in combinations(range(n), k)) if k >= 0 else ()
+
+
+class CellBasis(Sequence):
+    """The monomials of the cells (p, q), laid end to end, each cell in
+    `cell_monomials` order: the basis of one cell, or of a total degree.
+    It is sized from the half tables, and it decodes a monomial, or writes
+    its text, only when that one is read."""
+
+    __slots__ = ("n", "cells", "sizes")
+
+    def __init__(self, n: int, cells: list[tuple[int, int]]):
+        self.n, self.cells = n, cells
+        self.sizes = [len(subset_masks(n, p)) * len(subset_masks(n, q))
+                      for p, q in cells]
+
+    def __len__(self) -> int:
+        return sum(self.sizes)
+
+    def _find(self, j: int) -> tuple[int, int, int, int]:
+        """The cell (p, q) of index j, and the ranks of its two halves."""
+        for (p, q), size in zip(self.cells, self.sizes):
+            if 0 <= j < size:
+                return (p, q, *divmod(j, len(subset_masks(self.n, q))))
+            j -= size
+        raise IndexError("cell basis index out of range")
+
+    def __getitem__(self, j: int) -> Monomial:
+        p, q, a, b = self._find(j)
+        n = self.n
+        return mask_mono(subset_masks(n, p)[a] | subset_masks(n, q)[b] << n, n)
+
+    def words(self, indices) -> dict[int, str]:
+        """`mono_str` of the monomial at each index, joined from the texts
+        of its vector half and its form half, cell by cell."""
+        out, start = {}, 0
+        for (p, q), size in zip(self.cells, self.sizes):
+            vecs = subset_words(self.n, p, "v")
+            forms = subset_words(self.n, q, "ow")
+            for j in indices:
+                if start <= j < start + size:
+                    a, b = divmod(j - start, len(forms))
+                    v, f = vecs[a], forms[b]
+                    out[j] = f"{v}^{f}" if v and f else v or f or "1"
+            start += size
+        return out
 
 
 def graded_monomials(n: int, k: int) -> list[Monomial]:

@@ -23,13 +23,11 @@ from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
-from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
+from .exact_linalg import (ExactMatrix, Quotient, Subspace, combine,
                            eliminate, mat_mul, reduce_columns)
-from .exterior import (MixedElement, cell_monomials, cell_words,
-                       element_from_coords, mono_str, subset_masks,
-                       terms_texts)
+from .exterior import (CellBasis, MixedElement, element_from_coords, mono_str,
+                       subset_masks, terms_texts)
 from .lie_structure import AlgebraPresentation, complex_frame
-from .scalars import GR_ONE
 
 # Largest complex dimension served: the complex has 4^n monomials, 65536 at
 # n = 8, and exact elimination beyond that does not finish in useful time.
@@ -50,20 +48,17 @@ def _check_zero(identity, where, src_basis, tgt_basis, *factors):
     (None) factor is zero, and so is then each product of the callers' sums."""
     if any(m is None for m in factors):
         return
-    prod = mat_mul(*factors[:2])
-    if len(factors) == 4:
-        for col, other in zip(prod.cols, mat_mul(*factors[2:]).cols):
-            _axpy(col, GR_ONE, other)
-    hits = [(i, j) for j, col in enumerate(prod.cols) for i in col]
-    if hits:
-        i, j = min(hits)
+    prod = mat_mul(*factors)
+    if not prod.is_zero():
+        i, j = min((i, j) for j, col in enumerate(prod.cols) for i in col)
         raise InternalInvariantError(
             f"{identity} != 0 on {where}: entry {prod.cols[j][i]} from "
             f"{mono_str(src_basis[j])} to {mono_str(tgt_basis[i])}")
 
 
 class BigradedComplex:
-    """Cell bases plus exact dbar and ad_lam matrices, identities verified.
+    """Cell bases (each decoded only where read) plus exact dbar and ad_lam
+    matrices, identities verified.
     A missing matrix is the zero map: there is none at the edge, and none of
     dbar (on the tori) or of ad_lam (lam central or 0) when it is zero."""
 
@@ -88,17 +83,14 @@ class BigradedComplex:
                     f"lam is not Poisson: [lam, lam] = {sq} != 0")
         dbar_table = ctx.dbar_table
 
-        self.basis: dict[tuple[int, int], list] = {}
+        self.basis: dict[tuple[int, int], CellBasis] = {}
         self.dbar_mat: dict[tuple[int, int], ExactMatrix] = {}
         self.ad_mat: dict[tuple[int, int], ExactMatrix] = {}
         for p in range(n + 1):
             for q in range(n + 1):
-                if dbar_table:
-                    self.basis[(p, q)], mat = dbar_cell(dbar_table, n, p, q)
-                    if mat is not None:
-                        self.dbar_mat[(p, q)] = mat
-                else:
-                    self.basis[(p, q)] = cell_monomials(n, p, q)
+                self.basis[(p, q)] = CellBasis(n, [(p, q)])
+                if dbar_table and q < n:
+                    self.dbar_mat[(p, q)] = dbar_cell(dbar_table, n, p, q)[1]
                 if ad_table and p < n:
                     self.ad_mat[(p, q)] = derivation_matrix(
                         ad_table, n, (p, q), (p + 1, q), "ad_lam")
@@ -122,22 +114,22 @@ class BigradedComplex:
 
 class CohomologyCell(Quotient):
     """One cohomology space: the cocycles (`total`) over the boundaries
-    (`sub`), in the coordinates of `basis`, written with `words` if given."""
+    (`sub`), in the coordinates of `basis`."""
 
-    def __init__(self, basis: list, boundaries: Subspace, cocycles: Subspace,
-                 words: list[str] | None = None):
+    def __init__(self, basis: CellBasis, boundaries: Subspace,
+                 cocycles: Subspace):
         super().__init__(boundaries, cocycles)
         self.basis = basis
-        self.words = words
 
     def representatives(self) -> list[MixedElement]:
         return [element_from_coords(r, self.basis) for r in self.reps]
 
     def representative_texts(self) -> list[str]:
         """`str` of each representative, written from its coordinates: the
-        basis of a cell is in monomial order, so index order is term order."""
-        return terms_texts(self.reps, self.words
-                           or [mono_str(m) for m in self.basis])
+        basis of a cell is in monomial order, so index order is term order.
+        Only the monomials the representatives hold are written."""
+        return terms_texts(self.reps, self.basis.words(
+            {j for r in self.reps for j in r}))
 
     def class_coords(self, coords: dict) -> dict:
         if not self.total.contains(coords):
@@ -147,11 +139,11 @@ class CohomologyCell(Quotient):
 
 def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
     """The cohomology of each degree of a cochain complex given as the
-    (basis, map out of it, None for zero[, words of the basis]) of each
-    degree.  One reduction of a map gives the cocycles of its source and
-    the boundaries of its target."""
+    (basis, map out of it, None for zero) of each degree.  One reduction of
+    a map gives the cocycles of its source and the boundaries of its
+    target."""
     out, image = [], None
-    for basis, d, *words in cells:
+    for basis, d in cells:
         boundaries = image if image is not None else Subspace.zero(len(basis))
         if d is None:
             cocycles, image = Subspace.full(len(basis)), None
@@ -159,12 +151,12 @@ def _cohomology(cells: list[tuple]) -> list[CohomologyCell]:
             kernel, kept = reduce_columns(d.cols)
             cocycles = Subspace(len(basis), kernel)
             image = Subspace.from_echelon(d.nrows, kept)
-        out.append(CohomologyCell(basis, boundaries, cocycles, *words))
+        out.append(CohomologyCell(basis, boundaries, cocycles))
     return out
 
 
-def _cell(basis: list, d_in: ExactMatrix | None, d_out: ExactMatrix | None,
-          words: list[str] | None = None) -> CohomologyCell:
+def _cell(basis: CellBasis, d_in: ExactMatrix | None,
+          d_out: ExactMatrix | None) -> CohomologyCell:
     """The cohomology of one degree, from the maps into and out of it (None
     for zero): the image of d_in over the kernel of d_out."""
     size = len(basis)
@@ -172,21 +164,21 @@ def _cell(basis: list, d_in: ExactMatrix | None, d_out: ExactMatrix | None,
                   else Subspace.zero(size))
     cocycles = (Subspace(size, d_out.kernel()) if d_out is not None
                 else Subspace.full(size))
-    return CohomologyCell(basis, boundaries, cocycles, words)
+    return CohomologyCell(basis, boundaries, cocycles)
 
 
 def dolbeault_cohomology(bc: BigradedComplex, p: int, q: int) -> CohomologyCell:
     """H^q of the column p with canonical representatives."""
-    return _cell(bc.basis.get((p, q), []), bc.dbar_mat.get((p, q - 1)),
-                 bc.dbar_mat.get((p, q)), cell_words(bc.n, p, q))
+    return _cell(bc.basis.get((p, q), CellBasis(bc.n, [])),
+                 bc.dbar_mat.get((p, q - 1)), bc.dbar_mat.get((p, q)))
 
 
 def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell]:
     """Every cell, column by column, one reduction of each dbar matrix."""
     n, table = bc.n, {}
     for p in range(n + 1):
-        column = [(bc.basis[(p, q)], bc.dbar_mat.get((p, q)),
-                   cell_words(n, p, q)) for q in range(n + 1)]
+        column = [(bc.basis[(p, q)], bc.dbar_mat.get((p, q)))
+                  for q in range(n + 1)]
         table.update(((p, q), cell)
                      for q, cell in enumerate(_cohomology(column)))
     return table
@@ -206,8 +198,7 @@ def dolbeault_column(ctx: CalculusContext,
                      ell: int) -> dict[tuple[int, int], CohomologyCell]:
     """The cells (ell, q) of `dolbeault_table`, from column ell alone."""
     _check_size(ctx.n)
-    column = _cohomology([(*cell, cell_words(ctx.n, ell, q)) for q, cell in
-                          enumerate(_dbar_column(ctx.dbar_table, ctx.n, ell))])
+    column = _cohomology(_dbar_column(ctx.dbar_table, ctx.n, ell))
     return {(ell, q): cell for q, cell in enumerate(column)}
 
 
@@ -225,19 +216,21 @@ def _column_degrees(n: int, k: int) -> list[int]:
 
 class TotalComplex:
     """K^k with the total differential D = dbar + ad_lam, basis ordered by
-    vector degree descending so every F^p is a leading coordinate block."""
+    vector degree descending so every F^p is a leading coordinate block,
+    each monomial decoded only where read."""
 
     def __init__(self, bc: BigradedComplex):
         self.bc = bc
         n = bc.n
         self.n = n
         self.nmax = 2 * n
-        self.bases: dict[int, list] = {}
+        self.bases: dict[int, CellBasis] = {}
         self.pdeg: dict[int, list[int]] = {}
         for k in range(self.nmax + 1):
             ps = _column_degrees(n, k)
-            self.bases[k] = [m for p in ps for m in bc.basis[(p, k - p)]]
-            self.pdeg[k] = [p for p in ps for _ in bc.basis[(p, k - p)]]
+            self.bases[k] = CellBasis(n, [(p, k - p) for p in ps])
+            self.pdeg[k] = [p for p, size in zip(ps, self.bases[k].sizes)
+                            for _ in range(size)]
         self.dmat = {k: self._build_d(k) for k in range(self.nmax + 1)}
 
     @cached_property
@@ -279,7 +272,8 @@ class TotalComplex:
 
 def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
     """H^k of (K, dbar + ad_lam); zero outside 0..2n."""
-    return _cell(tc.bases.get(k, []), tc.dmat.get(k - 1), tc.dmat.get(k))
+    return _cell(tc.bases.get(k, CellBasis(tc.n, [])), tc.dmat.get(k - 1),
+                 tc.dmat.get(k))
 
 
 def poisson_betti(tc: TotalComplex) -> dict[int, int]:
@@ -553,7 +547,7 @@ def _center_split(column: list[tuple], a: int) -> dict[int, tuple]:
     part dbar_c raising the center-degree and dbar_t fixing it: {m: (c, t)}.
     The center-degree of index j of cell (ell, m), its vector factors among
     the first a generators, is that of vector subset j // C(n, m)."""
-    n, ell = len(column) - 1, len(column[0][0][0])  # (ell, 0) opens v1..v_ell
+    n, ell = len(column) - 1, column[0][0].cells[0][0]
     center = (1 << a) - 1
     degree = [(v & center).bit_count() for v in subset_masks(n, ell)]
     split = {}

@@ -329,7 +329,7 @@ class Grading:
     n: int
     step: int                      # s + 1
     t10: dict                      # k -> complement Subspace, k = 1..s+1
-    c10: "Subspace"                # (1,0) part of the center, frame coordinates
+    c10: "Subspace"                # central (1,0) vectors, frame coordinates
 
     @property
     def s(self) -> int:
@@ -344,6 +344,16 @@ def _level10(frame: ComplexFrame, rows: list[Vector], dim: int) -> Subspace:
     if 2 * out.dim != dim:
         raise InternalInvariantError("J-invariant subspace has odd splitting")
     return out
+
+
+def _j_core(p: AlgebraPresentation, sub: Subspace) -> list[Vector]:
+    """Independent rows spanning the intersection of sub and J sub: over the
+    rows u_i of sub, sum_i a_i u_i for each kernel vector (a, b) of
+    (a, b) -> sum_i a_i u_i - b_i J u_i."""
+    m, rows = sub.dim, sub.rows
+    cols = rows + [{k: -x for k, x in p.j_apply(u).items()} for u in rows]
+    return [combine({i: x for i, x in ab.items() if i < m}, rows)
+            for ab in ExactMatrix(cols, p.dim).kernel()]
 
 
 def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Grading:
@@ -365,7 +375,10 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Gradin
         if not upper.contains_subspace(lower):
             raise InternalInvariantError(f"g_J^{k} is not contained in g_J^{k - 1}")
         t10[k] = Subspace(n, Quotient(lower, upper).reps)
-    c10 = _level10(frame, center.rows, center.dim)
+    # the central (1,0) vectors are the (1,0) part of z and J z's
+    # intersection, which is all of z when the structure is abelian
+    core = _j_core(p, center)
+    c10 = _level10(frame, core, len(core))
 
     s = step - 1
     # holds for abelian structures; flag loudly if data claims otherwise

@@ -14,7 +14,8 @@ from .calculus import (CalculusContext, ad_images, apply_derivation, dbar,
                        dbar_cell)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
-from .exterior import MixedElement, element_entries, element_from_coords
+from .exterior import (CellBasis, MixedElement, element_entries,
+                       element_from_coords)
 
 
 @dataclass
@@ -46,7 +47,7 @@ def is_holomorphic_poisson(ctx: CalculusContext, lam: MixedElement) -> PoissonCa
 class BivectorSpace:
     """dbar-closed (2,0) bivectors plus the verified Poisson candidates."""
 
-    basis_monomials: list
+    basis_monomials: CellBasis
     closed: Subspace
     candidates: list
 

@@ -363,24 +363,102 @@ def test_cli_crosscheck_validates_once(capsys, monkeypatch):
     assert calls == ["tower(4)"]
 
 
+def test_cli_info_on_a_center_that_is_not_j_invariant(capsys, tmp_path):
+    # integrable, not abelian; the center span{e2, e5, e6} is odd, and its
+    # J-invariant part span{e5, e6} holds the one central (1,0) direction
+    j = [["0"] * 6 for _ in range(6)]
+    for k in range(3):
+        j[2 * k + 1][2 * k], j[2 * k][2 * k + 1] = "1", "-1"
+    path = tmp_path / "odd_center.json"
+    path.write_text(json.dumps({"dim": 6, "J": j, "brackets": [
+        {"i": 1, "j": 3, "out": {"5": "1"}},
+        {"i": 1, "j": 4, "out": {"6": "1"}}]}))
+    rc, out, err = run(capsys, "validate", "--file", str(path), "--format",
+                       "json")
+    assert (rc, err) == (0, "")
+    details = json.loads(out)["details"]
+    assert (details["integrable"], details["abelian"]) == (True, False)
+    rc, out, err = run(capsys, "info", "--file", str(path), "--format", "json")
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["details"]["center_dim_10"] == 1
+    for argv, what in ((("poisson", "--theorem2"), "construction"),
+                       (("crosscheck",), "bicomplex split")):
+        assert run(capsys, *argv, "--file", str(path)) == (
+            1, "", f"validation failure: the {what} needs an abelian "
+                   "structure\n")
+
+
+def _forbid(monkeypatch, *names):
+    """Make each name raise in every package module that binds it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a monomial basis was built")
+
+    for name in names:
+        bound = [module for key, module in sys.modules.items()
+                 if key.startswith("nilpoisson.") and hasattr(module, name)]
+        assert bound, name
+        for module in bound:
+            monkeypatch.setattr(module, name, forbidden)
+
+
 @pytest.mark.parametrize("argv", [
     ("cohomology", "--algebra", "tower:12"),
     ("crosscheck", "--algebra", "tower:12", "--coef", "2"),
 ], ids=["cohomology", "crosscheck"])
 def test_cli_refuses_oversized_algebra(capsys, monkeypatch, argv):
-    # the size guard fires before any monomial basis is built
-    import nilpoisson.calculus as calculus
-
-    def no_basis(*args):
-        raise AssertionError("a monomial basis was built")
-
-    monkeypatch.setattr(calculus, "cell_monomials", no_basis)
+    # the size guard fires before any monomial basis is built, or even sized
+    _forbid(monkeypatch, "cell_monomials", "CellBasis")
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert err == ("error: complex dimension n = 12 is above the supported "
                    "maximum 8: its bigraded complex would hold 4^12 = "
                    "16777216 monomials\n")
+
+
+def _no_decode(self, j):
+    raise AssertionError("a basis monomial was decoded")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "tower:4"),
+    ("cohomology", "--algebra", "tower:4", "--format", "json"),
+    ("cohomology", "--algebra", "tower:4", "--format", "csv"),
+    ("cohomology", "--algebra", "tower:4", "--coef", "2"),
+    ("crosscheck", "--algebra", "tower:4", "--coef", "2"),
+], ids=["table", "json", "csv", "coef", "crosscheck"])
+def test_cli_builds_no_monomial_tuple(capsys, monkeypatch, argv):
+    # bases are sized from the half tables and representatives are written
+    # from half texts, so a successful run decodes no basis monomial
+    from nilpoisson.exterior import CellBasis
+
+    def outputs():
+        rc, out, err = run(capsys, *argv)
+        # the JSON report carries timings, which differ from run to run
+        return rc, json.loads(out)["cohomology"] if "json" in argv else out, err
+
+    want = outputs()
+    _forbid(monkeypatch, "cell_monomials", "graded_monomials")
+    monkeypatch.setattr(CellBasis, "__getitem__", _no_decode)
+    assert outputs() == want
+    assert want[0] == 0
+
+
+def test_library_betti_builds_no_monomial_tuple(monkeypatch):
+    from nilpoisson.exterior import CellBasis
+    from nilpoisson.homology import TotalComplex, poisson_betti
+    from nilpoisson.poisson import theorem2_lambda
+
+    def betti():
+        ctx = CalculusContext(catalog_load("tower:4"))
+        lam = theorem2_lambda(ctx).bivector
+        return poisson_betti(TotalComplex(BigradedComplex(ctx, lam)))
+
+    want = betti()
+    _forbid(monkeypatch, "cell_monomials", "graded_monomials")
+    monkeypatch.setattr(CellBasis, "__getitem__", _no_decode)
+    assert betti() == want == {0: 1, 1: 5, 2: 12, 3: 19, 4: 22, 5: 19,
+                               6: 12, 7: 5, 8: 1}
 
 
 @pytest.mark.parametrize("argv", [

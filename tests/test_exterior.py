@@ -6,9 +6,9 @@ import pytest
 from nilpoisson.errors import InternalInvariantError
 from nilpoisson.exterior import (
     FORM_BASE,
+    CellBasis,
     MixedElement,
     cell_monomials,
-    cell_words,
     element_entries,
     element_from_coords,
     form_gen,
@@ -173,13 +173,34 @@ def test_element_coords_rejects_foreign_monomial():
         element_entries(stray, index)
 
 
-def test_cell_words_are_mono_str_of_cell_monomials():
+def test_cell_basis_decodes_cell_monomials():
     # every cell up to n = 8, and the empty ones just outside the range
     for n in range(9):
         for p in range(-1, n + 2):
             for q in range(-1, n + 2):
-                assert cell_words(n, p, q) == [
-                    mono_str(m) for m in cell_monomials(n, p, q)]
+                want = cell_monomials(n, p, q)
+                basis = CellBasis(n, [(p, q)])
+                assert len(basis) == len(want), (n, p, q)
+                assert list(basis) == want, (n, p, q)
+                assert basis.words(range(len(want))) == {
+                    j: mono_str(m) for j, m in enumerate(want)}
+                with pytest.raises(IndexError):
+                    basis[len(want)]
+                with pytest.raises(IndexError):
+                    basis[-1]
+
+
+def test_cell_basis_of_a_degree_is_graded_monomials():
+    for n in range(6):
+        for k in range(-1, 2 * n + 2):
+            cells = [(p, k - p) for p in range(min(k, n), -1, -1) if k - p <= n]
+            want = graded_monomials(n, k)
+            basis = CellBasis(n, cells)
+            assert len(basis) == len(want)
+            assert list(basis) == want
+            # a sparse set of indices, out of order, across the cells
+            picked = list(range(len(want)))[::-3]
+            assert basis.words(picked) == {j: mono_str(want[j]) for j in picked}
 
 
 def test_cell_monomials_sorted():

@@ -12,7 +12,7 @@ import nilpoisson.homology as homology
 from nilpoisson.calculus import CalculusContext, dbar_lambda
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, ValidationError
-from nilpoisson.exact_linalg import ExactMatrix, rank
+from nilpoisson.exact_linalg import ExactMatrix, combine, rank
 from nilpoisson.exterior import (
     MixedElement,
     element_entries,
@@ -37,7 +37,7 @@ from nilpoisson.homology import (
 )
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import holomorphic_bivector_space, theorem2_lambda
-from nilpoisson.scalars import GR_ONE, gauss
+from nilpoisson.scalars import GR_ONE, Rational, gauss
 from test_exact_linalg import row_kernel
 from test_exterior import scaled
 from test_lie_structure import conjugated
@@ -831,3 +831,82 @@ def test_no_reduction_writes_a_matrix_of_the_complex(case):
     for page in verdict.pages.pages:
         assert page.projs.keys() == page.dims.keys()
     assert _snapshot(bc, tc) == before
+
+
+# -- the identity checks' product kernel ------------------------------------
+
+_SCALARS = st.builds(
+    lambda a, b, d: gauss(Rational(a, d), Rational(b, d)),
+    st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3)).filter(bool)
+
+
+@st.composite
+def _sparse_matrix(draw, nrows, ncols):
+    """Sparse columns, many of them empty, a few entries each."""
+    return ExactMatrix([draw(st.dictionaries(
+        st.integers(0, nrows - 1), _SCALARS, max_size=min(3, nrows)))
+        if nrows and draw(st.booleans()) else {} for _ in range(ncols)], nrows)
+
+
+@st.composite
+def _identity_factors(draw):
+    """(a2, a1) or (a2, a1, b2, b1) with a2 a1 (+ b2 b1) drawn to vanish in
+    part: a left column planted as a multiple of another, with right columns
+    that cancel on the pair, and a second product -a2 s . a1 / s plus noise."""
+    m, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a2, a1 = draw(_sparse_matrix(m, k)), draw(_sparse_matrix(k, c))
+    if k >= 2 and c and draw(st.booleans()):
+        k1, k2 = draw(st.permutations(range(k)))[:2]
+        s, f = draw(_SCALARS), draw(_SCALARS)
+        a2.cols[k2] = {i: s * x for i, x in a2.cols[k1].items()}
+        a1.cols[draw(st.integers(0, c - 1))] = {k1: f, k2: -f / s}
+    if not draw(st.booleans()):
+        return a2, a1
+    s = draw(_SCALARS)
+    b2 = ExactMatrix([{i: s * x for i, x in col.items()} for col in a2.cols], m)
+    b1 = ExactMatrix([{i: -x / s for i, x in col.items()} for col in a1.cols], k)
+    noise = draw(_sparse_matrix(k, c))
+    for col, extra in zip(b1.cols, noise.cols):
+        if draw(st.booleans()):
+            col.update(extra)
+    return a2, a1, b2, b1
+
+
+def _reference_product(*factors):
+    """The columns of a2 a1 (+ b2 b1), one `combine` per column."""
+    cols = [combine(col, factors[0].cols) for col in factors[1].cols]
+    if len(factors) == 4:
+        cols = [combine({0: GR_ONE, 1: GR_ONE}, [col, combine(other, factors[2].cols)])
+                for col, other in zip(cols, factors[3].cols)]
+    return cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_identity_factors())
+def test_check_zero_matches_reference_product(factors):
+    want = _reference_product(*factors)
+    prod = exact_linalg.mat_mul(*factors)
+    assert prod.nrows == factors[0].nrows and prod == ExactMatrix(want, prod.nrows)
+    src = [(vec_gen(j + 1),) for j in range(factors[1].ncols)]
+    tgt = [(form_gen(i + 1),) for i in range(factors[0].nrows)]
+    hits = [(i, j) for j, col in enumerate(want) for i in col]
+    if not hits:
+        homology._check_zero("ident", "here", src, tgt, *factors)
+        return
+    i, j = min(hits)
+    with pytest.raises(InternalInvariantError) as err:
+        homology._check_zero("ident", "here", src, tgt, *factors)
+    assert str(err.value) == (f"ident != 0 on here: entry {want[j][i]} from "
+                              f"v{j + 1} to ow{i + 1}")
+
+
+def test_product_zero_columns_cannot_be_written():
+    # the zero columns of a product share one mapping, which is read-only
+    a = ExactMatrix([{0: GR_ONE}, {}], 1)
+    b = ExactMatrix([{1: GR_ONE}, {0: GR_ONE}, {}], 2)
+    prod = exact_linalg.mat_mul(a, b)
+    assert prod == ExactMatrix([{}, {0: GR_ONE}, {}], 1)
+    for col in (prod.cols[0], prod.cols[2]):
+        with pytest.raises(TypeError):
+            col[0] = GR_ONE
+    assert prod.cols[1] is not a.cols[0]

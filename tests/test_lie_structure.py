@@ -552,22 +552,26 @@ _HALF_TO_10 = {0: GaussRational(Rational(1, 2)),
 
 
 def _grading_reference(p, frame):
-    """(t10 rows by k, c10 rows) from the (1,0) part of each J-closed level
-    g_J^k = g^k + J g^k, and of the center, in frame coordinates; None when
-    the center is not J-invariant, which the grading refuses."""
+    """(t10 rows by k, c10 rows) in frame coordinates: the (1,0) part of
+    each J-closed level g_J^k = g^k + J g^k, and the (1,0) vectors
+    u = sum_a c_a v_a with [u, e_j] = 0 for every basis vector e_j."""
     def part10(sub):
         rows = [frame.coords_10(combine(_HALF_TO_10, [u, p.j_apply(u)]))
                 for u in sub.rows]
         out = Subspace.from_rows(frame.n, rows)
-        return out if 2 * out.dim == sub.dim else None
+        assert 2 * out.dim == sub.dim
+        return out
 
     gj10 = [part10(Subspace.from_rows(p.dim, sub.rows + [p.j_apply(u) for u in sub.rows]))
             for sub in _dense_central_series(p)]
-    c10 = part10(center_subspace(p))
-    if c10 is None:
-        return None
+    # row (j, k): c -> the e_k coordinate of [sum_a c_a v_a, e_j]
+    rows: dict = {}
+    for a, v in enumerate(frame.v_rows):
+        for j in range(1, p.dim + 1):
+            for k, x in p.bracket_vectors(v, p.basis_vector(j)).items():
+                rows.setdefault((j, k), {})[a] = x
     t10 = {k: Quotient(gj10[k], gj10[k - 1]).reps for k in range(1, len(gj10))}
-    return t10, c10.rows
+    return t10, row_kernel(list(rows.values()), frame.n)
 
 
 def _assert_context_matches_references(p):
@@ -584,12 +588,6 @@ def _assert_context_matches_references(p):
         return
     frame = complex_frame(p)
     want = _grading_reference(p, frame)
-    if want is None:
-        assert not rep.abelian
-        with pytest.raises(InternalInvariantError,
-                           match="^J-invariant subspace has odd splitting$"):
-            grading(p, frame)
-        return
     g = grading(p, frame)
     assert g.step == rep.step
     assert ({k: sub.rows for k, sub in g.t10.items()}, g.c10.rows) == want
@@ -620,9 +618,11 @@ def test_context_matches_references_on_fixed_presentations():
 
     p = iwasawa()
     assert _nijenhuis_reference(p) == (True, False)
-    # integrable, not abelian, and the center span{e2, e5, e6} is odd
+    # integrable, not abelian, and the center span{e2, e5, e6} is odd:
+    # its central (1,0) vectors are those of span{e5, e6}
     odd = AlgebraPresentation(6, {(1, 3): {5: Rational(1)}, (1, 4): {6: Rational(1)}},
                               _paired_j_rows(3))
+    assert grading(odd).c10.dim == 1
     moved = _tower3_with_moved_j()
     assert _nijenhuis_reference(moved) == (False, False)
     # a dense frame: no level's (1,0) span is its own conjugate
@@ -680,9 +680,9 @@ def test_grading_odd_splitting_check_trips(capsys, monkeypatch):
 
 
 def test_grading_odd_splitting_check_trips_on_the_center(capsys, monkeypatch):
-    # span{e3} in place of kodaira's center span{e3, e4}: not J-invariant
-    monkeypatch.setattr(lie_structure, "center_subspace",
-                        lambda p: Subspace.from_rows(p.dim, [{2: GR_ONE}]))
+    # span{e3} in place of the J-invariant part of kodaira's center
+    # span{e3, e4}: not J-invariant
+    monkeypatch.setattr(lie_structure, "_j_core", lambda p, sub: [{2: GR_ONE}])
     _assert_context_check_trips(
         capsys, "J-invariant subspace has odd splitting",
         "info", "--algebra", "kodaira")
