@@ -22,8 +22,6 @@ derivation [h, .] to a.
 """
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import InternalInvariantError
 from .exact_linalg import ExactMatrix
 from .exterior import (FORM_BASE, CellBasis, MixedElement, mask_mono,
@@ -203,14 +201,16 @@ def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
     (p, q), (tp, tq) = source, target
     cq, ctq = len(subset_masks(n, q)), len(subset_masks(n, tq))
     cols = [{} for _ in range(len(subset_masks(n, p)) * cq)]
-    vmap_of = cache(lambda half: _half_map(n, half, p, cq, ctq))
-    fmap_of = cache(lambda half: _half_map(n, half, q, 1, 1))
-    strays = []
+    vmaps, fmaps, strays = {}, {}, []
     for g, terms in table:
         if not (q if g >> n else p):
             continue
         for mask, _, c, neg, vhalf, fhalf in terms:
-            vmap, fmap = vmap_of(vhalf), fmap_of(fhalf)
+            if vhalf not in vmaps:
+                vmaps[vhalf] = _half_map(n, vhalf, p, cq, ctq)
+            if fhalf not in fmaps:
+                fmaps[fhalf] = _half_map(n, fhalf, q, 1, 1)
+            vmap, fmap = vmaps[vhalf], fmaps[fhalf]
             if not (vmap and fmap):
                 continue
             if vhalf[3] != tp - p or fhalf[3] != tq - q:

@@ -12,7 +12,9 @@ differential gives both the cocycles of its source and the boundaries of
 its target.  Both reductions are pivot-only: a vector is reduced by
 v -= (v[lead] / kept[lead]) * kept and kept as it stands, neither made monic
 nor copied when it needed no reduction, so kept vectors may be the caller's
-own dicts and nothing here writes an input.  Only `back_substitute` makes
+own dicts and nothing here writes an input.  Neither pays for a step that
+changes no value: an empty vector never enters the reduction loop, and a
+kept vector with one entry reduces v by deleting v[lead].  Only `back_substitute` makes
 monic copies, when an RREF is read.  Every linear combination goes through
 `_axpy`, here and in the rest of the package (brackets, J, the Jacobi sum,
 exterior sums and products, the bivector parser); only the two derivation
@@ -73,22 +75,23 @@ def eliminate(rows: list[dict]) -> tuple[dict, list]:
     Each row is reduced at its leading (smallest) index by the rows kept
     before it, v -= (v[lead] / kept[lead]) * kept, until that index is new,
     and then kept as it stands: not made monic, and not copied when it
-    needed no reduction, so a kept row may be the caller's own dict.  No
-    input row is written.  Returns ({leading index: kept sparse row}, the
-    leading index of each input row, None for a row that reduced to zero).
+    needed no reduction, so a kept row may be the caller's own dict.  An
+    empty row never enters the loop, and a step by a kept row with one
+    entry only deletes v[lead].  No input row is written.  Returns
+    ({leading index: kept sparse row}, the leading index of each input row,
+    None for a row that reduced to zero).
     """
     kept: dict[int, dict] = {}
     leads: list = []
     for row in rows:
-        v, lead = row, None
-        while v:
-            lead = min(v)
-            pivot_row = kept.get(lead)
-            if pivot_row is None:
-                break
+        v = row
+        while v and (pivot_row := kept.get(lead := min(v))) is not None:
             if v is row:
                 v = dict(row)
-            _axpy(v, -v[lead] / pivot_row[lead], pivot_row)
+            if len(pivot_row) == 1:
+                del v[lead]
+            else:
+                _axpy(v, -v[lead] / pivot_row[lead], pivot_row)
         if v:
             kept[lead] = v
         leads.append(lead if v else None)
@@ -137,23 +140,24 @@ def reduce_columns(cols: list[dict]) -> tuple[list[dict], dict]:
     kept columns after it, v -= (v[lead] / kept[lead]) * kept, while its
     combination of the input columns is tracked.  A column that needs no
     reduction is kept as the caller's own dict, and none is made monic or
-    written.  A column j that vanishes leaves a kernel vector that is 1 at j
-    and otherwise nonzero only at kept columns, so at no other vanishing
-    column: these vectors, by j ascending, are already the RREF basis."""
+    written; a step by a kept column with one entry only deletes v[lead],
+    and an empty column never enters the loop.  A column j that vanishes
+    leaves a kernel vector that is 1 at j and otherwise nonzero only at kept
+    columns, so at no other vanishing column: these vectors, by j ascending,
+    are already the RREF basis."""
     kept: dict[int, dict] = {}
     combos: dict[int, dict] = {}
     kernel = []
     for j in range(len(cols) - 1, -1, -1):
         v, combo = cols[j], {j: GR_ONE}
-        while v:
-            lead = min(v)
-            row = kept.get(lead)
-            if row is None:
-                break
+        while v and (row := kept.get(lead := min(v))) is not None:
             if v is cols[j]:
                 v = dict(v)
             f = -v[lead] / row[lead]
-            _axpy(v, f, row)
+            if len(row) == 1:
+                del v[lead]
+            else:
+                _axpy(v, f, row)
             _axpy(combo, f, combos[lead])
         if v:
             kept[lead], combos[lead] = v, combo

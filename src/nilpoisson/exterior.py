@@ -13,6 +13,7 @@ form half rank b (`subset_masks`) sits at a * C(n, q) + b.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cache
 from itertools import combinations
@@ -95,9 +96,18 @@ def mono_str(mono: Monomial) -> str:
 def terms_texts(rows, words: list[str]) -> list[str]:
     """The text of each sparse row {index: coefficient} over a basis whose
     monomials read as words, terms in index order, which must be monomial
-    order: "(c) word + ...", or "0" for an empty row."""
-    return [" + ".join([f"({gauss_to_string(r[j])}) {words[j]}"
-                        for j in sorted(r)]) or "0" for r in rows]
+    order: "(c) word + ...", or "0" for an empty row.  The "(c) " head is
+    written once per distinct coefficient, keyed by its (a, b, d) triple,
+    which hashes in C."""
+    heads, texts = {}, []
+    for r in rows:
+        terms = []
+        for j, c in sorted(r.items()) if len(r) > 1 else r.items():
+            if (h := heads.get(k := (c.a, c.b, c.d))) is None:
+                h = heads[k] = f"({gauss_to_string(c)}) "
+            terms.append(h + words[j])
+        texts.append(" + ".join(terms) or "0")
+    return texts
 
 
 class MixedElement:
@@ -200,10 +210,11 @@ def subset_ranks(n: int, k: int) -> dict[int, int]:
 
 
 @cache
-def subset_words(n: int, k: int, name: str) -> tuple[str, ...]:
+def subset_words(n: int, k: int, name: str, end: str = "") -> tuple[str, ...]:
     """The text of each k-subset of `subset_masks(n, k)`, its generators
-    written name1, name2, ...: the text of a vector or a form half."""
-    return tuple("^".join(f"{name}{i + 1}" for i in c)
+    written name1, name2, ..., and end after it: the text of a vector or a
+    form half."""
+    return tuple("^".join(f"{name}{i + 1}" for i in c) + end
                  for c in combinations(range(n), k)) if k >= 0 else ()
 
 
@@ -237,18 +248,17 @@ class CellBasis(Sequence):
         return mask_mono(subset_masks(n, p)[a] | subset_masks(n, q)[b] << n, n)
 
     def words(self, indices) -> dict[int, str]:
-        """`mono_str` of the monomial at each index, joined from the texts
-        of its vector half and its form half, cell by cell."""
-        out, start = {}, 0
+        """`mono_str` of the monomial at each index, joined from the cached
+        texts of its vector half (with "^" when a form half follows) and its
+        form half: the indices sorted once, then each cell's in one pass."""
+        idx, out, start = sorted(indices), {}, 0
         for (p, q), size in zip(self.cells, self.sizes):
-            vecs = subset_words(self.n, p, "v")
+            vecs = subset_words(self.n, p, "v", "^" if p and q else "")
             forms = subset_words(self.n, q, "ow")
-            for j in indices:
-                if start <= j < start + size:
-                    a, b = divmod(j - start, len(forms))
-                    v, f = vecs[a], forms[b]
-                    out[j] = f"{v}^{f}" if v and f else v or f or "1"
-            start += size
+            nf, cut = len(forms), bisect_left(idx, size)
+            out.update({start + j: vecs[j // nf] + forms[j % nf] or "1"
+                        for j in idx[:cut]})
+            idx, start = [j - size for j in idx[cut:]], start + size
         return out
 
 

@@ -11,6 +11,7 @@ from nilpoisson.exact_linalg import (
     LinalgError,
     Quotient,
     Subspace,
+    _axpy,
     back_substitute,
     eliminate,
     invert,
@@ -434,6 +435,113 @@ def test_reduce_columns_pinned():
     kernel, kept = reduce_columns(cols)
     assert kernel == [{0: GR_ONE, 1: GR_I}, {2: GR_ONE}]
     assert back_substitute(kept) == ([{0: GR_ONE}, {1: GR_ONE}], [0, 1])
+
+
+def reference_eliminate(rows):
+    """`eliminate` as it was before its empty-row and one-entry paths: every
+    reduction step through `_axpy`."""
+    kept, leads = {}, []
+    for row in rows:
+        v, lead = row, None
+        while v:
+            lead = min(v)
+            pivot_row = kept.get(lead)
+            if pivot_row is None:
+                break
+            if v is row:
+                v = dict(row)
+            _axpy(v, -v[lead] / pivot_row[lead], pivot_row)
+        if v:
+            kept[lead] = v
+        leads.append(lead if v else None)
+    return kept, leads
+
+
+def reference_reduce_columns(cols):
+    """`reduce_columns` as it was before its empty-column and one-entry
+    paths: every reduction step through `_axpy`."""
+    kept, combos, kernel = {}, {}, []
+    for j in range(len(cols) - 1, -1, -1):
+        v, combo = cols[j], {j: GR_ONE}
+        while v:
+            lead = min(v)
+            row = kept.get(lead)
+            if row is None:
+                break
+            if v is cols[j]:
+                v = dict(v)
+            f = -v[lead] / row[lead]
+            _axpy(v, f, row)
+            _axpy(combo, f, combos[lead])
+        if v:
+            kept[lead], combos[lead] = v, combo
+        else:
+            kernel.append(combo)
+    kernel.reverse()
+    return kernel, kept
+
+
+@st.composite
+def _reduction_inputs(draw):
+    """(ambient, sparse Q(i) vectors) mixing planted one-entry vectors, empty
+    ones, sums of earlier ones (which reduce to zero when taken after their
+    summands) and general Gaussian ones, each with its keys in drawn order."""
+    n = draw(st.integers(1, 7))
+    index = st.integers(0, n - 1)
+    vecs = []
+    for kind in draw(st.lists(st.sampled_from("1e+gg"), max_size=10)):
+        if kind == "1":
+            vec = {draw(index): draw(_GAUSS)}
+        elif kind == "e":
+            vec = {}
+        elif kind == "+" and vecs:
+            vec = add(draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs)),
+                      draw(st.sampled_from([GR_ONE, GR_I, -GR_ONE])))
+        else:
+            vec = draw(st.dictionaries(index, _GAUSS, max_size=n))
+        order = draw(st.permutations(list(vec)))
+        vecs.append({j: vec[j] for j in order})
+    return n, vecs
+
+
+def _items(vecs):
+    return [list(v.items()) for v in vecs]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reduction_inputs())
+def test_reductions_match_the_axpy_reference(case):
+    # the empty-vector and one-entry paths change no value and no key order
+    _, vecs = case
+    kept, leads = eliminate(vecs)
+    want_kept, want_leads = reference_eliminate(vecs)
+    assert leads == want_leads
+    assert list(kept) == list(want_kept)
+    assert _items(kept.values()) == _items(want_kept.values())
+    kernel, ckept = reduce_columns(vecs)
+    want_kernel, want_ckept = reference_reduce_columns(vecs)
+    assert _items(kernel) == _items(want_kernel)
+    assert list(ckept) == list(want_ckept)
+    assert _items(ckept.values()) == _items(want_ckept.values())
+    assert back_substitute(kept)[1] == sorted(want_kept)
+
+
+def test_one_entry_rows_reduce_with_no_arithmetic(monkeypatch):
+    # every kept row has one entry, so each step only deletes the lead
+    two, half = GaussRational(Rational(2)), GaussRational(Rational(1, 2))
+    rows = [{0: two}, {}, {2: GR_I}, {2: half, 0: GR_I, 3: two},
+            {0: -GR_ONE, 2: half}, {3: GR_ONE}, {1: two, 0: half}]
+    calls = []
+    for op in ("__truediv__", "__mul__", "__add__", "__sub__", "__neg__"):
+        real = getattr(GaussRational, op)
+        monkeypatch.setattr(GaussRational, op, lambda *a, _op=op, _f=real:
+                            calls.append(_op) or _f(*a))
+    kept, leads = eliminate(rows)
+    assert calls == []
+    assert leads == [0, None, 2, 3, None, None, 1]
+    assert kept == {0: {0: two}, 2: {2: GR_I}, 3: {3: two}, 1: {1: two}}
+    assert kept[0] is rows[0] and kept[2] is rows[2]
+    assert rows[3] == {2: half, 0: GR_I, 3: two}
 
 
 # -- the quotient behind every cohomology space ------------------------------

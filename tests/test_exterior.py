@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import nilpoisson.exterior as exterior
 from nilpoisson.errors import InternalInvariantError
 from nilpoisson.exterior import (
     FORM_BASE,
@@ -118,6 +119,22 @@ def test_element_str_pinned():
     assert str(e) == "(-2) v1^ow3 + ((1/4+1/2i)) v2^ow1"
     assert str(MixedElement.zero()) == "0"
     assert terms_texts([{}], []) == ["0"]
+
+
+def test_terms_texts_write_each_coefficient_once(monkeypatch):
+    # equal coefficients share one text; 1 + i and 1 - i share a real part,
+    # and 1/2 and 1 a numerator, yet each is written from its own value
+    written = []
+    monkeypatch.setattr(exterior, "gauss_to_string",
+                        lambda z, _f=exterior.gauss_to_string:
+                        written.append(z) or _f(z))
+    one_i, one_minus_i = gauss(1, 1), gauss(1, -1)
+    rows = [{2: one_i, 0: gauss(1)}, {1: one_minus_i}, {}, {0: gauss(1, 1)},
+            {1: gauss(Rational(1, 2)), 2: GR_ONE}]
+    assert terms_texts(rows, {0: "v1", 1: "v2", 2: "ow1"}) == [
+        "(1) v1 + ((1+1i)) ow1", "((1-1i)) v2", "0", "((1+1i)) v1",
+        "(1/2) v2 + (1) ow1"]
+    assert written == [gauss(1), one_i, one_minus_i, gauss(Rational(1, 2))]
 
 
 def test_bidegree_split_pinned():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilpoisson.exact_linalg as exact_linalg
+import nilpoisson.exterior as exterior
 import nilpoisson.homology as homology
 from nilpoisson.calculus import CalculusContext, dbar_lambda
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
@@ -204,6 +205,23 @@ def _assert_texts_match(ctx):
     for cell in dolbeault_table(BigradedComplex(ctx)).values():
         assert cell.representative_texts() == [
             str(e) for e in cell.representatives()]
+
+
+def test_representative_texts_write_each_coefficient_once(monkeypatch):
+    # torus:6: 4,096 one-term representatives over 49 cells, every
+    # coefficient 1, so one coefficient text per cell that has a class
+    cells = dolbeault_table(BigradedComplex(CalculusContext(torus(6)))).values()
+    want = {id(cell): [str(e) for e in cell.representatives()] for cell in cells}
+    written = []
+    monkeypatch.setattr(exterior, "gauss_to_string",
+                        lambda z, _f=exterior.gauss_to_string:
+                        written.append(z) or _f(z))
+    for cell in cells:
+        written.clear()
+        assert cell.representative_texts() == want[id(cell)]
+        coeffs = {c for rep in cell.reps for c in rep.values()}
+        assert sorted(written, key=repr) == sorted(coeffs, key=repr)
+    assert sum(cell.dim for cell in cells) == 4096
 
 
 def test_page_dims_against_brute_force(tower4_ctx, tower4_pi, tower4_bc):
