@@ -167,16 +167,6 @@ def apply_table(table: list[tuple], n: int, e: MixedElement) -> MixedElement:
     return MixedElement({mask_mono(m, n): c for m, c in out.items()})
 
 
-def apply_derivation(images: dict[int, MixedElement], e: MixedElement) -> MixedElement:
-    """Extend generator images to the unique graded derivation and apply it."""
-    # any n at least the largest vector index keeps vector bits below forms
-    codes = [*images]
-    codes += [g for img in images.values() for m in img.terms for g in m]
-    codes += [g for m in e.terms for g in m]
-    n = max((g for g in codes if g < FORM_BASE), default=0)
-    return apply_table(derivation_table(images, n), n, e)
-
-
 def _half_map(n: int, half: tuple, k: int, scale: int, tscale: int) -> list:
     """A term's half on its n bits, over the k-subsets S that hold its g (0
     when g is in the other half) and meet I only there: (rank of S * scale,
@@ -260,7 +250,7 @@ def ad_images(ctx: CalculusContext, a: MixedElement) -> dict[int, MixedElement]:
 
 
 def schouten(ctx: CalculusContext, a: MixedElement, b: MixedElement) -> MixedElement:
-    return apply_derivation(ad_images(ctx, a), b)
+    return apply_table(derivation_table(ad_images(ctx, a), ctx.n), ctx.n, b)
 
 
 def dbar_lambda(ctx: CalculusContext, lam: MixedElement, e: MixedElement) -> MixedElement:

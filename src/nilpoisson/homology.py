@@ -1,8 +1,9 @@
 """Cohomology of the bigraded complex and the filtration spectral sequence.
 
 The double complex A^{p,q} (p vector factors, q form factors) carries the
-vertical differential dbar and, once a holomorphic Poisson bivector lam is
-fixed, the horizontal ad_lam; a cell matrix not stored is the zero map.
+vertical differential dbar and, once `poisson.is_holomorphic_poisson`
+accepts a bivector lam, the horizontal ad_lam from the table it compiles; a
+cell matrix not stored is the zero map.
 The pages of the column filtration come from one sparse column reduction of
 each total differential D^k (the persistence pairing): a pair joining
 filtration degrees p < p' is a nonzero d_{p'-p}, so E_r^{p,q} counts the
@@ -18,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .calculus import (CalculusContext, ad_images, apply_table, dbar,
-                       dbar_cell, dbar_images, derivation_matrix,
-                       derivation_table)
+from .calculus import (CalculusContext, apply_table, dbar, dbar_cell,
+                       dbar_images, derivation_matrix, derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, UsageError,
                      ValidationError)
 from .exact_linalg import (ExactMatrix, Quotient, Subspace, combine,
@@ -28,6 +28,7 @@ from .exact_linalg import (ExactMatrix, Quotient, Subspace, combine,
 from .exterior import (CellBasis, MixedElement, element_from_coords, mono_str,
                        subset_masks, terms_texts)
 from .lie_structure import AlgebraPresentation, complex_frame
+from .poisson import is_holomorphic_poisson
 
 # Largest complex dimension served: the complex has 4^n monomials, 65536 at
 # n = 8, and exact elimination beyond that does not finish in useful time.
@@ -67,20 +68,15 @@ class BigradedComplex:
         _check_size(n)
         self.lam = lam if lam is not None else MixedElement()
         self.n = n
-        ad_table = []
-        if self.lam:
-            pq = self.lam.homogeneous_bidegree()
-            if pq != (2, 0):
-                raise ValidationError("lam must be a homogeneous (2,0) bivector")
-            bad = dbar(ctx, self.lam)
-            if bad:
-                raise ValidationError(
-                    f"lam is not holomorphic: dbar(lam) = {bad} != 0")
-            ad_table = derivation_table(ad_images(ctx, self.lam), n)
-            sq = apply_table(ad_table, n, self.lam)
-            if sq:
-                raise ValidationError(
-                    f"lam is not Poisson: [lam, lam] = {sq} != 0")
+        cand = is_holomorphic_poisson(ctx, self.lam)
+        # the values in the messages are rebuilt only on the raising path
+        if not cand.dbar_closed:
+            raise ValidationError("lam is not holomorphic: dbar(lam) = "
+                                  f"{dbar(ctx, self.lam)} != 0")
+        ad_table = cand.ad_table
+        if not cand.schouten_square_zero:
+            raise ValidationError("lam is not Poisson: [lam, lam] = "
+                                  f"{apply_table(ad_table, n, self.lam)} != 0")
         dbar_table = ctx.dbar_table
 
         self.basis: dict[tuple[int, int], CellBasis] = {}

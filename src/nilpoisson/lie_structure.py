@@ -77,7 +77,6 @@ class AlgebraPresentation:
 class ValidationReport:
     dim_even: bool = True
     indices_ok: bool = True
-    antisymmetry_ok: bool = True
     jacobi_ok: bool = True
     jacobi_failure: tuple | None = None
     j_square_ok: bool = True

@@ -1,17 +1,19 @@
 """Detection and construction of invariant holomorphic Poisson bivectors.
 
 A bivector lam in the (2,0) cell is holomorphic Poisson when dbar(lam) = 0
-and [lam, lam] = 0.  With an abelian structure the bracket condition is
-automatic, so the candidates form the kernel of one exact linear map; the
-central-wedge constructor below produces a canonical lam whose spectral
-sequence degenerates at the second page.
+and [lam, lam] = 0; `is_holomorphic_poisson` alone decides it, and the
+bigraded complex assembles ad_lam from the table it compiles.  With an
+abelian structure the bracket condition is automatic, so the candidates
+form the kernel of one exact linear map; the central-wedge constructor
+below produces a canonical lam whose spectral sequence degenerates at the
+second page.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .calculus import (CalculusContext, ad_images, apply_derivation, dbar,
-                       dbar_cell)
+from .calculus import (CalculusContext, ad_images, apply_table, dbar,
+                       dbar_cell, derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
 from .exact_linalg import Subspace
 from .exterior import (CellBasis, MixedElement, element_entries,
@@ -20,12 +22,14 @@ from .exterior import (CellBasis, MixedElement, element_entries,
 
 @dataclass
 class PoissonCandidate:
-    """A (2,0) bivector with its verified flags."""
+    """A (2,0) bivector with its verified flags, and the compiled table of
+    ad_lam the flags were read from."""
 
     bivector: MixedElement
     dbar_closed: bool
     schouten_square_zero: bool
     ad_identically_zero: bool
+    ad_table: list = field(repr=False)
 
     @property
     def holomorphic_poisson(self) -> bool:
@@ -33,14 +37,14 @@ class PoissonCandidate:
 
 
 def is_holomorphic_poisson(ctx: CalculusContext, lam: MixedElement) -> PoissonCandidate:
-    """Evaluate the closedness, square-zero, and trivial-action flags exactly."""
+    """Evaluate the closedness, square-zero, and trivial-action flags
+    exactly, [lam, lam] from the one compiled table of ad_lam."""
     if lam and lam.homogeneous_bidegree() != (2, 0):
-        raise ValidationError("expected a homogeneous (2,0) bivector")
-    closed = not dbar(ctx, lam)
-    images = ad_images(ctx, lam)
-    square = not apply_derivation(images, lam)
-    ad_zero = not images
-    return PoissonCandidate(lam, closed, square, ad_zero)
+        raise ValidationError("lam must be a homogeneous (2,0) bivector")
+    table = derivation_table(ad_images(ctx, lam), ctx.n)
+    return PoissonCandidate(lam, not dbar(ctx, lam),
+                            not apply_table(table, ctx.n, lam), not table,
+                            table)
 
 
 @dataclass

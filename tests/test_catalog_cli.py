@@ -120,6 +120,15 @@ def test_cli_validation_failure_exit_code(capsys):
     assert "validation failure" in err
 
 
+def test_cli_non_holomorphic_lambda_text(capsys):
+    rc, out, err = run(
+        capsys, "degeneration", "--algebra", "tower:3", "--lambda", "v1^v2"
+    )
+    assert (rc, out) == (1, "")
+    assert err == ("validation failure: lam is not holomorphic: "
+                   "dbar(lam) = (1) v1^v3^ow1 != 0\n")
+
+
 def test_cli_argparse_exit_codes(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

@@ -39,6 +39,7 @@ from nilpoisson.homology import (
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import holomorphic_bivector_space, theorem2_lambda
 from nilpoisson.scalars import GR_ONE, Rational, gauss
+from test_calculus import iwasawa
 from test_exact_linalg import row_kernel
 from test_exterior import scaled
 from test_lie_structure import conjugated
@@ -389,6 +390,19 @@ def test_assemble_rejects_non_poisson():
     lam = parse_lambda("v1^v2").bind(4)
     with pytest.raises(ValidationError):
         BigradedComplex(ctx, lam)
+
+
+@pytest.mark.parametrize("presentation, text", [
+    (tower(3), "lam is not holomorphic: dbar(lam) = (1) v1^v3^ow1 != 0"),
+    # on the non-abelian Iwasawa structure v1^v2 is dbar-closed, but
+    # [v1^v2, v1^v2] = 2 v1^v2^[v1, v2] is not zero
+    (iwasawa(), "lam is not Poisson: [lam, lam] = (2) v1^v2^v3 != 0"),
+], ids=["not-holomorphic", "not-poisson"])
+def test_assemble_rejection_texts(presentation, text):
+    ctx = CalculusContext(presentation)
+    with pytest.raises(ValidationError) as info:
+        BigradedComplex(ctx, parse_lambda("v1^v2").bind(ctx.n))
+    assert str(info.value) == text
 
 
 def test_assemble_rejects_wrong_bidegree():

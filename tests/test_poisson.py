@@ -4,6 +4,7 @@ from nilpoisson.calculus import CalculusContext, dbar, schouten
 from nilpoisson.catalog import kodaira, torus, tower
 from nilpoisson.errors import NotAbelianError, ValidationError
 from nilpoisson.exterior import MixedElement, form_gen, vec_gen, wedge
+from nilpoisson.homology import BigradedComplex
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import (
     holomorphic_bivector_space,
@@ -42,12 +43,22 @@ def test_non_closed_bivector_flags(tower4_ctx):
 
 
 def test_rejects_wrong_bidegree(tower4_ctx):
+    # both entry points, with one text
     mixed = MixedElement.term((vec_gen(1), form_gen(2)), GR_ONE)
-    with pytest.raises(ValidationError):
-        is_holomorphic_poisson(tower4_ctx, mixed)
     inhomogeneous = parse_lambda("v1^v2").bind(4) + MixedElement.term((vec_gen(1),), GR_ONE)
-    with pytest.raises(ValidationError):
-        is_holomorphic_poisson(tower4_ctx, inhomogeneous)
+    for check in (is_holomorphic_poisson, BigradedComplex):
+        for lam in (mixed, inhomogeneous):
+            with pytest.raises(ValidationError) as info:
+                check(tower4_ctx, lam)
+            assert str(info.value) == "lam must be a homogeneous (2,0) bivector"
+
+
+def test_closed_non_poisson_flags():
+    ctx = CalculusContext(iwasawa())
+    cand = is_holomorphic_poisson(ctx, parse_lambda("v1^v2").bind(3))
+    assert cand.dbar_closed
+    assert not cand.schouten_square_zero
+    assert not cand.holomorphic_poisson
 
 
 def test_bivector_space_torus():
