@@ -5,8 +5,9 @@ Every operator is a graded derivation pinned by its generator values.  The
 term walk `_leibniz` applies one to an element, and `derivation_matrix`
 builds its matrix between two cells from the vector and form halves of each
 term.  Both work on bitmask monomials (v_i is bit i-1, ow_j is bit n+j-1,
-see `exterior`) and sign by popcounts, with no wedge product.  A generator
-image term I acts with degree |I| - 1:
+see `exterior`) and sign by popcounts, with no wedge product; `split_table`
+cuts a table into the derivations that each move a count of factors by one
+amount.  A generator image term I acts with degree |I| - 1:
 
     D(g_1 ... g_k) = sum_t (-1)^((|I|-1)(t-1)) g_1 ... g_(t-1) I g_(t+1) ... g_k
 
@@ -129,6 +130,17 @@ def derivation_table(images: dict[int, MixedElement], n: int) -> list[tuple]:
             table.append((bit, terms))
     table.sort(key=lambda entry: entry[0])
     return table
+
+
+def split_table(table: list[tuple], mask: int) -> dict[int, list[tuple]]:
+    """The terms of a compiled table by the count of factors on the bits of
+    mask that each adds, |I & mask| - |g & mask|: {shift: table}."""
+    parts: dict = {}
+    for g, terms in table:
+        for term in terms:
+            shift = (term[0] & mask).bit_count() - (g & mask).bit_count()
+            parts.setdefault(shift, {}).setdefault(g, []).append(term)
+    return {shift: list(part.items()) for shift, part in parts.items()}
 
 
 def _leibniz(table: list[tuple], src: int, coeff, out: dict) -> None:

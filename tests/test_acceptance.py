@@ -199,7 +199,6 @@ def test_double_complex_two_path_totals():
         ctx = CalculusContext(p)
         for ell in (0, 1, 2):
             report = d_bicomplex_crosscheck(ctx, ell)
-            assert report.identities_ok, (p.name, ell)
             assert report.total_dims == report.direct_dims, (p.name, ell)
 
 

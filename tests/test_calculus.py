@@ -11,6 +11,7 @@ from nilpoisson.calculus import (
     ad_images,
     apply_table,
     dbar,
+    dbar_cell,
     dbar_lambda,
     derivation_matrix,
     derivation_table,
@@ -18,10 +19,11 @@ from nilpoisson.calculus import (
 )
 from nilpoisson.catalog import catalog_load, kodaira, torus, tower
 from nilpoisson.errors import InternalInvariantError, NotAbelianError
-from nilpoisson.exterior import (FORM_BASE, MixedElement, cell_monomials,
-                                 element_entries, form_gen, mask_mono,
-                                 mono_bidegree, mono_mask, mono_str,
-                                 subset_masks, vec_gen, wedge, wedge_mono)
+from nilpoisson.exterior import (FORM_BASE, CellBasis, MixedElement,
+                                 cell_monomials, element_entries, form_gen,
+                                 mask_mono, mono_bidegree, mono_mask,
+                                 mono_str, subset_masks, vec_gen, wedge,
+                                 wedge_mono)
 from nilpoisson.homology import BigradedComplex
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.lie_structure import AlgebraPresentation, validate
@@ -659,23 +661,23 @@ def test_cell_masks_decode_to_cell_monomials(case):
 def test_center_split_tower4(monkeypatch):
     seen = {}
 
-    def spy(column, a):
-        seen.update(column=column, a=a)
-        return split(column, a)
+    def spy(table, n, ell, a):
+        seen.update(table=table, a=a)
+        return split(table, n, ell, a)
 
     split = homology._center_split
     monkeypatch.setattr(homology, "_center_split", spy)
     ctx = CalculusContext(tower(4))
-    columns = {}
+    n = ctx.n
+    tables = {}
     for ell in range(5):
         homology.d_bicomplex_crosscheck(ctx, ell)
-        columns[ell], a = seen["column"], seen["a"]
+        tables[ell], a = seen["table"], seen["a"]
     # the adapted frame puts the (1,0) center v4 first: v4, v1, v2, v3 are
     # its generators 1, 2, 3, 4, and the forms follow the same order
     assert a == 1
-    column = columns[1]
-    c, t = split(column, a)[0]
-    src, tgt = column[0][0], column[1][0]
+    c, t = split(tables[1], n, 1, a)[0]
+    src, tgt = CellBasis(n, [(1, 0)]), CellBasis(n, [(1, 1)])
 
     def col(mat, i):
         return {tgt[r]: x for r, x in mat.cols[src.index((vec_gen(i),))].items()}
@@ -688,10 +690,11 @@ def test_center_split_tower4(monkeypatch):
     assert col(t, 2) == {(vec_gen(3), form_gen(2)): gauss(Rational(-1, 2))}
     # dbar(v4) = 0
     assert not col(c, 1) and not col(t, 1)
-    # the two parts always reassemble dbar, column by column
-    for ell, column in columns.items():
-        for m, (c, t) in split(column, a).items():
-            for cc, tc, dc in zip(c.cols, t.cols, column[m][1].cols):
+    # the two parts always reassemble dbar of the whole adapted table
+    for ell, table in tables.items():
+        for m, (c, t) in split(table, n, ell, a).items():
+            whole = dbar_cell(table, n, ell, m)[1]
+            for cc, tc, dc in zip(c.cols, t.cols, whole.cols, strict=True):
                 assert not cc.keys() & tc.keys()
                 assert {**cc, **tc} == dc
 

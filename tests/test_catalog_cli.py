@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from nilpoisson.cli import main
 from nilpoisson.errors import UsageError
 from nilpoisson.homology import BigradedComplex, dolbeault_table
 from nilpoisson.lie_structure import grading, validate
+from test_homology import CROSSCHECK_BREAKS
+from test_lie_structure import conjugated
 
 
 def run(capsys, *argv):
@@ -603,6 +606,26 @@ def test_cli_crosscheck_checks_dbar_square_in_original_frame(capsys,
     assert (rc, out) == (3, "")
     assert err == ("internal invariant violated: dbar^2 != 0 on cell "
                    "(p,q)=(2, 0): entry 1 from v1^v2 to v1^v2^ow1^ow2\n")
+
+
+@pytest.mark.parametrize("corrupt, text", CROSSCHECK_BREAKS,
+                         ids=["center-degree", "mismatch"])
+def test_cli_crosscheck_invariant_failures_exit_3(capsys, monkeypatch,
+                                                  corrupt, text):
+    corrupt(monkeypatch)
+    assert run(capsys, "crosscheck", "--algebra", "tower:4", "--coef",
+               "1") == (3, "", f"internal invariant violated: {text}\n")
+
+
+def test_cli_crosscheck_on_a_conjugated_file(capsys, tmp_path):
+    path = tmp_path / "tower4_conjugated.json"
+    save_file(conjugated(tower(4), random.Random(1)), str(path))
+    rc, out, err = run(capsys, "crosscheck", "--file", str(path), "--coef",
+                       "2", "--format", "json")
+    assert (rc, err) == (0, "")
+    details = json.loads(out)["details"]
+    assert details["total_dims"] == details["direct_dims"] == {
+        "0": 2, "1": 8, "2": 12, "3": 8, "4": 2}
 
 
 @pytest.mark.parametrize("argv, code, builds", [

@@ -287,7 +287,7 @@ def test_frozen_zigzag_witness(tower4_bc, tower4_tc):
     # the witness is a genuine zig-zag: D(source) equals the image on the nose
     k = 2
     coords = element_entries(src, tower4_tc.index[k])
-    out = tower4_tc.apply_d(k, coords)
+    out = tower4_tc.dmat[k].apply(coords)
     got = MixedElement.zero()
     for i, c in out.items():
         if c:
@@ -434,7 +434,6 @@ def test_crosscheck_torus():
         ctx = CalculusContext(torus(n))
         for ell in range(n + 1):
             report = d_bicomplex_crosscheck(ctx, ell)
-            assert report.identities_ok
             assert report.total_dims == report.direct_dims
             for m, d in report.total_dims.items():
                 assert d == math.comb(n, ell) * math.comb(n, m)
@@ -449,7 +448,6 @@ def test_crosscheck_tower4_frozen():
     r2 = d_bicomplex_crosscheck(ctx, 2)
     assert r2.total_dims == {0: 2, 1: 8, 2: 12, 3: 8, 4: 2}
     for r in (r0, r1, r2):
-        assert r.identities_ok
         assert r.total_dims == r.direct_dims
 
 
@@ -461,11 +459,11 @@ def test_crosscheck_identity_failure_names_degree_and_entry(monkeypatch):
 
     real = homology._center_split
 
-    def corrupted(column, a):
-        split = real(column, a)
+    def corrupted(table, n, ell, a):
+        split = real(table, n, ell, a)
         c0 = split[0][0]
         i = min(i for col in c0.cols for i in col)
-        c1 = ExactMatrix.zeros(len(column[2][0]), c0.nrows)
+        c1 = ExactMatrix.zeros(split[1][0].nrows, c0.nrows)
         c1.cols[i][0] = GR_ONE
         split[1] = (c1, split[1][1])
         return split
@@ -475,6 +473,70 @@ def test_crosscheck_identity_failure_names_degree_and_entry(monkeypatch):
         d_bicomplex_crosscheck(CalculusContext(tower(4)), 2)
     assert str(err.value) == ("dbar_c^2 != 0 on degree m=0: entry -1 from "
                               "v2^v4 to v1^v2^ow1^ow2")
+
+
+def lower_center_degree(monkeypatch):
+    """Add v1 -> v2^ow1 to dbar in the center-adapted frame of tower(4), where
+    v1 is the central v4 and v2 is not: the term lowers the center-degree."""
+    real = homology.dbar_images
+
+    def injected(fr):
+        images, brackets = real(fr)
+        term = MixedElement.term((vec_gen(2), form_gen(1)), GR_ONE)
+        images[1] = images.get(1, MixedElement()) + term
+        return images, brackets
+
+    monkeypatch.setattr(homology, "dbar_images", injected)
+
+
+def skew_total_cohomology(monkeypatch):
+    """Count one more class in degree 0 of the first cohomology the
+    crosscheck computes, the total one."""
+    real, calls = homology._betti, []
+
+    def skewed(cells):
+        dims = real(cells)
+        calls.append(cells)
+        if len(calls) == 1:
+            dims[0] += 1
+        return dims
+
+    monkeypatch.setattr(homology, "_betti", skewed)
+
+
+CROSSCHECK_BREAKS = [
+    (lower_center_degree, "bicomplex differential moves center-degree by -1"),
+    (skew_total_cohomology,
+     "bicomplex total cohomology disagrees with the direct computation"),
+]
+
+
+@pytest.mark.parametrize("corrupt, text", CROSSCHECK_BREAKS,
+                         ids=["center-degree", "mismatch"])
+def test_crosscheck_raises_its_invariants(monkeypatch, corrupt, text):
+    corrupt(monkeypatch)
+    with pytest.raises(InternalInvariantError) as err:
+        d_bicomplex_crosscheck(CalculusContext(tower(4)), 1)
+    assert str(err.value) == text
+
+
+def test_crosscheck_in_conjugated_frames():
+    # in a random basis c10 is no frame vector, so the adapted frame is a
+    # true change of basis and not a reordering of the frame
+    cases = [(base, seed, range(base.dim // 2 + 1))
+             for base in (kodaira(), tower(4)) for seed in (1, 2, 3)]
+    cases.append((tower(5), 1, (1, 2)))
+    rows = []
+    for base, seed, ells in cases:
+        ctx = CalculusContext(conjugated(base, random.Random(seed)))
+        rows += ctx.grading.c10.rows
+        frame = CalculusContext(base)
+        for ell in ells:
+            want = d_bicomplex_crosscheck(frame, ell).total_dims
+            report = d_bicomplex_crosscheck(ctx, ell)
+            assert report.total_dims == report.direct_dims == want, (
+                base.name, seed, ell)
+    assert any(len(row) > 1 for row in rows)
 
 
 def test_crosscheck_rejects_bad_ell():
@@ -491,8 +553,8 @@ def test_total_complex_d_squares_to_zero(tower4_tc):
         dim = len(tower4_tc.bases[k])
         for _ in range(5):
             coords = {i: x for i in range(dim) if (x := gauss(rng.randint(-3, 3)))}
-            mid = tower4_tc.apply_d(k, coords)
-            out = tower4_tc.apply_d(k + 1, mid)
+            mid = tower4_tc.dmat[k].apply(coords)
+            out = tower4_tc.dmat[k + 1].apply(mid)
             assert all(not c for c in out.values())
 
 
