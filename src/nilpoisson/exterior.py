@@ -13,10 +13,10 @@ form half rank b (`subset_masks`) sits at a * C(n, q) + b.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import InternalInvariantError
 from .exact_linalg import _axpy
@@ -221,44 +221,45 @@ def subset_words(n: int, k: int, name: str, end: str = "") -> tuple[str, ...]:
 class CellBasis(Sequence):
     """The monomials of the cells (p, q), laid end to end, each cell in
     `cell_monomials` order: the basis of one cell, or of a total degree.
-    It is sized from the half tables, and it decodes a monomial, or writes
-    its text, only when that one is read."""
+    It is the one owner of its layout: `starts` holds the index of each
+    cell's first monomial, with the length last, and `locate` finds the
+    cell of an index by bisection.  It is sized from the half tables, and it
+    decodes a monomial, or writes its text, only when that one is read."""
 
-    __slots__ = ("n", "cells", "sizes")
+    __slots__ = ("n", "cells", "starts")
 
     def __init__(self, n: int, cells: list[tuple[int, int]]):
         self.n, self.cells = n, cells
-        self.sizes = [len(subset_masks(n, p)) * len(subset_masks(n, q))
-                      for p, q in cells]
+        self.starts = list(accumulate((len(subset_masks(n, p)) * len(
+            subset_masks(n, q)) for p, q in cells), initial=0))
 
     def __len__(self) -> int:
-        return sum(self.sizes)
+        return self.starts[-1]
 
-    def _find(self, j: int) -> tuple[int, int, int, int]:
-        """The cell (p, q) of index j, and the ranks of its two halves."""
-        for (p, q), size in zip(self.cells, self.sizes):
-            if 0 <= j < size:
-                return (p, q, *divmod(j, len(subset_masks(self.n, q))))
-            j -= size
-        raise IndexError("cell basis index out of range")
+    def locate(self, j: int) -> int:
+        """The position in `cells` of the cell that holds index j."""
+        if not 0 <= j < self.starts[-1]:
+            raise IndexError("cell basis index out of range")
+        return bisect_right(self.starts, j) - 1
 
     def __getitem__(self, j: int) -> Monomial:
-        p, q, a, b = self._find(j)
-        n = self.n
+        c = self.locate(j)
+        (p, q), n = self.cells[c], self.n
+        a, b = divmod(j - self.starts[c], len(subset_masks(n, q)))
         return mask_mono(subset_masks(n, p)[a] | subset_masks(n, q)[b] << n, n)
 
     def words(self, indices) -> dict[int, str]:
         """`mono_str` of the monomial at each index, joined from the cached
         texts of its vector half (with "^" when a form half follows) and its
         form half: the indices sorted once, then each cell's in one pass."""
-        idx, out, start = sorted(indices), {}, 0
-        for (p, q), size in zip(self.cells, self.sizes):
+        idx, out, lo = sorted(indices), {}, 0
+        for (p, q), start, end in zip(self.cells, self.starts, self.starts[1:]):
             vecs = subset_words(self.n, p, "v", "^" if p and q else "")
             forms = subset_words(self.n, q, "ow")
-            nf, cut = len(forms), bisect_left(idx, size)
-            out.update({start + j: vecs[j // nf] + forms[j % nf] or "1"
-                        for j in idx[:cut]})
-            idx, start = [j - size for j in idx[cut:]], start + size
+            nf, hi = len(forms), bisect_left(idx, end, lo)
+            out.update({j: vecs[(j - start) // nf] + forms[(j - start) % nf]
+                        or "1" for j in idx[lo:hi]})
+            lo = hi
         return out
 
 

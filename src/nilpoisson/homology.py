@@ -8,7 +8,10 @@ The pages of the column filtration come from one sparse column reduction of
 each total differential D^k (the persistence pairing): a pair joining
 filtration degrees p < p' is a nonzero d_{p'-p}, so E_r^{p,q} counts the
 unpaired basis elements of (p, q) and the pairs of length at least r with an
-end there.  Canonical representatives and the d_r matrices are built on
+end there.  The layout of K^k, its cells (p, k - p) with p descending and
+where each starts, is read from its `CellBasis` alone: a pair's cells come
+from its two indices, and a cell's unpaired count is its size less its pair
+ends.  Canonical representatives and the d_r matrices are built on
 request, as quotients of the exact kernels Z_r = F^p intersect D^{-1} F^{p+r}.
 The verdict's oracles never read the pairing and build no cohomology cell:
 E_1, E_2 = H(H(K, dbar), ad_lam) and the E_infinity totals are counted from
@@ -17,6 +20,7 @@ column by the center-degree that each image term adds.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,29 +210,21 @@ def _column_dims(bc: BigradedComplex, ranks: dict) -> dict[tuple[int, int], int]
             for (p, q), basis in bc.basis.items()}
 
 
-def _column_degrees(n: int, k: int) -> list[int]:
-    """The p of the cells (p, k - p) of K^k, descending: the cell order of
-    `graded_monomials`."""
-    return [p for p in range(min(k, n), -1, -1) if k - p <= n]
-
-
 class TotalComplex:
     """K^k with the total differential D = dbar + ad_lam, basis ordered by
     vector degree descending so every F^p is a leading coordinate block,
-    each monomial decoded only where read."""
+    each monomial decoded only where read.  The layout of K^k (its cells and
+    where each starts) is read from its `CellBasis` and kept nowhere else."""
 
     def __init__(self, bc: BigradedComplex):
         self.bc = bc
         n = bc.n
         self.n = n
         self.nmax = 2 * n
-        self.bases: dict[int, CellBasis] = {}
-        self.pdeg: dict[int, list[int]] = {}
-        for k in range(self.nmax + 1):
-            ps = _column_degrees(n, k)
-            self.bases[k] = CellBasis(n, [(p, k - p) for p in ps])
-            self.pdeg[k] = [p for p, size in zip(ps, self.bases[k].sizes)
-                            for _ in range(size)]
+        # the cells (p, k - p) of K^k, p descending: `graded_monomials` order
+        self.bases = {k: CellBasis(n, [(p, k - p) for p in
+                                       range(min(k, n), max(k - n, 0) - 1, -1)])
+                      for k in range(self.nmax + 1)}
         self.dmat = {k: self._build_d(k) for k in range(self.nmax + 1)}
 
     @cached_property
@@ -243,14 +239,10 @@ class TotalComplex:
         columns, shifted to their blocks."""
         if k == self.nmax:
             return ExactMatrix.zeros(0, len(self.bases[k]))
-        bc = self.bc
-        start, row = {}, 0
-        for p in _column_degrees(self.n, k + 1):
-            start[p] = row
-            row += len(bc.basis[(p, k + 1 - p)])
+        bc, tgt = self.bc, self.bases[k + 1]
+        start = {p: row for (p, _), row in zip(tgt.cells, tgt.starts)}
         cols = []
-        for p in _column_degrees(self.n, k):
-            q = k - p
+        for p, q in self.bases[k].cells:
             shifted = []
             for mat, p_to in ((bc.dbar_mat.get((p, q)), p),
                               (bc.ad_mat.get((p, q)), p + 1)):
@@ -262,7 +254,7 @@ class TotalComplex:
                     for i, c in mcols[j].items():
                         col[off + i] = c
                 cols.append(col)
-        return ExactMatrix(cols, len(self.bases[k + 1]))
+        return ExactMatrix(cols, len(tgt))
 
 
 def poisson_cohomology(tc: TotalComplex, k: int) -> CohomologyCell:
@@ -293,29 +285,28 @@ def _pairing(tc: TotalComplex):
     filtration.  A column of D^k at a pivot row of D^{k-1} would reduce to
     zero, so it enters as an empty row (clearing, Chen-Kerber 2011).
     Returns the pairs as (length, source cell, target cell), sorted, and the
-    number of unpaired basis elements of each cell.
+    number of unpaired basis elements of each cell: its size less its pair
+    ends, cells with none left out.
     """
-    pairs = []
-    paired: dict[int, set] = {0: set()}
-    for k in range(tc.nmax + 1):
+    pairs, lows = [], set()
+    for k, src in tc.bases.items():
+        tgt = tc.bases.get(k + 1, CellBasis(tc.n, []))
         # number rows from the end, so that the last row leads
-        top = len(tc.bases.get(k + 1, ())) - 1
-        _, leads = eliminate([{} if j in paired[k] else
+        top = len(tgt) - 1
+        _, leads = eliminate([{} if j in lows else
                               {top - i: c for i, c in col.items()}
                               for j, col in enumerate(tc.dmat[k].cols)])
-        paired[k + 1] = set()
+        lows = {top - lead for lead in leads if lead is not None}
         for j, lead in enumerate(leads):
             if lead is not None:
-                low = top - lead
-                pj, pi = tc.pdeg[k][j], tc.pdeg[k + 1][low]
-                pairs.append((pi - pj, (pj, k - pj), (pi, k + 1 - pi)))
-                paired[k].add(j)
-                paired[k + 1].add(low)
-    unpaired: dict[tuple[int, int], int] = {}
-    for k in range(tc.nmax + 1):
-        for j, p in enumerate(tc.pdeg[k]):
-            if j not in paired[k]:
-                unpaired[(p, k - p)] = unpaired.get((p, k - p), 0) + 1
+                a = src.cells[src.locate(j)]
+                b = tgt.cells[tgt.locate(top - lead)]
+                pairs.append((b[0] - a[0], a, b))
+    ends = Counter(end for _, a, b in pairs for end in (a, b))
+    unpaired = {cell: left for basis in tc.bases.values()
+                for cell, start, stop in zip(basis.cells, basis.starts,
+                                             basis.starts[1:])
+                if (left := stop - start - ends[cell])}
     return sorted(pairs), unpaired
 
 
@@ -326,13 +317,14 @@ def _z_space(tc: TotalComplex, r: int, p: int, k: int) -> Subspace:
     already the canonical basis in K^k."""
     if k < 0 or k > tc.nmax:
         return Subspace.zero(0)
-    width = sum(1 for d in tc.pdeg[k] if d >= p)
-    # the rows of degree below p + r are a trailing block of K^{k+1}
-    first = sum(1 for d in tc.pdeg.get(k + 1, ()) if d >= p + r)
+    src, tgt = tc.bases[k], tc.bases.get(k + 1, CellBasis(tc.n, []))
+    # F^p is the cells of degree >= p, and the rows of degree below p + r
+    # trail those of degree >= p + r: each block's size sums its cells'
+    width = src.starts[sum(d >= p for d, _ in src.cells)]
+    first = tgt.starts[sum(d >= p + r for d, _ in tgt.cells)]
     block = [{i: c for i, c in col.items() if i >= first}
              for col in tc.dmat[k].cols[:width]]
-    nrows = len(tc.bases.get(k + 1, ()))
-    return Subspace(len(tc.bases[k]), ExactMatrix(block, nrows).kernel())
+    return Subspace(len(src), ExactMatrix(block, len(tgt)).kernel())
 
 
 class SpectralPage:

@@ -15,7 +15,7 @@ from nilpoisson.catalog import catalog_load, load_file, save_file, torus, tower
 from nilpoisson.cli import main
 from nilpoisson.errors import UsageError
 from nilpoisson.homology import BigradedComplex, dolbeault_table
-from nilpoisson.lie_structure import grading, validate
+from nilpoisson.lie_structure import grading, presentation_to_dict, validate
 from test_homology import CROSSCHECK_BREAKS
 from test_lie_structure import conjugated
 
@@ -64,6 +64,34 @@ def test_save_load_round_trip(tmp_path):
     t_back = dolbeault_table(BigradedComplex(CalculusContext(back)))
     for pq in t_src:
         assert t_src[pq].dim == t_back[pq].dim
+
+
+# tower(5) in the dense rational frame conjugated(tower(5), Random(1)),
+# written once by save_file
+DENSE_TOWER5 = Path(__file__).resolve().parent / "data" / "tower5_conjugated_seed1.json"
+
+
+def test_dense_tower5_file_is_its_generator():
+    assert json.loads(DENSE_TOWER5.read_text(encoding="utf-8")) == \
+        presentation_to_dict(conjugated(tower(5), random.Random(1)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--format", "csv"),
+    ("degeneration", "--format", "csv"),
+    ("crosscheck", "--coef", "2"),
+], ids=["cohomology", "degeneration", "crosscheck"])
+def test_dense_frame_prints_the_rows_of_tower5(capsys, argv):
+    # the invariants do not depend on the frame: only the algebra's name,
+    # which the crosscheck table prints, differs
+    rows = {}
+    for source in (("--algebra", "tower:5"), ("--file", str(DENSE_TOWER5))):
+        rc, out, err = run(capsys, *argv, *source)
+        assert (rc, err) == (0, ""), source
+        rows[source[0]] = [line for line in out.splitlines()
+                           if not line.startswith("algebra:")]
+    assert rows["--file"] == rows["--algebra"]
+    assert len(rows["--file"]) > 6
 
 
 def test_load_file_rejects_malformed(tmp_path):

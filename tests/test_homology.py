@@ -801,7 +801,10 @@ def test_single_cells_match_whole_complex_in_random_frames(n, seed):
 def uncleared_pairing(tc):
     """The pairing as computed before clearing: every column of every D^k
     reduced, rows numbered from the end so that the last row leads.  Also
-    returns, by k, the pivot rows of D^(k-1): the columns of D^k to clear."""
+    returns, by k, the pivot rows of D^(k-1): the columns of D^k to clear.
+    The degree of each basis element is read off its monomial."""
+    pdeg = {k: [mono_bidegree(m)[0] for m in graded_monomials(tc.n, k)]
+            for k in range(tc.nmax + 1)}
     pairs, paired = [], {k: set() for k in range(tc.nmax + 2)}
     lows = {k: set() for k in range(tc.nmax + 2)}
     for k in range(tc.nmax + 1):
@@ -810,14 +813,14 @@ def uncleared_pairing(tc):
             [{top - i: c for i, c in col.items()} for col in tc.dmat[k].cols])
         for j, lead in enumerate(leads):
             if lead is not None:
-                pj, pi = tc.pdeg[k][j], tc.pdeg[k + 1][top - lead]
+                pj, pi = pdeg[k][j], pdeg[k + 1][top - lead]
                 pairs.append((pi - pj, (pj, k - pj), (pi, k + 1 - pi)))
                 paired[k].add(j)
                 paired[k + 1].add(top - lead)
                 lows[k + 1].add(top - lead)
     unpaired = {}
     for k in range(tc.nmax + 1):
-        for j, p in enumerate(tc.pdeg[k]):
+        for j, p in enumerate(pdeg[k]):
             if j not in paired[k]:
                 unpaired[(p, k - p)] = unpaired.get((p, k - p), 0) + 1
     return (sorted(pairs), unpaired), lows
@@ -874,6 +877,97 @@ def test_clearing_changes_no_pair(algebra, lam):
                 min_size=2, max_size=2))
 def test_clearing_changes_no_pair_in_random_frames(n, seed, coeffs):
     _assert_clearing_keeps_pairs(_gaussian_poisson_complex(n, seed, coeffs))
+
+
+# -- the layout of K^k, read from its cell bases -----------------------------
+
+def test_cell_lookup_matches_monomial_bidegree():
+    # every K^k at n = 3: the lookup names the cell whose bidegree the
+    # monomial decodes to, at both ends of every cell
+    tc = TotalComplex(BigradedComplex(CalculusContext(tower(3))))
+    for k, basis in tc.bases.items():
+        assert [p for p, _ in basis.cells] == sorted(
+            {mono_bidegree(m)[0] for m in graded_monomials(3, k)}, reverse=True)
+        for start, stop in zip(basis.starts, basis.starts[1:]):
+            for j in (start, stop - 1):
+                assert basis.cells[basis.locate(j)] == mono_bidegree(basis[j])
+        for j in (-1, len(basis)):
+            with pytest.raises(IndexError):
+                basis.locate(j)
+            with pytest.raises(IndexError):
+                basis[j]
+
+
+def test_pairing_of_a_zero_differential_leaves_every_cell_unpaired():
+    tc = TotalComplex(BigradedComplex(CalculusContext(torus(4))))
+    assert all(d.is_zero() for d in tc.dmat.values())
+    pairs, unpaired = homology._pairing(tc)
+    assert pairs == []
+    assert unpaired == {(p, q): math.comb(4, p) * math.comb(4, q)
+                        for p in range(5) for q in range(5)}
+
+
+# -- duality: the top-degree pairing turns D into its adjoint ---------------
+
+def _complement(n, mono):
+    """The index of the complementary monomial in its K^k (`graded_monomials`
+    order: the cells of degree above p first, then the ranks of its two
+    halves), and the sign of the top monomial in mono ^ complement."""
+    rest = ((1 << 2 * n) - 1) ^ exterior.mono_mask(mono, n)
+    vec, form = rest & ((1 << n) - 1), rest >> n
+    p, q = bin(vec).count("1"), bin(form).count("1")
+    j = (sum(math.comb(n, d) * math.comb(n, p + q - d)
+             for d in range(p + 1, min(p + q, n) + 1))
+         + exterior.subset_ranks(n, p)[vec] * math.comb(n, q)
+         + exterior.subset_ranks(n, q)[form])
+    return j, exterior.wedge_mono(mono, exterior.mask_mono(rest, n))[0]
+
+
+def _assert_duality(bc):
+    """<D a, b> = -(-1)^k <a, D b> for a in K^k and b in K^{2n-k-1}, where
+    <x, y> is the top coefficient of x ^ y, read from the nonzero entries of
+    D; and E_r^{p,q} = E_r^{n-p,n-q} on every page, H^k = H^{2n-k}."""
+    tc, n = TotalComplex(bc), bc.n
+    for k in range(2 * n):
+        # <D e_j, f_l> = D^k[i, j] <e_i, f_l>, f_l the complement of e_i
+        lhs = {}
+        for j, col in enumerate(tc.dmat[k].cols):
+            for i, c in col.items():
+                l, sign = _complement(n, tc.bases[k + 1][i])
+                lhs[(j, l)] = c if sign > 0 else -c
+        # <e_j, D f_l> = D^{2n-k-1}[m, l] <e_j, f_m>, e_j the complement of
+        # f_m, and <e_j, f_m> = (-1)^(k(2n-k)) <f_m, e_j>
+        rhs = {}
+        for l, col in enumerate(tc.dmat[2 * n - k - 1].cols):
+            for m, c in col.items():
+                j, sign = _complement(n, tc.bases[2 * n - k][m])
+                rhs[(j, l)] = -c if sign > 0 else c
+        assert lhs == rhs, k
+    for page in spectral_pages(bc).pages:
+        assert all(page.dim(p, q) == page.dim(n - p, n - q)
+                   for p in range(n + 1) for q in range(n + 1)), page.r
+    betti = poisson_betti(tc)
+    assert all(betti[k] == betti[2 * n - k] for k in range(2 * n + 1))
+
+
+@pytest.mark.parametrize("algebra, lam", [
+    ("kodaira", None), ("kodaira", "i v1^v2"),
+    ("tower:4", "2 v1^v4 - v2^v3"), ("tower:5", None), ("torus:3", None),
+    ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
+])
+def test_duality_pairs_d_with_its_adjoint(algebra, lam):
+    ctx = CalculusContext(catalog_load(algebra))
+    bivector = (theorem2_lambda(ctx).bivector if lam is None
+                else parse_lambda(lam).bind(ctx.n))
+    _assert_duality(BigradedComplex(ctx, bivector))
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.lists(st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=2, max_size=2))
+def test_duality_pairs_d_with_its_adjoint_in_random_frames(seed, coeffs):
+    _assert_duality(_gaussian_poisson_complex(3, seed, coeffs))
 
 
 def test_betti_ranks_read_every_column(monkeypatch):
