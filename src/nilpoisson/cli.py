@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from typing import Callable, NamedTuple
+from collections.abc import Callable
 
 from .calculus import CalculusContext
 from .catalog import catalog_load, load_file
@@ -343,11 +343,16 @@ def cmd_crosscheck(args):
     return doc, text, None, 0
 
 
-class Command(NamedTuple):
-    help: str
-    handler: Callable
-    options: tuple  # beyond the common ones: "lambda", "coef", "pages"
-    csv: bool  # whether the report has a CSV form
+class Command:
+    __slots__ = ("help", "handler", "options", "csv")
+
+    def __init__(self, help: str, handler: Callable, options: tuple,
+                 csv: bool):
+        self.help = help
+        self.handler = handler
+        # beyond the common ones: "lambda", "coef", "pages"
+        self.options = options
+        self.csv = csv  # whether the report has a CSV form
 
 
 COMMANDS = {

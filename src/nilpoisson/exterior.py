@@ -253,6 +253,8 @@ class CellBasis(Sequence):
         texts of its vector half (with "^" when a form half follows) and its
         form half: the indices sorted once, then each cell's in one pass."""
         idx, out, lo = sorted(indices), {}, 0
+        if idx and not (0 <= idx[0] and idx[-1] < self.starts[-1]):
+            raise IndexError("cell basis index out of range")
         for (p, q), start, end in zip(self.cells, self.starts, self.starts[1:]):
             vecs = subset_words(self.n, p, "v", "^" if p and q else "")
             forms = subset_words(self.n, q, "ow")

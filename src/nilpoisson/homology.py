@@ -21,7 +21,6 @@ column by the center-degree that each image term adds.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .calculus import (CalculusContext, apply_table, dbar, dbar_cell,
@@ -392,11 +391,13 @@ class SpectralPage:
                 if (m := self.differential(*pq)) is not None}
 
 
-@dataclass
 class PageResult:
-    pages: list
-    tc: TotalComplex
-    pairs: list
+    __slots__ = ("pages", "tc", "pairs")
+
+    def __init__(self, pages: list, tc: TotalComplex, pairs: list):
+        self.pages = pages
+        self.tc = tc
+        self.pairs = pairs
 
     def page(self, r: int) -> SpectralPage:
         return self.pages[r - 1]
@@ -453,15 +454,21 @@ def spectral_pages(bc: BigradedComplex) -> PageResult:
     return PageResult(pages=pages, tc=tc, pairs=pairs)
 
 
-@dataclass
 class DegenerationVerdict:
-    degenerates: bool
-    failure: tuple | None
-    witness_source: MixedElement | None
-    witness_image: MixedElement | None
-    pages: PageResult
-    hk_dims: dict
-    einf_sums: dict
+    __slots__ = ("degenerates", "failure", "witness_source", "witness_image",
+                 "pages", "hk_dims", "einf_sums")
+
+    def __init__(self, degenerates: bool, failure: tuple | None,
+                 witness_source: MixedElement | None,
+                 witness_image: MixedElement | None, pages: PageResult,
+                 hk_dims: dict, einf_sums: dict):
+        self.degenerates = degenerates
+        self.failure = failure
+        self.witness_source = witness_source
+        self.witness_image = witness_image
+        self.pages = pages
+        self.hk_dims = hk_dims
+        self.einf_sums = einf_sums
 
     @property
     def verdict(self) -> str:
@@ -516,12 +523,15 @@ def degeneration_verdict(bc: BigradedComplex) -> DegenerationVerdict:
     )
 
 
-@dataclass
 class DBicomplexReport:
-    ell: int
-    c_dim: int
-    total_dims: dict
-    direct_dims: dict
+    __slots__ = ("ell", "c_dim", "total_dims", "direct_dims")
+
+    def __init__(self, ell: int, c_dim: int, total_dims: dict,
+                 direct_dims: dict):
+        self.ell = ell
+        self.c_dim = c_dim
+        self.total_dims = total_dims
+        self.direct_dims = direct_dims
 
 
 def _center_split(table: list[tuple], n: int, ell: int,

@@ -17,7 +17,6 @@ computed once; a `CalculusContext` builds the grading only when it is read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import InternalInvariantError, ValidationError
@@ -73,19 +72,23 @@ class AlgebraPresentation:
         return {i - 1: GR_ONE}
 
 
-@dataclass
 class ValidationReport:
-    dim_even: bool = True
-    indices_ok: bool = True
-    jacobi_ok: bool = True
-    jacobi_failure: tuple | None = None
-    j_square_ok: bool = True
-    nilpotent: bool = True
-    step: int | None = None
-    integrable: bool = False
-    abelian: bool = False
-    errors: list = field(default_factory=list)
-    series: list = field(default_factory=list)  # central_series(p); empty if indices fail
+    __slots__ = ("dim_even", "indices_ok", "jacobi_ok", "jacobi_failure",
+                 "j_square_ok", "nilpotent", "step", "integrable", "abelian",
+                 "errors", "series")
+
+    def __init__(self):
+        self.dim_even = True
+        self.indices_ok = True
+        self.jacobi_ok = True
+        self.jacobi_failure: tuple | None = None
+        self.j_square_ok = True
+        self.nilpotent = True
+        self.step: int | None = None
+        self.integrable = False
+        self.abelian = False
+        self.errors: list = []
+        self.series: list = []  # central_series(p); empty if indices fail
 
     @property
     def ok(self) -> bool:
@@ -321,14 +324,16 @@ def complex_frame(p: AlgebraPresentation,
                         bracket_vvbar, abelian, rep)
 
 
-@dataclass
 class Grading:
     """Central-series data refined by J, in frame coordinates."""
 
-    n: int
-    step: int                      # s + 1
-    t10: dict                      # k -> complement Subspace, k = 1..s+1
-    c10: "Subspace"                # central (1,0) vectors, frame coordinates
+    __slots__ = ("n", "step", "t10", "c10")
+
+    def __init__(self, n: int, step: int, t10: dict, c10: Subspace):
+        self.n = n
+        self.step = step  # s + 1
+        self.t10 = t10    # k -> complement Subspace, k = 1..s+1
+        self.c10 = c10    # central (1,0) vectors, frame coordinates
 
     @property
     def s(self) -> int:

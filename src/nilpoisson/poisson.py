@@ -10,8 +10,6 @@ second page.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .calculus import (CalculusContext, ad_images, apply_table, dbar,
                        dbar_cell, derivation_table)
 from .errors import (InternalInvariantError, NotAbelianError, ValidationError)
@@ -20,16 +18,21 @@ from .exterior import (CellBasis, MixedElement, element_entries,
                        element_from_coords)
 
 
-@dataclass
 class PoissonCandidate:
     """A (2,0) bivector with its verified flags, and the compiled table of
     ad_lam the flags were read from."""
 
-    bivector: MixedElement
-    dbar_closed: bool
-    schouten_square_zero: bool
-    ad_identically_zero: bool
-    ad_table: list = field(repr=False)
+    __slots__ = ("bivector", "dbar_closed", "schouten_square_zero",
+                 "ad_identically_zero", "ad_table")
+
+    def __init__(self, bivector: MixedElement, dbar_closed: bool,
+                 schouten_square_zero: bool, ad_identically_zero: bool,
+                 ad_table: list):
+        self.bivector = bivector
+        self.dbar_closed = dbar_closed
+        self.schouten_square_zero = schouten_square_zero
+        self.ad_identically_zero = ad_identically_zero
+        self.ad_table = ad_table
 
     @property
     def holomorphic_poisson(self) -> bool:
@@ -47,13 +50,16 @@ def is_holomorphic_poisson(ctx: CalculusContext, lam: MixedElement) -> PoissonCa
                             table)
 
 
-@dataclass
 class BivectorSpace:
     """dbar-closed (2,0) bivectors plus the verified Poisson candidates."""
 
-    basis_monomials: CellBasis
-    closed: Subspace
-    candidates: list
+    __slots__ = ("basis_monomials", "closed", "candidates")
+
+    def __init__(self, basis_monomials: CellBasis, closed: Subspace,
+                 candidates: list):
+        self.basis_monomials = basis_monomials
+        self.closed = closed
+        self.candidates = candidates
 
     @property
     def dim(self) -> int:

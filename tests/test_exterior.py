@@ -205,6 +205,9 @@ def test_cell_basis_decodes_cell_monomials():
                     basis[len(want)]
                 with pytest.raises(IndexError):
                     basis[-1]
+                for bad in ([-1], [len(want)], [-1, len(want), len(want) + 11]):
+                    with pytest.raises(IndexError):
+                        basis.words(bad)
 
 
 def test_cell_basis_of_a_degree_is_graded_monomials():

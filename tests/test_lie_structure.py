@@ -193,6 +193,15 @@ def test_validate_detects_bad_j_square():
     assert not rep.ok
 
 
+def test_validate_gives_each_report_its_own_lists():
+    bad = validate(AlgebraPresentation(
+        2, {}, [[Rational(1), Rational(0)], [Rational(0), Rational(1)]]))
+    assert not bad.j_square_ok and bad.errors
+    good = validate(catalog_load("tower:2"))
+    assert good.errors == [] and good.ok
+    assert good.errors is not bad.errors and good.series is not bad.series
+
+
 def test_validate_detects_non_nilpotent():
     br = {(1, 2): {1: Rational(1)}}
     p = AlgebraPresentation(2, br, _paired_j_rows(1))

@@ -3,12 +3,14 @@
 import contextlib
 import io
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import nilpoisson
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 EXPORTS = [
     "BigradedComplex", "CalculusContext", "ExactMatrix", "GaussRational",
@@ -51,3 +53,13 @@ def test_readme_library_snippet_prints_what_it_documents():
     assert out.getvalue().splitlines() == want
     assert want[:3] == ["fails-at-(2,0,2)", "(1) v3^ow3 + (1) ow2^ow3",
                         "(-2) v3^v4^ow2"]
+
+
+def test_import_generates_no_code():
+    # -S: no site module, whose .pth files may import typing themselves
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import nilpoisson, nilpoisson.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
