@@ -242,8 +242,10 @@ def derivation_matrix(table: list[tuple], n: int, source: tuple[int, int],
 def dbar_cell(table: list[tuple], n: int, p: int,
               q: int) -> tuple[CellBasis, ExactMatrix | None]:
     """The basis of cell (p, q), decoded only where read, and the matrix of
-    dbar with this compiled table out of it, None at q = n."""
-    mat = derivation_matrix(table, n, (p, q), (p, q + 1), "dbar") if q < n else None
+    dbar with this compiled table out of it; None, the zero map, at q = n
+    and when the table is empty (the tori): only this decides it."""
+    mat = (derivation_matrix(table, n, (p, q), (p, q + 1), "dbar")
+           if table and q < n else None)
     return CellBasis(n, [(p, q)]), mat
 
 

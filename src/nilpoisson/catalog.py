@@ -110,10 +110,20 @@ def catalog_load(spec: str) -> AlgebraPresentation:
     return builder(n)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; `json` alone keeps the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise UsageError(f'bad algebra data: key "{key}" given twice')
+        obj[key] = value
+    return obj
+
+
 def load_file(path: str) -> AlgebraPresentation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

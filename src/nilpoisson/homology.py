@@ -1,9 +1,10 @@
 """Cohomology of the bigraded complex and the filtration spectral sequence.
 
 The double complex A^{p,q} (p vector factors, q form factors) carries the
-vertical differential dbar and, once `poisson.is_holomorphic_poisson`
-accepts a bivector lam, the horizontal ad_lam from the table it compiles; a
-cell matrix not stored is the zero map.
+vertical differential dbar, built and checked column by column in
+`_dbar_column`, and, once `poisson.is_holomorphic_poisson` accepts a
+bivector lam, the horizontal ad_lam from the table it compiles; a cell
+matrix not stored is the zero map.
 The pages of the column filtration come from one sparse column reduction of
 each total differential D^k (the persistence pairing): a pair joining
 filtration degrees p < p' is a nonzero d_{p'-p}, so E_r^{p,q} counts the
@@ -16,7 +17,8 @@ request, as quotients of the exact kernels Z_r = F^p intersect D^{-1} F^{p+r}.
 The verdict's oracles never read the pairing and build no cohomology cell:
 E_1, E_2 = H(H(K, dbar), ad_lam) and the E_infinity totals are counted from
 ranks of the cell matrices and of D.  The crosscheck splits dbar on one
-column by the center-degree that each image term adds.
+column by the center-degree that each image term adds, and returns the one
+dimension table that both of its paths give.
 """
 from __future__ import annotations
 
@@ -65,7 +67,8 @@ def _check_zero(identity, where, src_basis, tgt_basis, *factors):
 class BigradedComplex:
     """Cell bases (each decoded only where read) plus exact dbar and ad_lam
     matrices, identities verified.
-    A missing matrix is the zero map: there is none at the edge, and none of
+    Each column p is `_dbar_column`, which checks dbar^2 = 0 on it.  A
+    missing matrix is the zero map: there is none at the edge, and none of
     dbar (on the tori) or of ad_lam (lam central or 0) when it is zero."""
 
     def __init__(self, ctx: CalculusContext, lam: MixedElement | None = None):
@@ -82,30 +85,29 @@ class BigradedComplex:
         if not cand.schouten_square_zero:
             raise ValidationError("lam is not Poisson: [lam, lam] = "
                                   f"{apply_table(ad_table, n, self.lam)} != 0")
-        dbar_table = ctx.dbar_table
 
         self.basis: dict[tuple[int, int], CellBasis] = {}
         self.dbar_mat: dict[tuple[int, int], ExactMatrix] = {}
         self.ad_mat: dict[tuple[int, int], ExactMatrix] = {}
         for p in range(n + 1):
-            for q in range(n + 1):
-                self.basis[(p, q)] = CellBasis(n, [(p, q)])
-                if dbar_table and q < n:
-                    self.dbar_mat[(p, q)] = dbar_cell(dbar_table, n, p, q)[1]
+            column = _dbar_column(ctx.dbar_table, n, p)
+            for q, (basis, mat) in enumerate(column):
+                self.basis[(p, q)] = basis
+                if mat is not None:
+                    self.dbar_mat[(p, q)] = mat
                 if ad_table and p < n:
                     self.ad_mat[(p, q)] = derivation_matrix(
                         ad_table, n, (p, q), (p + 1, q), "ad_lam")
         self._check_identities()
 
     def _check_identities(self):
+        """ad_lam^2 and the anticommutator; each column checked dbar^2."""
         dm, am, basis = self.dbar_mat, self.ad_mat, self.basis
+        if not am:
+            return
         for p in range(self.n + 1):
             for q in range(self.n + 1):
                 where, src = f"cell (p,q)={(p, q)}", basis[(p, q)]
-                _check_zero("dbar^2", where, src, basis.get((p, q + 2)),
-                            dm.get((p, q + 1)), dm.get((p, q)))
-                if not am:
-                    continue
                 _check_zero("ad_lam^2", where, src, basis.get((p + 2, q)),
                             am.get((p + 1, q)), am.get((p, q)))
                 _check_zero("dbar ad_lam + ad_lam dbar", where, src,
@@ -186,8 +188,9 @@ def dolbeault_table(bc: BigradedComplex) -> dict[tuple[int, int], CohomologyCell
 
 
 def _dbar_column(table: list[tuple], n: int, ell: int) -> list[tuple]:
-    """Column ell alone, as the (basis, dbar out of it, None at q = n) of
-    each cell (ell, q), with dbar^2 = 0 checked on it."""
+    """Column ell alone, as the (basis, dbar out of it, None for zero) of
+    each cell (ell, q), with dbar^2 = 0 checked on it: the one assembly of
+    dbar and the one dbar^2 check, whole complex or a single column."""
     column = [dbar_cell(table, n, ell, q) for q in range(n + 1)]
     for q in range(n - 1):
         _check_zero("dbar^2", f"cell (p,q)={(ell, q)}", column[q][0],
@@ -523,17 +526,6 @@ def degeneration_verdict(bc: BigradedComplex) -> DegenerationVerdict:
     )
 
 
-class DBicomplexReport:
-    __slots__ = ("ell", "c_dim", "total_dims", "direct_dims")
-
-    def __init__(self, ell: int, c_dim: int, total_dims: dict,
-                 direct_dims: dict):
-        self.ell = ell
-        self.c_dim = c_dim
-        self.total_dims = total_dims
-        self.direct_dims = direct_dims
-
-
 def _center_split(table: list[tuple], n: int, ell: int,
                   a: int) -> dict[int, tuple]:
     """dbar with this compiled table on column ell, split into its part
@@ -549,8 +541,9 @@ def _center_split(table: list[tuple], n: int, ell: int,
             for m in range(n)}
 
 
-def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
-    """H^m of the center/complement bicomplex against plain column cohomology.
+def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> dict[int, int]:
+    """{m: dim H^m} of the center/complement bicomplex, checked against
+    plain column cohomology.
 
     The bicomplex lives in a frame adapted to the center: generators 1..a span
     c^(1,0) and the rest a chosen complement; dbar splits into a part dbar_c
@@ -589,10 +582,8 @@ def d_bicomplex_crosscheck(ctx: CalculusContext, ell: int) -> DBicomplexReport:
     # the parts land on monomials of different center-degree: disjoint entries
     merged = [ExactMatrix([{**x, **y} for x, y in zip(c.cols, t.cols)], c.nrows)
               for c, t in dsplit.values()]
-    total_dims = _betti([(b, d) for (b, _), d in zip(direct, merged + [None])])
-    direct_dims = _betti(direct)
-    if total_dims != direct_dims:
+    dims = _betti([(b, d) for (b, _), d in zip(direct, merged + [None])])
+    if dims != _betti(direct):
         raise InternalInvariantError(
             "bicomplex total cohomology disagrees with the direct computation")
-    return DBicomplexReport(ell=ell, c_dim=a, total_dims=total_dims,
-                            direct_dims=direct_dims)
+    return dims

@@ -426,11 +426,12 @@ def presentation_from_dict(data: dict, name: str = "file") -> AlgebraPresentatio
                 raise ValueError(f"bracket ({i},{i}) of a vector with itself")
             if not isinstance(ent["out"], dict):
                 raise ValueError(f'"out" of bracket ({i},{j}) must be a JSON object')
+            out = {int(k): rational_from_string(v) for k, v in ent["out"].items()}
+            if len(out) < len(ent["out"]):
+                raise ValueError(f'"out" of bracket ({i},{j}) names one index '
+                                 f"twice: {sorted(ent['out'])}")
             if i > j:
-                i, j = j, i
-                out = {int(k): -rational_from_string(v) for k, v in ent["out"].items()}
-            else:
-                out = {int(k): rational_from_string(v) for k, v in ent["out"].items()}
+                i, j, out = j, i, {k: -c for k, c in out.items()}
             key = (i, j)
             if key in brackets:
                 raise ValueError(f"bracket ({i},{j}) given twice")

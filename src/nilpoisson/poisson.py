@@ -81,7 +81,8 @@ def holomorphic_bivector_space(ctx: CalculusContext) -> BivectorSpace:
     returned; the quadric itself is not parametrized.
     """
     basis, mat = dbar_cell(ctx.dbar_table, ctx.n, 2, 0)
-    closed = Subspace(len(basis), mat.kernel())
+    closed = (Subspace(len(basis), mat.kernel()) if mat is not None
+              else Subspace.full(len(basis)))
     candidates = []
     for coords in closed.rows:
         lam = element_from_coords(coords, basis)

@@ -71,7 +71,9 @@ class GaussRational:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        # a real value hashes as the int or Fraction it equals
+        return hash((self.a, self.b, self.d) if self.b else
+                    Fraction(self.a, self.d))
 
     def __add__(self, other: "GaussRational") -> "GaussRational":
         d, e = self.d, other.d

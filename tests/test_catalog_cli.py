@@ -813,6 +813,31 @@ def test_cli_malformed_presentation_is_usage_error(capsys, tmp_path, field,
         assert err == f"error: bad algebra data: {message}\n"
 
 
+KODAIRA_J = ('[["0", "-1", "0", "0"], ["1", "0", "0", "0"], '
+             '["0", "0", "0", "-1"], ["0", "0", "1", "0"]]')
+
+
+@pytest.mark.parametrize("text, message", [
+    # "3" and "03" both name e3, and json keeps both keys
+    ('{"dim": 4, "brackets": [{"i": 1, "j": 2, "out": {"3": "1", "03": "5"}}], '
+     f'"J": {KODAIRA_J}}}',
+     """"out" of bracket (1,2) names one index twice: ['03', '3']"""),
+    # json alone keeps the last "dim"
+    ('{"dim": 6, "brackets": [{"i": 1, "j": 2, "out": {"3": "1"}}], '
+     f'"J": {KODAIRA_J}, "dim": 4}}',
+     'key "dim" given twice'),
+], ids=["out-index", "json-key"])
+def test_cli_repeated_presentation_key_is_usage_error(capsys, tmp_path, text,
+                                                      message):
+    # kodaira with one key repeated: no value may silently win
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    for cmd in ("validate", "cohomology"):
+        rc, out, err = run(capsys, cmd, "--file", str(path))
+        assert (rc, out) == (2, ""), cmd
+        assert err == f"error: bad algebra data: {message}\n"
+
+
 def test_cli_integer_string_fields_accepted(capsys, tmp_path):
     data = {
         "dim": "4",
@@ -880,24 +905,33 @@ def test_cli_degeneration_pages_trims_report(capsys):
     assert run(capsys, *base, "--pages", "1")[1] == run(capsys, *base)[1]
 
 
-def test_cli_cohomology_coef_builds_only_its_column(capsys, monkeypatch):
-    # the column's cells are those of the whole table, with no whole
-    # complex built
-    rc, full, _ = run(capsys, "cohomology", "--algebra", "tower:4",
-                      "--format", "json")
+@pytest.mark.parametrize("source", [
+    ("--algebra", "kodaira"), ("--algebra", "tower:3"), ("--algebra", "tower:4"),
+    ("--algebra", "tower:5"), ("--algebra", "torus:3"),
+    ("--file", str(DENSE_TOWER5)),
+], ids=["kodaira", "tower3", "tower4", "tower5", "torus3", "dense-tower5"])
+def test_cli_cohomology_coef_builds_only_its_column(capsys, monkeypatch,
+                                                    source):
+    # every column's cells, dimensions and representatives, are those of
+    # the whole table, with no whole complex built
+    rc, full, _ = run(capsys, "cohomology", *source, "--format", "json")
     assert rc == 0
+    full = json.loads(full)["cohomology"]
 
     def no_complex(*args):
         raise AssertionError("a whole BigradedComplex was built")
 
     monkeypatch.setattr(BigradedComplex, "__init__", no_complex)
-    rc, out, _ = run(capsys, "cohomology", "--algebra", "tower:4", "--coef",
-                     "2", "--format", "json")
-    assert rc == 0
-    want = {key: cell for key, cell in json.loads(full)["cohomology"].items()
-            if key.startswith("2,")}
-    assert json.loads(out)["cohomology"] == want
-    assert len(want) == 5
+    n = max(int(key.split(",")[0]) for key in full)
+    for ell in range(n + 1):
+        rc, out, _ = run(capsys, "cohomology", *source, "--coef", str(ell),
+                         "--format", "json")
+        assert rc == 0
+        want = {key: cell for key, cell in full.items()
+                if key.startswith(f"{ell},")}
+        assert json.loads(out)["cohomology"] == want, ell
+        assert len(want) == n + 1
+    assert len(full) == (n + 1) ** 2
 
 
 def test_cli_cohomology_coef_checks_dbar_square_on_its_column(capsys,

@@ -339,18 +339,26 @@ def test_verdict_checks_rank_at_failing_cell(tower4_bc, monkeypatch):
         degeneration_verdict(tower4_bc)
 
 
-def test_identity_failure_names_cell_and_entry():
-    bc = BigradedComplex(CalculusContext(tower(4)))
-    d1 = bc.dbar_mat[(1, 0)]
-    # the first nonzero entry by row, then column, through the sparse columns
+def test_identity_failure_names_cell_and_entry(monkeypatch):
+    # replace dbar out of cell (1, 1) by a single unit entry at the first
+    # row that dbar out of (1, 0) reaches, so that dbar^2 out of (1, 0) has
+    # one; the first nonzero entry is by row, then column
+    table, real_cell = CalculusContext(tower(4)).dbar_table, homology.dbar_cell
+    basis, d1 = real_cell(table, 4, 1, 0)
     i, j = min((i, j) for j, col in enumerate(d1.cols) for i in col)
-    d2 = ExactMatrix.zeros(len(bc.basis[(1, 2)]), d1.nrows)
-    d2.cols[i][0] = GR_ONE
-    bc.dbar_mat[(1, 1)] = d2
+
+    def corrupted(table, n, p, q):
+        cell, mat = real_cell(table, n, p, q)
+        if (p, q) == (1, 1):
+            mat = ExactMatrix.zeros(mat.nrows, mat.ncols)
+            mat.cols[i][0] = GR_ONE
+        return cell, mat
+
+    monkeypatch.setattr(homology, "dbar_cell", corrupted)
     with pytest.raises(InternalInvariantError) as err:
-        bc._check_identities()
-    src = mono_str(bc.basis[(1, 0)][j])
-    tgt = mono_str(bc.basis[(1, 2)][0])
+        BigradedComplex(CalculusContext(tower(4)))
+    src = mono_str(basis[j])
+    tgt = mono_str(real_cell(table, 4, 1, 2)[0][0])
     assert str(err.value) == (f"dbar^2 != 0 on cell (p,q)=(1, 0): entry "
                               f"{d1.cols[j][i]} from {src} to {tgt}")
 
@@ -433,22 +441,16 @@ def test_crosscheck_torus():
     for n in (2, 3):
         ctx = CalculusContext(torus(n))
         for ell in range(n + 1):
-            report = d_bicomplex_crosscheck(ctx, ell)
-            assert report.total_dims == report.direct_dims
-            for m, d in report.total_dims.items():
-                assert d == math.comb(n, ell) * math.comb(n, m)
+            dims = d_bicomplex_crosscheck(ctx, ell)
+            assert dims == {m: math.comb(n, ell) * math.comb(n, m)
+                            for m in range(n + 1)}
 
 
 def test_crosscheck_tower4_frozen():
     ctx = CalculusContext(tower(4))
-    r0 = d_bicomplex_crosscheck(ctx, 0)
-    assert r0.total_dims == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    r1 = d_bicomplex_crosscheck(ctx, 1)
-    assert r1.total_dims == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
-    r2 = d_bicomplex_crosscheck(ctx, 2)
-    assert r2.total_dims == {0: 2, 1: 8, 2: 12, 3: 8, 4: 2}
-    for r in (r0, r1, r2):
-        assert r.total_dims == r.direct_dims
+    assert d_bicomplex_crosscheck(ctx, 0) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+    assert d_bicomplex_crosscheck(ctx, 1) == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
+    assert d_bicomplex_crosscheck(ctx, 2) == {0: 2, 1: 8, 2: 12, 3: 8, 4: 2}
 
 
 def test_crosscheck_identity_failure_names_degree_and_entry(monkeypatch):
@@ -532,9 +534,8 @@ def test_crosscheck_in_conjugated_frames():
         rows += ctx.grading.c10.rows
         frame = CalculusContext(base)
         for ell in ells:
-            want = d_bicomplex_crosscheck(frame, ell).total_dims
-            report = d_bicomplex_crosscheck(ctx, ell)
-            assert report.total_dims == report.direct_dims == want, (
+            want = d_bicomplex_crosscheck(frame, ell)
+            assert d_bicomplex_crosscheck(ctx, ell) == want, (
                 base.name, seed, ell)
     assert any(len(row) > 1 for row in rows)
 

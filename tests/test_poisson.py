@@ -1,6 +1,10 @@
-import pytest
+import functools
 
-from nilpoisson.calculus import CalculusContext, dbar, schouten
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilpoisson.calculus import CalculusContext, ad_images, dbar, schouten
 from nilpoisson.catalog import kodaira, torus, tower
 from nilpoisson.errors import NotAbelianError, ValidationError
 from nilpoisson.exterior import MixedElement, form_gen, vec_gen, wedge
@@ -166,3 +170,44 @@ def test_bivector_space_iwasawa_filters_square():
     for cand in sp.candidates:
         assert cand.dbar_closed
         assert cand.schouten_square_zero
+
+
+# -- the tower family's candidates (ROADMAP item 7) -------------------------
+
+@functools.lru_cache(maxsize=None)
+def tower_space(n):
+    ctx = CalculusContext(tower(n))
+    return ctx, holomorphic_bivector_space(ctx)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_odd_tower_candidates_act_trivially(n):
+    # so E_1 = E_infinity for every holomorphic Poisson structure there
+    _, sp = tower_space(n)
+    assert sp.candidates
+    assert all(cand.ad_identically_zero for cand in sp.candidates)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_even_tower_acting_candidate_is_the_alternating_sum(n):
+    # half of 2 v1^vn - v2^v(n-1) + v3^v(n-2) - ..., the only candidate
+    # with ad != 0
+    _, sp = tower_space(n)
+    acting = [c.bivector for c in sp.candidates if not c.ad_identically_zero]
+    terms = [f"2 v1^v{n}"] + [f"{'+' if k % 2 else '-'} v{k}^v{n + 1 - k}"
+                              for k in range(2, n // 2 + 1)]
+    alternating = parse_lambda(" ".join(terms)).bind(n)
+    assert acting == [scaled(alternating, gauss(Rational(1, 2)))]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from([5, 7]), st.data())
+def test_odd_tower_combinations_act_trivially(n, data):
+    ctx, sp = tower_space(n)
+    coeffs = data.draw(st.lists(
+        st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3)),
+        min_size=len(sp.candidates), max_size=len(sp.candidates)))
+    lam = MixedElement()
+    for z, cand in zip(coeffs, sp.candidates):
+        lam = lam + scaled(cand.bivector, z)
+    assert ad_images(ctx, lam) == {}

@@ -59,6 +59,13 @@ def test_hash_consistent_with_eq():
     assert a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # a real value is the int or Fraction it equals, as a key too
+    for real, value in ((gauss(1), 1), (gauss(-3), -3), (gauss(0), 0),
+                        (gauss(Rational(-5, 6)), Fraction(-5, 6))):
+        assert real == value
+        assert hash(real) == hash(value)
+        assert len({real, value}) == 1
+        assert {value: "x"}[real] == "x"
 
 
 def test_field_axioms_random():
