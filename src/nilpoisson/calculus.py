@@ -37,8 +37,8 @@ class CalculusContext:
     built when first read."""
 
     __slots__ = (
-        "presentation", "frame", "_grading", "n", "abelian",
-        "dbar_images", "bracket_table", "dbar_table", "bracket_tables",
+        "presentation", "frame", "_grading", "n", "abelian", "dbar_table",
+        "bracket_tables",
     )
 
     def __init__(self, presentation: AlgebraPresentation):
@@ -47,10 +47,10 @@ class CalculusContext:
         self._grading = None
         self.n = self.frame.n
         self.abelian = self.frame.abelian
-        self.dbar_images, self.bracket_table = dbar_images(self.frame)
-        self.dbar_table = derivation_table(self.dbar_images, self.n)
+        images, brackets = dbar_images(self.frame)
+        self.dbar_table = derivation_table(images, self.n)
         self.bracket_tables = {h: derivation_table(row, self.n)
-                               for h, row in self.bracket_table.items()}
+                               for h, row in brackets.items()}
 
     @property
     def grading(self) -> Grading:
@@ -265,7 +265,3 @@ def ad_images(ctx: CalculusContext, a: MixedElement) -> dict[int, MixedElement]:
 
 def schouten(ctx: CalculusContext, a: MixedElement, b: MixedElement) -> MixedElement:
     return apply_table(derivation_table(ad_images(ctx, a), ctx.n), ctx.n, b)
-
-
-def dbar_lambda(ctx: CalculusContext, lam: MixedElement, e: MixedElement) -> MixedElement:
-    return dbar(ctx, e) + schouten(ctx, lam, e)

@@ -292,7 +292,3 @@ def element_from_coords(coords: dict, basis: list[Monomial]) -> MixedElement:
     """The element with the given sparse coordinates."""
     return MixedElement({basis[j]: c for j, c in coords.items()})
 
-
-def wedge(a: MixedElement, b: MixedElement) -> MixedElement:
-    return a.wedge(b)
-

@@ -23,7 +23,6 @@ dimension table that both of its paths give.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 from .calculus import (CalculusContext, apply_table, dbar, dbar_cell,
                        dbar_images, derivation_matrix, derivation_table,
@@ -229,11 +228,6 @@ class TotalComplex:
                       for k in range(self.nmax + 1)}
         self.dmat = {k: self._build_d(k) for k in range(self.nmax + 1)}
 
-    @cached_property
-    def index(self) -> dict[int, dict]:
-        """The position of every monomial of K^k, by k."""
-        return {k: {m: i for i, m in enumerate(b)} for k, b in self.bases.items()}
-
     def _build_d(self, k: int) -> ExactMatrix:
         """D^k from the cell columns of dbar and ad_lam.  The cells of K^k
         are consecutive blocks, and the two maps out of a cell land in
@@ -377,21 +371,6 @@ class SpectralPage:
                     f"d_{r} image of a class at {(p, q)} leaves Z_{r} at {(tp, tq)}")
             cols.append(target.proj.apply(y))
         return ExactMatrix(cols, tdim)
-
-    @cached_property
-    def reps(self) -> dict:
-        """Canonical representatives of every cell, as sparse vectors."""
-        return {pq: self.cell(*pq).reps for pq in self.dims}
-
-    @cached_property
-    def projs(self) -> dict:
-        """The class projection (an ExactMatrix) of every cell."""
-        return {pq: self.cell(*pq).proj for pq in self.dims}
-
-    @cached_property
-    def d(self) -> dict:
-        return {pq: m for pq in self.dims
-                if (m := self.differential(*pq)) is not None}
 
 
 class PageResult:

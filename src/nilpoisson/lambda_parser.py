@@ -18,6 +18,11 @@ from .scalars import (GR_ONE, GaussRational, RAT_ZERO, gauss,
                       gauss_to_string, rational_from_string)
 
 
+# ASCII only: str.isdigit() also takes '²', which int() refuses, and '３',
+# which int() reads as 3
+_DIGITS = frozenset("0123456789")
+
+
 class LambdaParseError(UsageError):
     """Bad bivector expression; the message carries the position."""
 
@@ -47,14 +52,14 @@ class _Scanner:
         """Unsigned rational literal: digits, optionally /digits."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
         if self.pos < len(self.src) and self.src[self.pos] == "/":
             self.pos += 1
             dstart = self.pos
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
+            while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
                 self.pos += 1
             if self.pos == dstart:
                 self.fail("expected a denominator")
@@ -66,7 +71,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected an index")
@@ -101,7 +106,7 @@ def _parse_coeff(sc: _Scanner) -> GaussRational:
     if ch == "i":
         sc.take()
         return gauss(RAT_ZERO, rational_from_string("1"))
-    if ch.isdigit():
+    if ch in _DIGITS:
         value = rational_from_string(sc.number())
         if sc.peek() == "i":
             sc.take()

@@ -68,9 +68,6 @@ class AlgebraPresentation:
     def j_apply(self, u: Vector) -> Vector:
         return combine(u, self.jcols)
 
-    def basis_vector(self, i: int) -> Vector:
-        return {i - 1: GR_ONE}
-
 
 class ValidationReport:
     __slots__ = ("dim_even", "indices_ok", "jacobi_ok", "jacobi_failure",
@@ -360,9 +357,7 @@ def _j_core(p: AlgebraPresentation, sub: Subspace) -> list[Vector]:
             for ab in ExactMatrix(cols, p.dim).kernel()]
 
 
-def grading(p: AlgebraPresentation, frame: ComplexFrame | None = None) -> Grading:
-    if frame is None:
-        frame = complex_frame(p)
+def grading(p: AlgebraPresentation, frame: ComplexFrame) -> Grading:
     n = frame.n
     # the frame exists only for a valid report, whose series ends at g^{s+1} = 0
     series = frame.report.series
@@ -408,25 +403,35 @@ def presentation_to_dict(p: AlgebraPresentation) -> dict:
     return {"dim": p.dim, "brackets": brackets, "J": jmat}
 
 
-def _integer(value, key: str) -> int:
-    """An integer field of a presentation: a JSON integer or an integer
-    string; int() would truncate a float and read a boolean as 0 or 1."""
-    if isinstance(value, (bool, float)):
-        raise ValueError(f'"{key}" must be an integer, not {value!r}')
-    return int(value)
+def _integer(value, what: str) -> int:
+    """An integer field or `out` key of a presentation: a JSON integer, or a
+    string of an optional sign and ASCII digits, spaces around allowed.
+    int() alone would truncate a float, read a boolean as 0 or 1, "1_0" as
+    10 and a fullwidth "４" as 4."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        digits = value.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if digits.isascii() and digits.isdigit():
+            return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
 
 
 def presentation_from_dict(data: dict, name: str = "file") -> AlgebraPresentation:
     try:
-        dim = _integer(data["dim"], "dim")
+        dim = _integer(data["dim"], '"dim"')
         brackets = {}
         for ent in data.get("brackets", []):
-            i, j = _integer(ent["i"], "i"), _integer(ent["j"], "j")
+            i, j = _integer(ent["i"], '"i"'), _integer(ent["j"], '"j"')
             if i == j:
                 raise ValueError(f"bracket ({i},{i}) of a vector with itself")
             if not isinstance(ent["out"], dict):
                 raise ValueError(f'"out" of bracket ({i},{j}) must be a JSON object')
-            out = {int(k): rational_from_string(v) for k, v in ent["out"].items()}
+            where = f'an index in "out" of bracket ({i},{j})'
+            out = {_integer(k, where): rational_from_string(v)
+                   for k, v in ent["out"].items()}
             if len(out) < len(ent["out"]):
                 raise ValueError(f'"out" of bracket ({i},{j}) names one index '
                                  f"twice: {sorted(ent['out'])}")

@@ -21,12 +21,15 @@ RAT_ONE = Rational(1)
 
 
 def rational_from_string(text: str) -> Rational:
-    """Parse "p" or "p/q" (optional sign, arbitrary precision)."""
+    """Parse "p" or "p/q" (optional sign, arbitrary precision), or an exact
+    decimal.  Fraction alone would also read "1_0" as 10 and "３" as 3."""
     if not isinstance(text, str):
         raise TypeError(f"rational literal {text!r} is not a string")
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
+    if "_" in s or not s.isascii():
+        raise ValueError(f"bad rational literal {text!r}")
     try:
         return Rational(s)
     except (ValueError, ZeroDivisionError) as exc:

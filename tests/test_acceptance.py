@@ -120,15 +120,15 @@ def test_tower4_counterexample_second_page_fails():
     page2 = verdict.pages.page(2)
     tc = verdict.pages.tc
     src = verdict.witness_source
-    coords = element_entries(src, tc.index[2])
-    cls = page2.projs[(0, 2)].apply(coords)
+    coords = element_entries(src, {m: i for i, m in enumerate(tc.bases[2])})
+    cls = page2.cell(0, 2).proj.apply(coords)
     assert any(cls.values())
-    out_cls = page2.d[(0, 2)].apply(cls)
+    out_cls = page2.differential(0, 2).apply(cls)
     assert any(out_cls.values())
     img = MixedElement.zero()
     for j, c in out_cls.items():
         img = img + scaled(
-            element_from_coords(page2.reps[(2, 1)][j], tc.bases[3]), c)
+            element_from_coords(page2.cell(2, 1).reps[j], tc.bases[3]), c)
     # a nonzero rational multiple of v3^v4^ow2
     target_mono = (vec_gen(3), vec_gen(4), form_gen(2))
     assert set(img.terms) == {target_mono}

@@ -14,12 +14,20 @@ import pytest
 import nilpoisson
 import nilpoisson.cli  # noqa: F401  (the package does not import it)
 
-_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-# dataclasses look their module up by name while the module runs
-sys.modules[_SPEC.name] = workloads
-_SPEC.loader.exec_module(workloads)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name while the module runs
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("perfbench_workloads", "workloads.py")
+tracer = _load("perfbench_tracer", "tracer.py")
 
 _OPS = [(name, op) for name, w in workloads.WORKLOADS.items() for op in w.ops]
 
@@ -33,3 +41,13 @@ def reference():
 def test_pinned_operation_matches_reference(name, op, reference):
     code, text = workloads.run_op(op, nilpoisson)
     assert workloads.mismatch(op, workloads.extract(op, code, text), reference) is None
+
+
+_TRACED = sorted({name for layers in (tracer.SPAN_LAYERS, tracer.COUNT_LAYERS)
+                  for names, _ in layers.values() for name in names})
+
+
+@pytest.mark.parametrize("name", _TRACED)
+def test_traced_name_exists(name):
+    # a traced name that is gone reads null in a traced benchmark run
+    assert tracer.resolve(name) is not None

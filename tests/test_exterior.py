@@ -18,7 +18,6 @@ from nilpoisson.exterior import (
     mono_str,
     terms_texts,
     vec_gen,
-    wedge,
     wedge_mono,
 )
 from nilpoisson.scalars import GR_ONE, GaussRational, Rational, gauss
@@ -81,8 +80,8 @@ def test_wedge_graded_commutativity():
         b_m = tuple(sorted(rng.sample(gens, kb)))
         a = MixedElement.term(a_m, gauss(2, 1))
         b = MixedElement.term(b_m, gauss(0, -3))
-        lhs = wedge(a, b)
-        rhs = scaled(wedge(b, a), gauss((-1) ** (ka * kb)))
+        lhs = a.wedge(b)
+        rhs = scaled(b.wedge(a), gauss((-1) ** (ka * kb)))
         assert lhs == rhs
 
 
@@ -93,11 +92,11 @@ def test_wedge_associative_and_unital():
         a = rand_element(rng, 3)
         b = rand_element(rng, 3)
         c = rand_element(rng, 3)
-        assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
-        assert wedge(unit, a) == a
-        assert wedge(a, unit) == a
+        assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
+        assert unit.wedge(a) == a
+        assert a.wedge(unit) == a
         # bilinearity
-        assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
+        assert (a + b).wedge(c) == a.wedge(c) + b.wedge(c)
 
 
 def test_vector_and_form_constructors():

@@ -73,6 +73,12 @@ def test_parse_errors_carry_position():
         "v1^v2 +": "position 7",
         "q1^v2": "position 0",
         "v1^v2 x": "position 6",
+        # digits are ASCII: a superscript or fullwidth digit is no digit
+        "v1^v\u00b2": "expected an index at position 4",
+        "\u00b2 v1^v2": "expected 'v' at position 0",
+        "1/\u00b2 v1^v2": "expected a denominator at position 2",
+        "\uff13 v1^v2": "expected 'v' at position 0",
+        "v1^v\uff12": "expected an index at position 4",
     }
     for bad, where in cases.items():
         with pytest.raises(LambdaParseError) as err:

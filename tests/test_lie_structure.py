@@ -298,7 +298,7 @@ def test_central_series_torus_and_kodaira():
 
 
 def _dense_jacobi_failure(p):
-    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    e = [{i: GR_ONE} for i in range(p.dim)]
     for i, j, k in combinations(range(1, p.dim + 1), 3):
         acc = [GR_ZERO] * p.dim
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -311,7 +311,7 @@ def _dense_jacobi_failure(p):
 
 
 def _dense_central_series(p):
-    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    e = [{i: GR_ONE} for i in range(p.dim)]
     series = [Subspace.full(p.dim)]
     while True:
         prev = series[-1]
@@ -357,7 +357,7 @@ def test_central_series_matches_all_pairs_in_random_frames(p, seed):
 
 
 def _dense_center(p):
-    e = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    e = [{i: GR_ONE} for i in range(p.dim)]
     # row (j, k): x -> the e_k coordinate of [x, e_j]
     rows = [{i: x for i, ei in enumerate(e)
              if (x := p.bracket_vectors(ei, ej).get(k))}
@@ -395,7 +395,7 @@ def test_sparse_structure_reads_match_dense_oracle(p):
 
 def test_grading_dims_tower4():
     p = tower(4)
-    g = grading(p)
+    g = grading(p, complex_frame(p))
     assert g.n == 4 and g.step == 4
     assert g.c10.dim == 1
     assert sorted(g.t10) == [1, 2, 3, 4]
@@ -455,16 +455,20 @@ def test_grading_refuses_a_pair_that_is_not_nested(monkeypatch):
         calls.append(rows)
         return swap.get(len(calls) - 1) or real(frame, rows, dim)
 
+    p = tower(4)
+    frame = complex_frame(p)
     monkeypatch.setattr(lie_structure, "_level10", patched)
     with pytest.raises(InternalInvariantError,
                        match=r"^g_J\^2 is not contained in g_J\^1$"):
-        grading(tower(4))
+        grading(p, frame)
 
 
 def test_grading_dims_torus_kodaira():
-    g = grading(torus(3))
+    p = torus(3)
+    g = grading(p, complex_frame(p))
     assert g.c10.dim == 3 and g.step == 1
-    g = grading(kodaira())
+    p = kodaira()
+    g = grading(p, complex_frame(p))
     assert g.c10.dim == 1
     assert {k: v.dim for k, v in g.t10.items()} == {1: 1, 2: 1}
 
@@ -512,7 +516,7 @@ def test_conjugated_presentation_still_valid():
     assert rep.ok
     assert rep.step == 3
     assert rep.abelian
-    g = grading(q)
+    g = grading(q, complex_frame(q))
     assert g.c10.dim == 1
 
 
@@ -540,7 +544,7 @@ def _nijenhuis_reference(p):
     """(integrable, abelian) from N(e_i, e_j) = [Je_i, Je_j] - [e_i, e_j]
     - J([Je_i, e_j] + [e_i, Je_j]) and [Je_i, Je_j] = [e_i, e_j] on every
     pair i < j of real basis vectors."""
-    basis = [p.basis_vector(i) for i in range(1, p.dim + 1)]
+    basis = [{i: GR_ONE} for i in range(p.dim)]
     jb = [p.j_apply(b) for b in basis]
     integrable = abelian = True
     for i, j in combinations(range(p.dim), 2):
@@ -577,7 +581,7 @@ def _grading_reference(p, frame):
     rows: dict = {}
     for a, v in enumerate(frame.v_rows):
         for j in range(1, p.dim + 1):
-            for k, x in p.bracket_vectors(v, p.basis_vector(j)).items():
+            for k, x in p.bracket_vectors(v, {j - 1: GR_ONE}).items():
                 rows.setdefault((j, k), {})[a] = x
     t10 = {k: Quotient(gj10[k], gj10[k - 1]).reps for k in range(1, len(gj10))}
     return t10, row_kernel(list(rows.values()), frame.n)
@@ -631,7 +635,7 @@ def test_context_matches_references_on_fixed_presentations():
     # its central (1,0) vectors are those of span{e5, e6}
     odd = AlgebraPresentation(6, {(1, 3): {5: Rational(1)}, (1, 4): {6: Rational(1)}},
                               _paired_j_rows(3))
-    assert grading(odd).c10.dim == 1
+    assert grading(odd, complex_frame(odd)).c10.dim == 1
     moved = _tower3_with_moved_j()
     assert _nijenhuis_reference(moved) == (False, False)
     # a dense frame: no level's (1,0) span is its own conjugate

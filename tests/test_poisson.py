@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nilpoisson.calculus import CalculusContext, ad_images, dbar, schouten
 from nilpoisson.catalog import kodaira, torus, tower
 from nilpoisson.errors import NotAbelianError, ValidationError
-from nilpoisson.exterior import MixedElement, form_gen, vec_gen, wedge
+from nilpoisson.exterior import MixedElement, form_gen, vec_gen
 from nilpoisson.homology import BigradedComplex
 from nilpoisson.lambda_parser import parse_lambda
 from nilpoisson.poisson import (
@@ -134,7 +134,7 @@ def test_theorem2_kodaira_exact_real_form(kodaira_ctx):
     a = MixedElement.vector(cu)
     b = MixedElement.vector(cw)
     quarter = gauss(Rational(1, 4))
-    built = scaled(wedge(a, b), quarter)
+    built = scaled(a.wedge(b), quarter)
     cand = theorem2_lambda(kodaira_ctx)
     assert cand.bivector == built
 
@@ -149,8 +149,8 @@ def test_theorem2_wedge_mechanism():
         c = MixedElement.term((vec_gen(n),), GR_ONE)
         v = MixedElement.term((vec_gen(n - 1),), GR_ONE)
         assert dbar(ctx, c).is_zero()
-        assert wedge(c, dbar(ctx, v)).is_zero()
-        assert dbar(ctx, wedge(c, v)).is_zero()
+        assert c.wedge(dbar(ctx, v)).is_zero()
+        assert dbar(ctx, c.wedge(v)).is_zero()
 
 
 def test_theorem2_needs_two_dimensions():

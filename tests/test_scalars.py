@@ -123,7 +123,8 @@ def test_rational_string_round_trip():
 
 
 def test_rational_string_rejects_garbage():
-    for bad in ("", "  ", "1/0", "x", "2+3"):
+    # Fraction alone reads "1_0" as 10 and a fullwidth three as 3
+    for bad in ("", "  ", "1/0", "x", "2+3", "1_0", "\uff13"):
         with pytest.raises(ValueError):
             rational_from_string(bad)
 
