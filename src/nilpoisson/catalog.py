@@ -9,8 +9,8 @@ from __future__ import annotations
 import json
 
 from .errors import UsageError
-from .lie_structure import (AlgebraPresentation, presentation_from_dict,
-                            presentation_to_dict)
+from .lie_structure import (AlgebraPresentation, _integer,
+                            presentation_from_dict, presentation_to_dict)
 from .scalars import GaussRational, RAT_ZERO, Rational
 
 HALF = Rational(1, 2)
@@ -104,7 +104,7 @@ def catalog_load(spec: str) -> AlgebraPresentation:
     if not param:
         raise UsageError(f"{name} needs a parameter, e.g. {name}:4")
     try:
-        n = int(param)
+        n = _integer(param, "parameter")
     except ValueError as exc:
         raise UsageError(f"bad parameter {param!r} for {name}") from exc
     return builder(n)

@@ -304,18 +304,22 @@ class Quotient:
     """total/sub for subspaces sub <= total, in the coordinates of both.
 
     `reps`, the rows of total's basis at the pivots sub lacks (in pivot
-    order), are the canonical coset representatives, and `dim` counts them.
+    order), are the canonical coset representatives, and `dim` counts them;
+    over a zero sub they are total's own row list, so they are read only.
     Only the pivots are checked: sub's must be pivots of total.  Containment
     itself is the caller's to know or to check (`contains_subspace`)."""
 
     def __init__(self, sub: Subspace, total: Subspace):
-        subp = set(sub.pivots)
-        if not subp <= set(total.pivots):
-            raise LinalgError("quotient: sub pivots escape total")
         self.sub = sub
         self.total = total
-        self.reps = [row for row, pc in zip(total.rows, total.pivots)
-                     if pc not in subp]
+        if not sub.pivots:
+            self.reps = total.rows
+        else:
+            subp = set(sub.pivots)
+            if not subp <= set(total.pivots):
+                raise LinalgError("quotient: sub pivots escape total")
+            self.reps = [row for row, pc in zip(total.rows, total.pivots)
+                         if pc not in subp]
         self.dim = len(self.reps)
 
     @cached_property

@@ -13,7 +13,7 @@ form half rank b (`subset_masks`) sits at a * C(n, q) + b.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from functools import cache
 from itertools import accumulate, combinations
@@ -93,20 +93,27 @@ def mono_str(mono: Monomial) -> str:
                      for g in mono]) or "1"
 
 
-def terms_texts(rows, words: list[str]) -> list[str]:
-    """The text of each sparse row {index: coefficient} over a basis whose
-    monomials read as words, terms in index order, which must be monomial
-    order: "(c) word + ...", or "0" for an empty row.  The "(c) " head is
-    written once per distinct coefficient, keyed by its (a, b, d) triple,
-    which hashes in C."""
-    heads, texts = {}, []
+def terms_texts(rows, vecs, forms) -> list[str]:
+    """The text of each sparse row {index: coefficient}, terms in index
+    order, which must be monomial order: "(c) word + ...", or "0" for an
+    empty row.  The word at index j is vecs[j // nf] + forms[j % nf], nf =
+    len(forms), or "1" when both are empty: the half tables of one cell
+    (`CellBasis.halves`), or a list of words over forms ("",).  An index
+    outside the basis raises IndexError.  The "(c) " head is written once
+    per distinct coefficient, keyed by its (a, b, d) triple, which hashes
+    in C; a one-term row is its head and word, with no sort or join."""
+    nf, heads, texts = len(forms), {}, []
+    size = len(vecs) * nf
     for r in rows:
-        terms = []
+        text = None
         for j, c in sorted(r.items()) if len(r) > 1 else r.items():
+            if not 0 <= j < size:
+                raise IndexError("basis index out of range")
             if (h := heads.get(k := (c.a, c.b, c.d))) is None:
                 h = heads[k] = f"({gauss_to_string(c)}) "
-            terms.append(h + words[j])
-        texts.append(" + ".join(terms) or "0")
+            term = h + (vecs[j // nf] + forms[j % nf] or "1")
+            text = term if text is None else text + " + " + term
+        texts.append(text or "0")
     return texts
 
 
@@ -181,7 +188,7 @@ class MixedElement:
     def __str__(self) -> str:
         monos = sorted(self.terms)
         return terms_texts([{j: self.terms[m] for j, m in enumerate(monos)}],
-                           [mono_str(m) for m in monos])[0]
+                           [mono_str(m) for m in monos], ("",))[0]
 
     __repr__ = __str__
 
@@ -248,21 +255,16 @@ class CellBasis(Sequence):
         a, b = divmod(j - self.starts[c], len(subset_masks(n, q)))
         return mask_mono(subset_masks(n, p)[a] | subset_masks(n, q)[b] << n, n)
 
-    def words(self, indices) -> dict[int, str]:
-        """`mono_str` of the monomial at each index, joined from the cached
-        texts of its vector half (with "^" when a form half follows) and its
-        form half: the indices sorted once, then each cell's in one pass."""
-        idx, out, lo = sorted(indices), {}, 0
-        if idx and not (0 <= idx[0] and idx[-1] < self.starts[-1]):
-            raise IndexError("cell basis index out of range")
-        for (p, q), start, end in zip(self.cells, self.starts, self.starts[1:]):
-            vecs = subset_words(self.n, p, "v", "^" if p and q else "")
-            forms = subset_words(self.n, q, "ow")
-            nf, hi = len(forms), bisect_left(idx, end, lo)
-            out.update({j: vecs[(j - start) // nf] + forms[(j - start) % nf]
-                        or "1" for j in idx[lo:hi]})
-            lo = hi
-        return out
+    def halves(self) -> tuple[Sequence[str], Sequence[str]]:
+        """The (vecs, forms) tables `terms_texts` reads words from: of one
+        cell, the cached texts of its vector half (with "^" when a form half
+        follows) and of its form half; of several, every word and ("",)."""
+        tables = [(subset_words(self.n, p, "v", "^" if p and q else ""),
+                   subset_words(self.n, q, "ow")) for p, q in self.cells]
+        if len(tables) == 1:
+            return tables[0]
+        return [v + f for vecs, forms in tables
+                for v in vecs for f in forms], ("",)
 
 
 def graded_monomials(n: int, k: int) -> list[Monomial]:

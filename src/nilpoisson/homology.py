@@ -128,10 +128,8 @@ class CohomologyCell(Quotient):
 
     def representative_texts(self) -> list[str]:
         """`str` of each representative, written from its coordinates: the
-        basis of a cell is in monomial order, so index order is term order.
-        Only the monomials the representatives hold are written."""
-        return terms_texts(self.reps, self.basis.words(
-            {j for r in self.reps for j in r}))
+        basis of a cell is in monomial order, so index order is term order."""
+        return terms_texts(self.reps, *self.basis.halves())
 
     def class_coords(self, coords: dict) -> dict:
         if not self.total.contains(coords):
@@ -382,6 +380,8 @@ class PageResult:
         self.pairs = pairs
 
     def page(self, r: int) -> SpectralPage:
+        if not 1 <= r <= len(self.pages):
+            raise IndexError(f"page {r} outside 1..{len(self.pages)}")
         return self.pages[r - 1]
 
 

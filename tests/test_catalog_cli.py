@@ -48,6 +48,27 @@ def test_catalog_load_errors():
         catalog_load("torus:0")
 
 
+@pytest.mark.parametrize("spec, param", [
+    ("tower:1_0", "1_0"), ("torus:1_2", "1_2"), ("tower:\uff13", "\uff13"),
+    ("tower:\u0663", "\u0663"), ("tower:3.0", "3.0"), ("tower:+-3", "+-3"),
+])
+def test_catalog_parameter_is_a_sign_and_ascii_digits(capsys, spec, param):
+    # int() alone reads "1_0" as 10 and a fullwidth or Arabic-Indic digit
+    # as 3; the parameter follows the rule of a file's integer fields
+    name = spec.partition(":")[0]
+    rc, out, err = run(capsys, "info", "--algebra", spec)
+    assert (rc, out) == (2, "")
+    assert err == f"error: bad parameter {param!r} for {name}\n"
+
+
+def test_catalog_parameter_allows_a_sign_and_spaces(capsys):
+    assert catalog_load("tower: 3 ").name == "tower(3)"
+    assert catalog_load("torus:+2").name == "torus(2)"
+    rc, out, err = run(capsys, "info", "--algebra", "tower")
+    assert (rc, out) == (2, "")
+    assert err == "error: tower needs a parameter, e.g. tower:4\n"
+
+
 def test_save_load_round_trip(tmp_path):
     src = tower(3)
     path = tmp_path / "tower3.json"

@@ -598,6 +598,22 @@ def test_quotient_reps_and_proj(case, data):
     assert sub.contains(rest)
 
 
+@settings(max_examples=50, deadline=None)
+@given(_nested_pair())
+def test_quotient_by_zero_is_its_total(case):
+    _, total, _ = case
+    # total's own rows, with no filter over its pivots
+    q = Quotient(Subspace.zero(total.ambient), total)
+    assert q.reps is total.rows and q.dim == total.dim
+    for j, row in enumerate(total.rows):
+        assert q.proj.apply(row) == {j: GR_ONE}
+    # a nonzero sub is still checked: a pivot outside total escapes
+    outside = [c for c in range(total.ambient) if c not in set(total.pivots)]
+    if outside:
+        with pytest.raises(LinalgError):
+            Quotient(Subspace(total.ambient, [{outside[0]: GR_ONE}]), total)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_nested_pair())
 def test_quotient_rejects_every_escaping_pivot(case):

@@ -117,7 +117,7 @@ def test_element_str_pinned():
     e = e + MixedElement.term((vec_gen(1), form_gen(3)), gauss(-2))
     assert str(e) == "(-2) v1^ow3 + ((1/4+1/2i)) v2^ow1"
     assert str(MixedElement.zero()) == "0"
-    assert terms_texts([{}], []) == ["0"]
+    assert terms_texts([{}], [], ("",)) == ["0"]
 
 
 def test_terms_texts_write_each_coefficient_once(monkeypatch):
@@ -130,7 +130,7 @@ def test_terms_texts_write_each_coefficient_once(monkeypatch):
     one_i, one_minus_i = gauss(1, 1), gauss(1, -1)
     rows = [{2: one_i, 0: gauss(1)}, {1: one_minus_i}, {}, {0: gauss(1, 1)},
             {1: gauss(Rational(1, 2)), 2: GR_ONE}]
-    assert terms_texts(rows, {0: "v1", 1: "v2", 2: "ow1"}) == [
+    assert terms_texts(rows, ["v1", "v2", "ow1"], ("",)) == [
         "(1) v1 + ((1+1i)) ow1", "((1-1i)) v2", "0", "((1+1i)) v1",
         "(1/2) v2 + (1) ow1"]
     assert written == [gauss(1), one_i, one_minus_i, gauss(Rational(1, 2))]
@@ -198,15 +198,18 @@ def test_cell_basis_decodes_cell_monomials():
                 basis = CellBasis(n, [(p, q)])
                 assert len(basis) == len(want), (n, p, q)
                 assert list(basis) == want, (n, p, q)
-                assert basis.words(range(len(want))) == {
-                    j: mono_str(m) for j, m in enumerate(want)}
+                assert terms_texts([{j: GR_ONE} for j in range(len(want))],
+                                   *basis.halves()) == [
+                    f"(1) {mono_str(m)}" for m in want]
                 with pytest.raises(IndexError):
                     basis[len(want)]
                 with pytest.raises(IndexError):
                     basis[-1]
-                for bad in ([-1], [len(want)], [-1, len(want), len(want) + 11]):
+                # a negative index does not wrap, alone or among others
+                for bad in ({-1: GR_ONE}, {len(want): GR_ONE},
+                            {-1: GR_ONE, 0: GR_ONE, len(want) + 11: GR_ONE}):
                     with pytest.raises(IndexError):
-                        basis.words(bad)
+                        terms_texts([bad], *basis.halves())
 
 
 def test_cell_basis_of_a_degree_is_graded_monomials():
@@ -219,7 +222,15 @@ def test_cell_basis_of_a_degree_is_graded_monomials():
             assert list(basis) == want
             # a sparse set of indices, out of order, across the cells
             picked = list(range(len(want)))[::-3]
-            assert basis.words(picked) == {j: mono_str(want[j]) for j in picked}
+            assert terms_texts([{j: GR_ONE} for j in picked],
+                               *basis.halves()) == [
+                f"(1) {mono_str(want[j])}" for j in picked]
+            # and a row across the cells, in index order
+            assert terms_texts([dict.fromkeys(picked, GR_ONE)],
+                               *basis.halves()) == [" + ".join(
+                f"(1) {mono_str(want[j])}" for j in sorted(picked)) or "0"]
+            with pytest.raises(IndexError):
+                terms_texts([{-1: GR_ONE}], *basis.halves())
 
 
 def test_cell_monomials_sorted():

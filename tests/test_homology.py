@@ -194,18 +194,34 @@ def test_e2_ranks_match_cell_reference_in_random_frames(n, seed, coeffs):
 @pytest.mark.parametrize("name", ["kodaira", "tower:3", "tower:4", "tower:5",
                                   "torus:3"])
 def test_representative_texts_match_elements_on_catalog(name):
-    _assert_texts_match(CalculusContext(catalog_load(name)))
+    _assert_texts_match(BigradedComplex(CalculusContext(catalog_load(name))))
+
+
+@pytest.mark.parametrize("name, lam", [
+    ("kodaira", "v1^v2"), ("tower:4", "2 v1^v4 - v2^v3"), ("tower:3", None),
+])
+def test_representative_texts_match_elements_with_lambda(name, lam):
+    # the Poisson cells' bases span every cell of a total degree
+    ctx = CalculusContext(catalog_load(name))
+    bivector = (theorem2_lambda(ctx).bivector if lam is None
+                else parse_lambda(lam).bind(ctx.n))
+    _assert_texts_match(BigradedComplex(ctx, bivector))
 
 
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32))
 def test_representative_texts_match_elements_in_random_frames(n, seed):
     # dense frames give multi-term representatives with non-real coefficients
-    _assert_texts_match(CalculusContext(conjugated(tower(n), random.Random(seed))))
+    ctx = CalculusContext(conjugated(tower(n), random.Random(seed)))
+    _assert_texts_match(BigradedComplex(ctx, theorem2_lambda(ctx).bivector))
 
 
-def _assert_texts_match(ctx):
-    for cell in dolbeault_table(BigradedComplex(ctx)).values():
+def _assert_texts_match(bc):
+    """Every Dolbeault cell and every Poisson cohomology degree of bc."""
+    tc = TotalComplex(bc)
+    cells = [*dolbeault_table(bc).values(),
+             *(poisson_cohomology(tc, k) for k in range(2 * bc.n + 1))]
+    for cell in cells:
         assert cell.representative_texts() == [
             str(e) for e in cell.representatives()]
 
@@ -225,6 +241,17 @@ def test_representative_texts_write_each_coefficient_once(monkeypatch):
         coeffs = {c for rep in cell.reps for c in rep.values()}
         assert sorted(written, key=repr) == sorted(coeffs, key=repr)
     assert sum(cell.dim for cell in cells) == 4096
+
+
+def test_page_outside_the_pages_raises(kodaira_ctx):
+    result = spectral_pages(BigradedComplex(
+        kodaira_ctx, parse_lambda("v1^v2").bind(kodaira_ctx.n)))
+    last = len(result.pages)
+    assert result.page(1) is result.pages[0]
+    assert result.page(last) is result.pages[-1]
+    for r in (0, -1, -2, last + 1):
+        with pytest.raises(IndexError, match=rf"^page {r} outside 1\.\.{last}$"):
+            result.page(r)
 
 
 def test_page_dims_against_brute_force(tower4_ctx, tower4_pi, tower4_bc):
