@@ -1,4 +1,4 @@
-"""Built-in algebra presets and JSON file loading.
+"""Built-in algebra presets and the JSON presentation file format.
 
 Preset real bases come in pairs (x_j, y_j) with J x_j = y_j, and each preset
 carries the preferred frame v_j = (x_j - i y_j) / 2 so printed output matches
@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 
 from .errors import UsageError
-from .lie_structure import (AlgebraPresentation, _integer,
-                            presentation_from_dict, presentation_to_dict)
-from .scalars import GaussRational, RAT_ZERO, Rational
+from .lie_structure import AlgebraPresentation
+from .scalars import (GaussRational, RAT_ZERO, Rational, rational_from_string,
+                      read_integer)
 
 HALF = Rational(1, 2)
 MINUS_HALF = Rational(-1, 2)
@@ -92,22 +92,70 @@ CATALOG = {"torus": torus, "tower": tower, "kodaira": kodaira}
 
 def catalog_load(spec: str) -> AlgebraPresentation:
     """Resolve "name" or "name:param" to a preset."""
-    name, _, param = spec.partition(":")
+    name, colon, param = spec.partition(":")
     name = name.strip().lower()
     builder = CATALOG.get(name)
     if builder is None:
         raise UsageError(f"unknown catalog algebra {name!r}; have {sorted(CATALOG)}")
     if name == "kodaira":
-        if param:
+        if colon:
             raise UsageError("kodaira takes no parameter")
         return builder()
     if not param:
         raise UsageError(f"{name} needs a parameter, e.g. {name}:4")
     try:
-        n = _integer(param, "parameter")
+        n = read_integer(param, "parameter")
     except ValueError as exc:
         raise UsageError(f"bad parameter {param!r} for {name}") from exc
     return builder(n)
+
+
+def presentation_to_dict(p: AlgebraPresentation) -> dict:
+    brackets = []
+    for (i, j) in sorted(p.brackets):
+        out = p.brackets[(i, j)]
+        brackets.append({
+            "i": i,
+            "j": j,
+            "out": {str(k): str(c) for k, c in sorted(out.items())},
+        })
+    jmat = [[str(p.jmat[i][j]) for j in range(p.dim)] for i in range(p.dim)]
+    return {"dim": p.dim, "brackets": brackets, "J": jmat}
+
+
+def presentation_from_dict(data: dict, name: str = "file") -> AlgebraPresentation:
+    try:
+        dim = read_integer(data["dim"], '"dim"')
+        brackets = {}
+        for ent in data.get("brackets", []):
+            i, j = read_integer(ent["i"], '"i"'), read_integer(ent["j"], '"j"')
+            if i == j:
+                raise ValueError(f"bracket ({i},{i}) of a vector with itself")
+            if not isinstance(ent["out"], dict):
+                raise ValueError(f'"out" of bracket ({i},{j}) must be a JSON object')
+            where = f'an index in "out" of bracket ({i},{j})'
+            out = {read_integer(k, where): rational_from_string(v)
+                   for k, v in ent["out"].items()}
+            if len(out) < len(ent["out"]):
+                raise ValueError(f'"out" of bracket ({i},{j}) names one index '
+                                 f"twice: {sorted(ent['out'])}")
+            if i > j:
+                i, j, out = j, i, {k: -c for k, c in out.items()}
+            key = (i, j)
+            if key in brackets:
+                raise ValueError(f"bracket ({i},{j}) given twice")
+            out = {k: c for k, c in out.items() if c}
+            if out:
+                brackets[key] = out
+        jraw = data["J"]
+        # a string row would be read character by character
+        if not isinstance(jraw, list) or len(jraw) != dim or any(
+                not isinstance(r, list) or len(r) != dim for r in jraw):
+            raise ValueError("J must be a dim x dim matrix")
+        jmat = [[rational_from_string(x) for x in row] for row in jraw]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad algebra data: {exc}") from exc
+    return AlgebraPresentation(dim, brackets, jmat, name=name)
 
 
 def _unique_keys(pairs: list) -> dict:

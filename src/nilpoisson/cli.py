@@ -25,6 +25,14 @@ from .lambda_parser import expr_from_element, parse_lambda
 from .lie_structure import validate
 from .poisson import (holomorphic_bivector_space, is_holomorphic_poisson,
                       theorem2_lambda)
+from .scalars import read_integer
+
+
+def _integer_option(text: str) -> int:
+    return read_integer(text, "option")
+
+
+_integer_option.__name__ = "int"  # argparse refuses with "invalid int value"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--theorem2", action="store_true",
                              help="use the constructed central-wedge bivector")
         if "coef" in command.options:
-            cmd.add_argument("--coef", type=int, metavar="L",
+            cmd.add_argument("--coef", type=_integer_option, metavar="L",
                              help="vector-coefficient degree")
         if "pages" in command.options:
-            cmd.add_argument("--pages", type=int, metavar="R",
+            cmd.add_argument("--pages", type=_integer_option, metavar="R",
                              help="number of pages to report")
         cmd.add_argument("--format", dest="fmt", default="table",
                          choices=("table", "json", "csv"))

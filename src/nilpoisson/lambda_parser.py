@@ -14,13 +14,8 @@ from __future__ import annotations
 from .errors import UsageError
 from .exact_linalg import _axpy
 from .exterior import FORM_BASE, MixedElement
-from .scalars import (GR_ONE, GaussRational, RAT_ZERO, gauss,
+from .scalars import (DIGITS, GR_ONE, GaussRational, RAT_ZERO, gauss,
                       gauss_to_string, rational_from_string)
-
-
-# ASCII only: str.isdigit() also takes '²', which int() refuses, and '３',
-# which int() reads as 3
-_DIGITS = frozenset("0123456789")
 
 
 class LambdaParseError(UsageError):
@@ -52,14 +47,14 @@ class _Scanner:
         """Unsigned rational literal: digits, optionally /digits."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+        while self.pos < len(self.src) and self.src[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")
         if self.pos < len(self.src) and self.src[self.pos] == "/":
             self.pos += 1
             dstart = self.pos
-            while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+            while self.pos < len(self.src) and self.src[self.pos] in DIGITS:
                 self.pos += 1
             if self.pos == dstart:
                 self.fail("expected a denominator")
@@ -71,7 +66,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+        while self.pos < len(self.src) and self.src[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected an index")
@@ -79,12 +74,8 @@ class _Scanner:
 
 
 def _parse_signed_rational(sc: _Scanner):
-    sign = 1
-    if sc.peek() in "+-":
-        if sc.take() == "-":
-            sign = -1
-    value = rational_from_string(sc.number())
-    return -value if sign < 0 else value
+    sign = sc.take() if sc.peek() in "+-" else ""
+    return rational_from_string(sign + sc.number())
 
 
 def _parse_coeff(sc: _Scanner) -> GaussRational:
@@ -106,7 +97,7 @@ def _parse_coeff(sc: _Scanner) -> GaussRational:
     if ch == "i":
         sc.take()
         return gauss(RAT_ZERO, rational_from_string("1"))
-    if ch in _DIGITS:
+    if ch in DIGITS:
         value = rational_from_string(sc.number())
         if sc.peek() == "i":
             sc.take()

@@ -22,8 +22,7 @@ from itertools import combinations
 from .errors import InternalInvariantError, ValidationError
 from .exact_linalg import (ExactMatrix, Quotient, Subspace, _axpy, combine,
                            eliminate, invert, rank)
-from .scalars import (GR_I, GR_ONE, GR_ZERO, GaussRational,
-                      rational_from_string, rational_to_string)
+from .scalars import GR_I, GR_ONE, GR_ZERO, GaussRational
 
 Vector = dict  # {0-based ambient coordinate: nonzero GaussRational}
 
@@ -36,7 +35,7 @@ class AlgebraPresentation:
 
     def __init__(self, dim, brackets, jmat, frame_rows=None, name="algebra"):
         self.dim = dim
-        # the rational input, as `presentation_to_dict` writes it out
+        # the rational input, as `catalog.presentation_to_dict` writes it out
         self.brackets = brackets  # {(i, j): {k: Rational}} with i < j, 1-based
         self.jmat = jmat  # rows: (J e_j)_i = jmat[i][j]
         # the same data compiled once into sparse vectors over Q(i), 0-based:
@@ -388,67 +387,3 @@ def grading(p: AlgebraPresentation, frame: ComplexFrame) -> Grading:
     if total != n:
         raise InternalInvariantError("t-splitting does not fill g^(1,0)")
     return Grading(n=n, step=step, t10=t10, c10=c10)
-
-
-def presentation_to_dict(p: AlgebraPresentation) -> dict:
-    brackets = []
-    for (i, j) in sorted(p.brackets):
-        out = p.brackets[(i, j)]
-        brackets.append({
-            "i": i,
-            "j": j,
-            "out": {str(k): rational_to_string(c) for k, c in sorted(out.items())},
-        })
-    jmat = [[rational_to_string(p.jmat[i][j]) for j in range(p.dim)] for i in range(p.dim)]
-    return {"dim": p.dim, "brackets": brackets, "J": jmat}
-
-
-def _integer(value, what: str) -> int:
-    """An integer field or `out` key of a presentation: a JSON integer, or a
-    string of an optional sign and ASCII digits, spaces around allowed.
-    int() alone would truncate a float, read a boolean as 0 or 1, "1_0" as
-    10 and a fullwidth "４" as 4."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        digits = value.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        if digits.isascii() and digits.isdigit():
-            return int(value)
-    raise ValueError(f"{what} must be an integer, not {value!r}")
-
-
-def presentation_from_dict(data: dict, name: str = "file") -> AlgebraPresentation:
-    try:
-        dim = _integer(data["dim"], '"dim"')
-        brackets = {}
-        for ent in data.get("brackets", []):
-            i, j = _integer(ent["i"], '"i"'), _integer(ent["j"], '"j"')
-            if i == j:
-                raise ValueError(f"bracket ({i},{i}) of a vector with itself")
-            if not isinstance(ent["out"], dict):
-                raise ValueError(f'"out" of bracket ({i},{j}) must be a JSON object')
-            where = f'an index in "out" of bracket ({i},{j})'
-            out = {_integer(k, where): rational_from_string(v)
-                   for k, v in ent["out"].items()}
-            if len(out) < len(ent["out"]):
-                raise ValueError(f'"out" of bracket ({i},{j}) names one index '
-                                 f"twice: {sorted(ent['out'])}")
-            if i > j:
-                i, j, out = j, i, {k: -c for k, c in out.items()}
-            key = (i, j)
-            if key in brackets:
-                raise ValueError(f"bracket ({i},{j}) given twice")
-            out = {k: c for k, c in out.items() if c}
-            if out:
-                brackets[key] = out
-        jraw = data["J"]
-        if len(jraw) != dim or any(len(r) != dim for r in jraw):
-            raise ValueError("J must be a dim x dim matrix")
-        jmat = [[rational_from_string(jraw[i][j]) for j in range(dim)] for i in range(dim)]
-    except (KeyError, TypeError, ValueError) as exc:
-        from .errors import UsageError
-
-        raise UsageError(f"bad algebra data: {exc}") from exc
-    return AlgebraPresentation(dim, brackets, jmat, name=name)

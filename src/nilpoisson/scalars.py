@@ -1,4 +1,4 @@
-"""Exact scalars: rationals and Gaussian rationals.
+"""Exact rationals and Gaussian rationals, and the one reader of number text.
 
 The whole engine runs over Q(i), structure constants and J included.  A
 Gaussian rational is held as three Python ints (a + b*i)/d in lowest terms,
@@ -20,24 +20,41 @@ RAT_ZERO = Rational(0)
 RAT_ONE = Rational(1)
 
 
+# The one definition of a digit in input text: int() and Fraction alone
+# also read "1_0" as 10 and a fullwidth "３" as 3, and isdigit() takes "²".
+DIGITS = frozenset("0123456789")
+_RATIONAL_CHARS = DIGITS | frozenset("+-/.eE")
+
+
+def read_integer(value, what: str) -> int:
+    """An integer from outside the package: an int but not a bool (a JSON
+    integer), or a string of an optional sign and digits, spaces around
+    allowed.  int() alone would truncate a float and read True as 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        digits = value.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        if digits and DIGITS.issuperset(digits):
+            return int(value)
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 def rational_from_string(text: str) -> Rational:
     """Parse "p" or "p/q" (optional sign, arbitrary precision), or an exact
-    decimal.  Fraction alone would also read "1_0" as 10 and "３" as 3."""
+    decimal, written in digits and "+-/.eE"; Fraction reads the grammar."""
     if not isinstance(text, str):
         raise TypeError(f"rational literal {text!r} is not a string")
     s = text.strip()
     if not s:
         raise ValueError("empty rational literal")
-    if "_" in s or not s.isascii():
+    if not _RATIONAL_CHARS.issuperset(s):
         raise ValueError(f"bad rational literal {text!r}")
     try:
         return Rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal {text!r}") from exc
-
-
-def rational_to_string(value) -> str:
-    return str(value)
 
 
 class GaussRational:

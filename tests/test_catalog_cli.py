@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from nilpoisson.calculus import CalculusContext
-from nilpoisson.catalog import catalog_load, load_file, save_file, torus, tower
+from nilpoisson.catalog import (catalog_load, load_file, presentation_to_dict,
+                                save_file, torus, tower)
 from nilpoisson.cli import main
 from nilpoisson.errors import UsageError
 from nilpoisson.homology import BigradedComplex, dolbeault_table
-from nilpoisson.lie_structure import presentation_to_dict, validate
+from nilpoisson.lie_structure import validate
 from test_homology import CROSSCHECK_BREAKS
 from test_lie_structure import conjugated
 
@@ -38,6 +39,8 @@ def test_catalog_load_errors():
         catalog_load("tower")
     with pytest.raises(UsageError):
         catalog_load("kodaira:2")
+    with pytest.raises(UsageError, match="^kodaira takes no parameter$"):
+        catalog_load("kodaira:")
     with pytest.raises(UsageError):
         catalog_load("heisenberg:3")
     with pytest.raises(UsageError):
@@ -67,6 +70,51 @@ def test_catalog_parameter_allows_a_sign_and_spaces(capsys):
     rc, out, err = run(capsys, "info", "--algebra", "tower")
     assert (rc, out) == (2, "")
     assert err == "error: tower needs a parameter, e.g. tower:4\n"
+    # an empty parameter is still a parameter
+    rc, out, err = run(capsys, "info", "--algebra", "kodaira:")
+    assert (rc, out, err) == (2, "", "error: kodaira takes no parameter\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--algebra", "tower:3", "--coef", "\uff12"),
+    ("crosscheck", "--algebra", "tower:3", "--coef", "\u0662"),
+    ("spectral", "--algebra", "tower:3", "--pages", "\uff12"),
+    ("degeneration", "--algebra", "tower:3", "--pages", "0_2"),
+], ids=["fullwidth", "arabic-indic", "pages-fullwidth", "pages-underscore"])
+def test_cli_integer_options_are_a_sign_and_ascii_digits(capsys, argv):
+    # int() alone reads each of these as 2; the refusal reads as for "abc"
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: argument {argv[-2]}: invalid int value: "
+                        f"{argv[-1]!r}\n")
+
+
+def test_cli_integer_options_read_through_scalars(monkeypatch):
+    # every option with a type is an integer read by scalars.read_integer,
+    # so no option reads its value with int() alone
+    import nilpoisson.cli as cli
+    import nilpoisson.scalars as scalars
+
+    seen = []
+
+    def spy(value, what):
+        seen.append(value)
+        return scalars.read_integer(value, what)
+
+    monkeypatch.setattr(cli, "read_integer", spy)
+    typed = []
+    for sub in cli.build_parser()._subparsers._group_actions:
+        for name, cmd in sub.choices.items():
+            for action in cmd._actions:
+                if action.type is not None:
+                    typed.append((name, action.dest))
+                    assert action.type(" +3 ") == 3
+                    assert seen.pop() == " +3 "
+                    with pytest.raises(ValueError):
+                        action.type("\uff13")
+                    assert seen.pop() == "\uff13"
+    assert sorted(typed) == [("cohomology", "coef"), ("crosscheck", "coef"),
+                             ("degeneration", "pages"), ("spectral", "pages")]
 
 
 def test_save_load_round_trip(tmp_path):
@@ -824,6 +872,8 @@ def test_cli_numeric_presentation_entries_are_usage_errors(capsys, tmp_path, fie
     # int() would read these as 10 and 4
     ("i", "1_0", '"i" must be an integer, not \'1_0\''),
     ("dim", "\uff14", '"dim" must be an integer, not \'\uff14\''),
+    # indexing a string row would read it as a row of "0"s
+    ("J", ["00", "00"], "J must be a dim x dim matrix"),
 ])
 def test_cli_malformed_presentation_is_usage_error(capsys, tmp_path, field,
                                                    value, message):
@@ -832,8 +882,8 @@ def test_cli_malformed_presentation_is_usage_error(capsys, tmp_path, field,
         "brackets": [{"i": 1, "j": 2, "out": {"2": "0"}}],
         "J": [["0", "-1"], ["1", "0"]],
     }
-    if field == "dim":
-        data["dim"] = value
+    if field in ("dim", "J"):
+        data[field] = value
     else:
         data["brackets"][0][field] = value
     path = tmp_path / "malformed.json"

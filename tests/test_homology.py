@@ -986,6 +986,7 @@ def _assert_duality(bc):
     ("kodaira", None), ("kodaira", "i v1^v2"),
     ("tower:4", "2 v1^v4 - v2^v3"), ("tower:5", None), ("torus:3", None),
     ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
+    ("tower:8", "2 v1^v8 - v2^v7 + v3^v6 - v4^v5"),
 ])
 def test_duality_pairs_d_with_its_adjoint(algebra, lam):
     ctx = CalculusContext(catalog_load(algebra))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilpoisson.catalog import (catalog_load, kodaira, load_file, save_file,
-                                torus, tower)
+from nilpoisson.catalog import (catalog_load, kodaira, load_file,
+                                presentation_from_dict, presentation_to_dict,
+                                save_file, torus, tower)
 import nilpoisson.lie_structure as lie_structure
 from nilpoisson.errors import InternalInvariantError, UsageError, ValidationError
 from nilpoisson.exact_linalg import ExactMatrix, Quotient, Subspace, combine, mat_mul
@@ -17,8 +18,6 @@ from nilpoisson.lie_structure import (
     central_series,
     complex_frame,
     grading,
-    presentation_from_dict,
-    presentation_to_dict,
     validate,
 )
 from nilpoisson.scalars import GR_I, GR_ONE, GR_ZERO, GaussRational, Rational

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from nilpoisson.calculus import CalculusContext
-from nilpoisson.catalog import catalog_load, tower
+from nilpoisson.catalog import catalog_load
 from nilpoisson.exact_linalg import rank
 from nilpoisson.homology import (BigradedComplex, TotalComplex, _column_dims,
                                  poisson_betti)
@@ -81,12 +81,15 @@ def test_rank_mod_p_matches_exact_rank(case):
     ("tower:6", "2 v1^v6 - v2^v5 + v3^v4"),
     ("torus:5", None),
     ("conjugated tower:4", None),
+    ("tower:8", "2 v1^v8 - v2^v7 + v3^v6 - v4^v5"),
+    ("conjugated tower:5", None),
 ])
 def test_betti_and_e1_agree_mod_p(algebra, lam):
-    # theorem 2's lam unless one is given; tower:4 in a random rational basis
+    # theorem 2's lam unless one is given; a tower in a random rational basis
     # has a non-real entry in every dbar and D
     if algebra.startswith("conjugated"):
-        ctx = CalculusContext(conjugated(tower(4), random.Random(1)))
+        ctx = CalculusContext(conjugated(catalog_load(algebra.split()[1]),
+                                         random.Random(1)))
     else:
         ctx = CalculusContext(catalog_load(algebra))
     bc = BigradedComplex(ctx, theorem2_lambda(ctx).bivector if lam is None
